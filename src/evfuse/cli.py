@@ -18,11 +18,8 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .data import (
-    CsvFormatError,
     CsvSchema,
     Dataset,
     Standardization,
@@ -135,13 +132,6 @@ def _load_split(data_dir, split: str) -> tuple[Dataset, dict]:
     return ds, sidecar
 
 
-def _apply_standardization(ds: Dataset, stats_doc: dict) -> Dataset:
-    mean = [np.array(m, dtype=float) for m in stats_doc["mean"]]
-    std = [np.array(s, dtype=float) for s in stats_doc["std"]]
-    feats = [(x - m) / s for x, m, s in zip(ds.features, mean, std)]
-    return Dataset(feats, ds.labels.copy(), split=ds.split)
-
-
 def _load_checkpoint(path) -> tuple[MultimodalClassifier, dict]:
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -214,15 +204,7 @@ def cmd_generate_data(args) -> int:
     train_ds, val_ds, test_ds = generate_synthetic(spec)
     for name, ds in (("train", train_ds), ("val", val_ds), ("test", test_ds)):
         save_csv(ds, out / f"{name}.csv", comment=f"config_hash={run_id}")
-    save_sidecar(out / "dataset.json", spec)
-    # append provenance to the sidecar
-    with open(out / "dataset.json", "r+", encoding="utf-8") as f:
-        doc = json.load(f)
-        doc["config_hash"] = run_id
-        f.seek(0)
-        f.truncate()
-        json.dump(doc, f, indent=2)
-        f.write("\n")
+    save_sidecar(out / "dataset.json", spec, run_id)
     _write_meta(out, run_id)
     print(f"wrote train/val/test CSVs and sidecar to {out} (run {run_id})")
     return EXIT_OK
@@ -325,7 +307,7 @@ def cmd_evaluate(args) -> int:
     cfg = _resolve(args, args.config, _EVAL_DEFAULTS)
     model, ckpt = _load_checkpoint(args.checkpoint)
     ds, _ = _load_split(args.data, str(cfg["split"]))
-    ds = _apply_standardization(ds, ckpt["standardization"])
+    ds = Standardization.from_dict(ckpt["standardization"]).apply(ds)
     res = evaluate_model(model, ds, n_bins=int(cfg["bins"]))
     run_id = ckpt.get("config_hash", "")
     out = _outdir(args.out)
@@ -368,7 +350,7 @@ def cmd_noise_sweep(args) -> int:
             f"--modality must be in [1, {model.n_modalities}]", EXIT_VALIDATION
         )
     ds, _ = _load_split(args.data, str(cfg["split"]))
-    ds = _apply_standardization(ds, ckpt["standardization"])
+    ds = Standardization.from_dict(ckpt["standardization"]).apply(ds)
     sweep = noise_sweep(model, ds, sigmas, modality - 1, seeds)
     run_id = ckpt.get("config_hash", "")
     out = _outdir(args.out)
@@ -395,7 +377,7 @@ def cmd_report(args) -> int:
     cfg = _resolve(args, args.config, _REPORT_DEFAULTS)
     model, ckpt = _load_checkpoint(args.checkpoint)
     ds, _ = _load_split(args.data, str(cfg["split"]))
-    ds = _apply_standardization(ds, ckpt["standardization"])
+    ds = Standardization.from_dict(ckpt["standardization"]).apply(ds)
     noise = None
     if cfg["sigma"] is not None:
         if cfg["modality"] is None:
@@ -545,9 +527,6 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except CsvFormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -55,13 +55,24 @@ class Standardization:
             "std": [s.tolist() for s in self.std],
         }
 
+    @classmethod
+    def from_dict(cls, doc: dict) -> "Standardization":
+        return cls(
+            [np.array(m, dtype=float) for m in doc["mean"]],
+            [np.array(s, dtype=float) for s in doc["std"]],
+        )
+
+    def apply(self, ds: "Dataset") -> "Dataset":
+        """Z-score every modality of `ds` with these statistics."""
+        feats = [(x - mu) / sd for x, mu, sd in zip(ds.features, self.mean, self.std)]
+        return Dataset(feats, ds.labels.copy(), split=ds.split)
+
 
 @dataclass
 class Dataset:
     features: list[np.ndarray]  # one (N, d_m) array per modality
     labels: np.ndarray
     split: str = ""
-    stats: Standardization | None = None
 
     def __post_init__(self):
         n = len(self.labels)
@@ -83,7 +94,6 @@ class Dataset:
             [x[idx].copy() for x in self.features],
             np.asarray(self.labels)[idx].copy(),
             split=split or self.split,
-            stats=self.stats,
         )
 
 
@@ -140,14 +150,7 @@ def standardize(train: Dataset, *others: Dataset) -> tuple[list[Dataset], Standa
         means.append(mu)
         stds.append(sd)
     stats = Standardization(means, stds)
-
-    out = []
-    for ds in (train, *others):
-        feats = [
-            (x - mu) / sd for x, mu, sd in zip(ds.features, means, stds)
-        ]
-        out.append(Dataset(feats, ds.labels.copy(), split=ds.split, stats=stats))
-    return out, stats
+    return [stats.apply(ds) for ds in (train, *others)], stats
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +241,7 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
     )
 
 
-def save_sidecar(path, spec: SyntheticSpec, stats: Standardization | None = None) -> None:
+def save_sidecar(path, spec: SyntheticSpec, config_hash: str) -> None:
     doc = {
         "n_classes": spec.n_classes,
         "n_per_class": spec.n_per_class,
@@ -246,9 +249,8 @@ def save_sidecar(path, spec: SyntheticSpec, stats: Standardization | None = None
         "separation": list(spec.separation),
         "seed": spec.seed,
         "split_sizes": list(spec.split_sizes) if spec.split_sizes else None,
+        "config_hash": config_hash,
     }
-    if stats is not None:
-        doc["standardization"] = stats.to_dict()
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2)
         f.write("\n")

@@ -129,7 +129,6 @@ def fuse_stack_backward(
     g_u: np.ndarray,
     g_sigma: np.ndarray,
     g_v: np.ndarray,
-    n_modalities: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Adjoints of the fused (u, sigma, v) pushed back to each input.
 
@@ -137,6 +136,7 @@ def fuse_stack_backward(
     The min-v selection is piecewise constant, so no gradient flows through
     the choice itself.
     """
+    n_modalities = len(trace.steps) + 1
     gu_in = np.zeros((n_modalities,) + g_u.shape)
     gs_in = np.zeros_like(gu_in)
     gv_in = np.zeros_like(gu_in)

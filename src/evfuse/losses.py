@@ -234,7 +234,6 @@ def total_loss_and_grads_arrays(gamma, delta, alpha, beta, y_onehot, lam):
     (per_modality_nig keeps the modality axis) and grads has shape
     (M, ..., K, 4) with the last axis ordered (gamma, delta, alpha, beta).
     """
-    m_count = gamma.shape[0]
     y = y_onehot
 
     nig_terms = nig_nll_arrays(gamma, delta, alpha, beta, y).sum(axis=-1)
@@ -262,7 +261,7 @@ def total_loss_and_grads_arrays(gamma, delta, alpha, beta, y_onehot, lam):
     # fused path: St NLL + fused CE, back through the fold and the conversion
     g_u, g_sigma, g_v = st_nll_grads_arrays(trace.u, trace.sigma, trace.v, y)
     g_u = g_u + lam * ce_f_grad
-    gu_in, gs_in, gv_in = fuse_stack_backward(trace, g_u, g_sigma, g_v, m_count)
+    gu_in, gs_in, gv_in = fuse_stack_backward(trace, g_u, g_sigma, g_v)
 
     d_gamma = d_gamma + gu_in
     d_beta = d_beta + gs_in * (1.0 + delta) / (delta * alpha)

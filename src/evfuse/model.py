@@ -21,7 +21,7 @@ import numpy as np
 
 from .distributions import NIGParams, StudentT
 from .fusion import FusedStudentT, fuse_stack
-from .losses import softmax, total_loss_and_grads_arrays
+from .losses import nig_to_st_arrays, softmax, total_loss_and_grads_arrays
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -102,12 +102,7 @@ def head_constrain(raw: Sequence[float]) -> NIGParams:
     raw = np.asarray(raw, dtype=float)
     if raw.shape != (4,) or not np.all(np.isfinite(raw)):
         raise ValueError("raw must be four finite values")
-    return NIGParams(
-        gamma=float(raw[0]),
-        delta=float(softplus(raw[1]) + _DELTA_FLOOR),
-        alpha=float(1.0 + softplus(raw[2]) + _ALPHA_FLOOR),
-        beta=float(softplus(raw[3]) + _BETA_FLOOR),
-    )
+    return NIGParams(*(float(p) for p in _constrain_arrays(raw)))
 
 
 def _constrain_arrays(raw: np.ndarray):
@@ -135,13 +130,16 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 
 class _MLP:
-    """Dense layers with a shared activation; identity on the last layer."""
+    """Dense layers, each followed by the activation; `arrays`: weights, then biases."""
 
     def __init__(self, spec: EncoderSpec, rng: np.random.Generator):
         self.spec = spec
         dims = [spec.input_dim] + list(spec.hidden_dims)
-        self.weights = [_glorot(rng, a, b) for a, b in zip(dims[:-1], dims[1:])]
-        self.biases = [np.zeros(b) for b in dims[1:]]
+        self.arrays = [_glorot(rng, a, b) for a, b in zip(dims[:-1], dims[1:])]
+        self.arrays += [np.zeros(b) for b in dims[1:]]
+
+    weights = property(lambda self: self.arrays[: len(self.spec.hidden_dims)])
+    biases = property(lambda self: self.arrays[len(self.spec.hidden_dims) :])
 
     @property
     def output_dim(self) -> int:
@@ -159,7 +157,8 @@ class _MLP:
                 acts.append(np.tanh(z))
         return acts[-1], (acts, pre)
 
-    def backward(self, cache, g_out: np.ndarray):
+    def backward(self, cache, g_out: np.ndarray) -> list[np.ndarray]:
+        """Gradients of every array in `arrays`, in the same order."""
         acts, pre = cache
         grads_w, grads_b = [], []
         g = g_out
@@ -171,34 +170,36 @@ class _MLP:
             grads_w.append(acts[i].T @ g)
             grads_b.append(g.sum(axis=0))
             g = g @ self.weights[i].T
-        return grads_w[::-1], grads_b[::-1]
-
-    def params(self):
-        return self.weights + self.biases
+        return grads_w[::-1] + grads_b[::-1]
 
 
 class _Head:
-    """Linear map from encoder features to 4*K raw evidential values."""
+    """Linear map from encoder features to 4*K raw evidential values; `arrays`: weight, bias."""
 
     def __init__(self, in_dim: int, n_classes: int, rng: np.random.Generator):
         self.n_classes = n_classes
-        self.weight = _glorot(rng, in_dim, 4 * n_classes)
-        self.bias = np.zeros(4 * n_classes)
+        self.arrays = [_glorot(rng, in_dim, 4 * n_classes), np.zeros(4 * n_classes)]
+
+    weight = property(lambda self: self.arrays[0])
+    bias = property(lambda self: self.arrays[1])
 
     def forward(self, h: np.ndarray) -> np.ndarray:
         raw = h @ self.weight + self.bias
         return raw.reshape(h.shape[0], self.n_classes, 4)
 
     def backward(self, h: np.ndarray, g_raw: np.ndarray):
+        """Gradients of `arrays` (same order), and of the input features."""
         g_flat = g_raw.reshape(h.shape[0], 4 * self.n_classes)
-        return h.T @ g_flat, g_flat.sum(axis=0), g_flat @ self.weight.T
-
-    def params(self):
-        return [self.weight, self.bias]
+        return [h.T @ g_flat, g_flat.sum(axis=0)], g_flat @ self.weight.T
 
 
 class MultimodalClassifier:
-    """Per-modality encoders + evidential heads with min-v fusion."""
+    """Per-modality encoders + evidential heads with min-v fusion.
+
+    All weights live in one float64 vector, `params`; each layer's `arrays`
+    are views into it.  Write weights in place (`[...] =`): a rebound array
+    is no longer part of `params`.
+    """
 
     def __init__(self, encoder_specs: Sequence[EncoderSpec], n_classes: int, seed: int = 0):
         if n_classes < 2:
@@ -213,6 +214,20 @@ class MultimodalClassifier:
         self.heads = [
             _Head(enc.output_dim, n_classes, rng) for enc in self.encoders
         ]
+        arrays = [a for layer in self._layers() for a in layer.arrays]
+        self.params = np.concatenate([a.ravel() for a in arrays])
+        views = iter(np.split(self.params, np.cumsum([a.size for a in arrays])[:-1]))
+        for layer in self._layers():
+            layer.arrays = [next(views).reshape(a.shape) for a in layer.arrays]
+
+    def __reduce__(self):
+        # copy and pickle through the checkpoint: a copy's arrays must view its own `params`
+        return type(self).from_state_dict, (self.state_dict(),)
+
+    def _layers(self) -> list:
+        """Every layer in checkpoint order, encoders then heads: the only
+        definition of how `params` and its gradient vector are laid out."""
+        return self.encoders + self.heads
 
     @property
     def n_modalities(self) -> int:
@@ -244,7 +259,7 @@ class MultimodalClassifier:
             raws.append(head.forward(h))
         raw = np.stack(raws)  # (M, B, K, 4)
         gamma, delta, alpha, beta = _constrain_arrays(raw)
-        u, sigma, v = gamma, beta * (1.0 + delta) / (delta * alpha), 2.0 * alpha
+        u, sigma, v = nig_to_st_arrays(gamma, delta, alpha, beta)
         trace = fuse_stack(u, sigma, v)
         return {
             "raw": raw,
@@ -347,18 +362,36 @@ class MultimodalClassifier:
             for s in state["encoder_specs"]
         ]
         model = cls(specs, state["n_classes"], seed=state["seed"])
-        for enc, es in zip(model.encoders, state["encoders"]):
-            enc.weights = [np.array(w, dtype=float) for w in es["weights"]]
-            enc.biases = [np.array(b, dtype=float) for b in es["biases"]]
-        for head, hs in zip(model.heads, state["heads"]):
-            head.weight = np.array(hs["weight"], dtype=float)
-            head.bias = np.array(hs["bias"], dtype=float)
+        if not len(state["encoders"]) == len(state["heads"]) == len(specs):
+            raise ValueError("checkpoint needs one encoder and one head per encoder spec")
+        for m, (enc, head) in enumerate(zip(model.encoders, model.heads)):
+            for kind in ("weights", "biases"):
+                views, saved = getattr(enc, kind), state["encoders"][m][kind]
+                if len(saved) != len(views):
+                    raise ValueError(
+                        f"checkpoint encoders[{m}].{kind} holds {len(saved)} arrays, "
+                        f"expected {len(views)}"
+                    )
+                for i, (view, w) in enumerate(zip(views, saved)):
+                    _copy_into(view, w, f"encoders[{m}].{kind}[{i}]")
+            for kind in ("weight", "bias"):
+                _copy_into(getattr(head, kind), state["heads"][m][kind], f"heads[{m}].{kind}")
         return model
 
     @classmethod
     def load(cls, path) -> "MultimodalClassifier":
         with open(path, "r", encoding="utf-8") as f:
             return cls.from_state_dict(json.load(f))
+
+
+def _copy_into(view: np.ndarray, saved, name: str) -> None:
+    """Copy a saved array into its weight view; the shapes must match exactly."""
+    saved = np.asarray(saved, dtype=float)
+    if saved.shape != view.shape:
+        raise ValueError(
+            f"checkpoint array {name} has shape {saved.shape}, expected {view.shape}"
+        )
+    view[...] = saved
 
 
 def predict(model: MultimodalClassifier, sample: Sequence[np.ndarray]):
@@ -402,38 +435,41 @@ def config_hash(payload: dict) -> str:
 
 
 def _batch_loss_and_param_grads(model, features, y_onehot, lam):
+    """Mean batch loss and its gradient, laid out like `model.params`."""
     out = model.forward_batch(features)
     parts, grads = total_loss_and_grads_arrays(
         out["gamma"], out["delta"], out["alpha"], out["beta"], y_onehot, lam
     )
     b = y_onehot.shape[0]
     g_raw = _constrain_backward(out["raw"], grads) / b
-    grad_list = []
+    layer_grads = {}
     for m, (enc, head) in enumerate(zip(model.encoders, model.heads)):
-        g_w, g_b, g_h = head.backward(out["hidden"][m], g_raw[m])
-        enc_gw, enc_gb = enc.backward(out["caches"][m], g_h)
-        grad_list.append((enc_gw, enc_gb, g_w, g_b))
-    return float(parts["total"].mean()), grad_list
+        layer_grads[head], g_h = head.backward(out["hidden"][m], g_raw[m])
+        layer_grads[enc] = enc.backward(out["caches"][m], g_h)
+    grad = np.concatenate(
+        [g.ravel() for layer in model._layers() for g in layer_grads[layer]]
+    )
+    return float(parts["total"].mean()), grad
 
 
 class _Adam:
-    def __init__(self, params: list[np.ndarray], cfg: TrainConfig):
+    def __init__(self, size: int, cfg: TrainConfig):
         self.cfg = cfg
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
         self.t = 0
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]):
+    def step(self, params: np.ndarray, grad: np.ndarray):
+        """Update `params` in place."""
         c = self.cfg
         self.t += 1
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= c.beta1
-            m += (1.0 - c.beta1) * g
-            v *= c.beta2
-            v += (1.0 - c.beta2) * g * g
-            mhat = m / (1.0 - c.beta1**self.t)
-            vhat = v / (1.0 - c.beta2**self.t)
-            p -= c.learning_rate * mhat / (np.sqrt(vhat) + c.eps)
+        self.m *= c.beta1
+        self.m += (1.0 - c.beta1) * grad
+        self.v *= c.beta2
+        self.v += (1.0 - c.beta2) * grad * grad
+        mhat = self.m / (1.0 - c.beta1**self.t)
+        vhat = self.v / (1.0 - c.beta2**self.t)
+        params -= c.learning_rate * mhat / (np.sqrt(vhat) + c.eps)
 
 
 def _dataset_loss(model, dataset, lam: float) -> float:
@@ -460,20 +496,15 @@ def train(model: MultimodalClassifier, dataset, config: TrainConfig, val_dataset
         raise ValueError("labels out of range")
     eye = np.eye(model.n_classes)
 
-    trainable = []
-    for enc in model.encoders:
-        if not config.freeze_encoders:
-            trainable.extend(enc.weights)
-            trainable.extend(enc.biases)
-    for head in model.heads:
-        trainable.append(head.weight)
-        trainable.append(head.bias)
-    opt = _Adam(trainable, config)
+    # the encoders lead `params`, so freezing them trains a suffix
+    n_encoder = sum(a.size for enc in model.encoders for a in enc.arrays)
+    first = n_encoder if config.freeze_encoders else 0
+    opt = _Adam(model.params.size - first, config)
 
     rng = np.random.default_rng(config.seed)
     record = TrainRecord(config=config)
     best_val = np.inf
-    best_state = None
+    best_params = None
 
     for epoch in range(config.max_epochs):
         order = rng.permutation(n)
@@ -482,25 +513,15 @@ def train(model: MultimodalClassifier, dataset, config: TrainConfig, val_dataset
             idx = order[start : start + config.batch_size]
             feats = [x[idx] for x in dataset.features]
             y = eye[labels[idx]]
-            loss, grad_list = _batch_loss_and_param_grads(
-                model, feats, y, config.lam
-            )
+            loss, grad = _batch_loss_and_param_grads(model, feats, y, config.lam)
             if not np.isfinite(loss):
-                norms = [float(np.linalg.norm(p)) for p in trainable]
+                arrays = [a for layer in model._layers() for a in layer.arrays]
+                norms = [float(np.linalg.norm(a)) for a in arrays]
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}; "
                     f"parameter norms {norms}"
                 )
-            flat = []
-            for m, (enc_gw, enc_gb, hw, hb) in enumerate(grad_list):
-                if not config.freeze_encoders:
-                    flat.extend(enc_gw)
-                    flat.extend(enc_gb)
-            # parameter order must match `trainable`: encoders first, then heads
-            for _, (_, _, hw, hb) in enumerate(grad_list):
-                flat.append(hw)
-                flat.append(hb)
-            opt.step(trainable, flat)
+            opt.step(model.params[first:], grad[first:])
             epoch_loss += loss * len(idx)
         record.epoch_losses.append(epoch_loss / n)
 
@@ -509,11 +530,9 @@ def train(model: MultimodalClassifier, dataset, config: TrainConfig, val_dataset
             record.val_losses.append(val_loss)
             if config.keep_best and val_loss < best_val:
                 best_val = val_loss
-                best_state = model.state_dict()
+                best_params = model.params.copy()
                 record.best_epoch = epoch
 
-    if config.keep_best and best_state is not None:
-        restored = MultimodalClassifier.from_state_dict(best_state)
-        model.encoders = restored.encoders
-        model.heads = restored.heads
+    if best_params is not None:
+        model.params[:] = best_params
     return model, record

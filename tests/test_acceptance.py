@@ -152,26 +152,19 @@ def test_criterion_05_analytic_gradients_match_finite_differences():
         )
         return float(parts["total"].mean())
 
-    _, grad_list = _batch_loss_and_param_grads(model, feats, y, 0.5)
+    _, grad = _batch_loss_and_param_grads(model, feats, y, 0.5)
     worst_e2e = 0.0
-    for m, (enc_gw, enc_gb, hw, hb) in enumerate(grad_list):
-        tensors = (
-            list(zip(model.encoders[m].weights, enc_gw))
-            + list(zip(model.encoders[m].biases, enc_gb))
-            + [(model.heads[m].weight, hw), (model.heads[m].bias, hb)]
-        )
-        for param, grad in tensors:
-            it = np.nditer(param, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                orig = param[idx]
-                param[idx] = orig + h
-                plus = model_loss()
-                param[idx] = orig - h
-                minus = model_loss()
-                param[idx] = orig
-                fd = (plus - minus) / (2 * h)
-                worst_e2e = max(worst_e2e, _rel_err(grad[idx], fd))
+    # every scalar weight, through its view in the flat parameter vector
+    params = model.params
+    for i in range(params.size):
+        orig = params[i]
+        params[i] = orig + h
+        plus = model_loss()
+        params[i] = orig - h
+        minus = model_loss()
+        params[i] = orig
+        fd = (plus - minus) / (2 * h)
+        worst_e2e = max(worst_e2e, _rel_err(grad[i], fd))
     assert worst_e2e <= 1e-4, f"end-to-end max rel err = {worst_e2e:.2e}"
 
     elapsed = time.perf_counter() - start

@@ -149,6 +149,20 @@ class TestEvaluate:
         assert main(args + ["--out", str(b)]) == 0
         assert (a / "metrics.json").read_bytes() == (b / "metrics.json").read_bytes()
 
+    def test_wrong_weight_shape_exit_1(self, pipeline, tmp_path, capsys):
+        data, run = pipeline
+        ckpt = json.loads((run / "checkpoint.json").read_text())
+        ckpt["model"]["encoders"][0]["biases"][0] = [0.0]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(ckpt))
+        code, _, err = _run(
+            capsys, "evaluate", "--checkpoint", str(bad), "--data", str(data),
+            "--out", str(tmp_path / "eval"),
+        )
+        assert code == 1
+        assert err.startswith("error:") and "encoders[0].biases[0]" in err
+        assert "Traceback" not in err
+
 
 class TestNoiseSweepAndReport:
     def test_sweep_tables(self, pipeline, tmp_path, capsys):

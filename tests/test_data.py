@@ -160,8 +160,9 @@ class TestCsv:
     def test_sidecar_round_trip(self, tmp_path):
         spec = SyntheticSpec(seed=9, split_sizes=(400, 100, 100))
         path = tmp_path / "dataset.json"
-        save_sidecar(path, spec)
+        save_sidecar(path, spec, "0123456789abcdef")
         doc = load_sidecar(path)
+        assert doc["config_hash"] == "0123456789abcdef"
         assert doc["n_classes"] == 3
         assert doc["dims"] == [4, 4]
         assert doc["split_sizes"] == [400, 100, 100]

@@ -186,7 +186,7 @@ class TestFuseStack:
             t = fuse_stack(uu, ss, vv)
             return float((w_u * t.u + w_s * t.sigma + w_v * t.v).sum())
 
-        gu, gs, gv = fuse_stack_backward(trace, w_u, w_s, w_v, 3)
+        gu, gs, gv = fuse_stack_backward(trace, w_u, w_s, w_v)
         h = 1e-6
         for arr, grad in ((u, gu), (sigma, gs), (v, gv)):
             for idx in [(0, 2), (1, 4), (2, 0)]:

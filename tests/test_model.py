@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from evfuse.model import (
     TrainConfig,
     TrainingDivergedError,
     _batch_loss_and_param_grads,
+    _dataset_loss,
     config_hash,
     head_constrain,
     predict,
@@ -83,12 +85,11 @@ class TestForward:
     def test_identical_modalities_tie_path(self):
         spec = EncoderSpec(3, (4,), "tanh")
         model = MultimodalClassifier([spec, spec], n_classes=2, seed=0)
-        # force both branches to identical weights
-        src_enc, src_head = model.encoders[0], model.heads[0]
-        model.encoders[1].weights = [w.copy() for w in src_enc.weights]
-        model.encoders[1].biases = [b.copy() for b in src_enc.biases]
-        model.heads[1].weight = src_head.weight.copy()
-        model.heads[1].bias = src_head.bias.copy()
+        # force both branches to identical weights, in place: the layer
+        # arrays are views into model.params
+        for dst, src in zip(model.encoders[1].arrays + model.heads[1].arrays,
+                            model.encoders[0].arrays + model.heads[0].arrays):
+            dst[...] = src
         x = np.random.default_rng(2).normal(size=3)
         out = model.forward([x, x])
         for k, f in enumerate(out.fused):
@@ -136,6 +137,34 @@ class TestCheckpoint:
         path2 = tmp_path / "ckpt2.json"
         loaded.save(path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_every_weight_is_a_view_into_params(self):
+        model = _tiny_model()
+        for m in (model, copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+            arrays = [a for layer in m.encoders + m.heads for a in layer.arrays]
+            assert sum(a.size for a in arrays) == m.params.size
+            assert all(np.shares_memory(a, m.params) for a in arrays)
+            np.testing.assert_array_equal(m.params, model.params)
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda s: s["encoders"][0].update(biases=[[0.0]]),
+             r"encoders\[0\]\.biases\[0\] has shape \(1,\), expected \(5,\)"),
+            (lambda s: s["heads"][1]["weight"].pop(),
+             r"heads\[1\]\.weight has shape \(3, 12\), expected \(4, 12\)"),
+            (lambda s: s["encoders"][1]["weights"].append([[0.0]]),
+             r"encoders\[1\]\.weights holds 2 arrays, expected 1"),
+            (lambda s: s["encoders"].pop(), "one encoder and one head per encoder spec"),
+            (lambda s: s["heads"].pop(), "one encoder and one head per encoder spec"),
+        ],
+        ids=["bias-shape", "head-shape", "weight-count", "encoder-count", "head-count"],
+    )
+    def test_rejects_malformed_weights(self, mutate, message):
+        state = _tiny_model().state_dict()
+        mutate(state)
+        with pytest.raises(ValueError, match=message):
+            MultimodalClassifier.from_state_dict(state)
 
     def test_rejects_unknown_format_version(self, tmp_path):
         model = _tiny_model()
@@ -209,6 +238,25 @@ class TestTrain:
         assert record.best_epoch is not None
         assert record.val_losses[record.best_epoch] == min(record.val_losses)
 
+    def test_keep_best_restores_an_earlier_epoch(self):
+        # here the best validation epoch (16 of 0-19) is not the last one,
+        # so the final weights must be restored to reach the minimum
+        val = _toy_dataset(n=32, seed=4)
+        cfg = TrainConfig(learning_rate=0.1, max_epochs=20, seed=0, keep_best=True)
+        model, record = train(_tiny_model(seed=9), _toy_dataset(seed=3), cfg, val_dataset=val)
+        assert record.best_epoch < cfg.max_epochs - 1
+        assert _dataset_loss(model, val, cfg.lam) == min(record.val_losses)
+
+    def test_freeze_encoders_trains_only_the_heads(self):
+        model = _tiny_model(seed=6)
+        enc_before = [a.copy() for enc in model.encoders for a in enc.arrays]
+        head_before = [a.copy() for head in model.heads for a in head.arrays]
+        train(model, _toy_dataset(), TrainConfig(max_epochs=2, seed=0, freeze_encoders=True))
+        for a, a0 in zip([a for enc in model.encoders for a in enc.arrays], enc_before):
+            np.testing.assert_array_equal(a, a0)
+        for a, a0 in zip([a for head in model.heads for a in head.arrays], head_before):
+            assert np.any(a != a0)
+
 
 class TestEndToEndGradients:
     def test_micro_model_matches_finite_differences(self):
@@ -225,26 +273,18 @@ class TestEndToEndGradients:
             )
             return float(parts["total"].mean())
 
-        _, grad_list = _batch_loss_and_param_grads(model, feats, y, 0.5)
+        _, grad = _batch_loss_and_param_grads(model, feats, y, 0.5)
         h = 1e-6
-        for m, (enc_gw, enc_gb, hw, hb) in enumerate(grad_list):
-            tensors = (
-                list(zip(model.encoders[m].weights, enc_gw))
-                + list(zip(model.encoders[m].biases, enc_gb))
-                + [(model.heads[m].weight, hw), (model.heads[m].bias, hb)]
-            )
-            for param, grad in tensors:
-                it = np.nditer(param, flags=["multi_index"])
-                for _ in it:
-                    idx = it.multi_index
-                    orig = param[idx]
-                    param[idx] = orig + h
-                    plus = loss()
-                    param[idx] = orig - h
-                    minus = loss()
-                    param[idx] = orig
-                    fd = (plus - minus) / (2 * h)
-                    assert grad[idx] == pytest.approx(fd, rel=1e-4, abs=1e-8)
+        params = model.params  # every scalar weight, through its view
+        for i in range(params.size):
+            orig = params[i]
+            params[i] = orig + h
+            plus = loss()
+            params[i] = orig - h
+            minus = loss()
+            params[i] = orig
+            fd = (plus - minus) / (2 * h)
+            assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
 
 class TestConfigHash:
