@@ -132,7 +132,8 @@ def _load_split(data_dir, split: str) -> tuple[Dataset, dict]:
     return ds, sidecar
 
 
-def _load_checkpoint(path) -> tuple[MultimodalClassifier, dict]:
+def _load_checkpoint(path) -> tuple[MultimodalClassifier, Standardization, str]:
+    """The model, its standardization and the run's config hash."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
@@ -142,9 +143,12 @@ def _load_checkpoint(path) -> tuple[MultimodalClassifier, dict]:
         raise CliError(f"corrupt checkpoint: {e}", EXIT_VALIDATION) from None
     try:
         model = MultimodalClassifier.from_state_dict(doc["model"])
-    except (KeyError, ValueError) as e:
+        stats = Standardization.from_dict(doc["standardization"])
+    except KeyError as e:
+        raise CliError(f"bad checkpoint contents: missing key {e}", EXIT_VALIDATION) from None
+    except (TypeError, ValueError) as e:
         raise CliError(f"bad checkpoint contents: {e}", EXIT_VALIDATION) from None
-    return model, doc
+    return model, stats, doc.get("config_hash", "")
 
 
 def _write_meta(out: Path, run_id: str) -> None:
@@ -305,11 +309,9 @@ _EVAL_DEFAULTS = {"split": "test", "bins": 10, "weighted_kappa": False}
 
 def cmd_evaluate(args) -> int:
     cfg = _resolve(args, args.config, _EVAL_DEFAULTS)
-    model, ckpt = _load_checkpoint(args.checkpoint)
-    ds, _ = _load_split(args.data, str(cfg["split"]))
-    ds = Standardization.from_dict(ckpt["standardization"]).apply(ds)
+    model, stats, run_id = _load_checkpoint(args.checkpoint)
+    ds = stats.apply(_load_split(args.data, str(cfg["split"]))[0])
     res = evaluate_model(model, ds, n_bins=int(cfg["bins"]))
-    run_id = ckpt.get("config_hash", "")
     out = _outdir(args.out)
     doc = {
         "config_hash": run_id,
@@ -344,15 +346,13 @@ def cmd_noise_sweep(args) -> int:
     sigmas = _parse_tuple(str(cfg["sigmas"]), None, float, "sigmas")
     seeds = _parse_tuple(str(cfg["noise_seeds"]), None, int, "noise-seeds")
     modality = int(cfg["modality"])
-    model, ckpt = _load_checkpoint(args.checkpoint)
+    model, stats, run_id = _load_checkpoint(args.checkpoint)
     if not (1 <= modality <= model.n_modalities):
         raise CliError(
             f"--modality must be in [1, {model.n_modalities}]", EXIT_VALIDATION
         )
-    ds, _ = _load_split(args.data, str(cfg["split"]))
-    ds = Standardization.from_dict(ckpt["standardization"]).apply(ds)
+    ds = stats.apply(_load_split(args.data, str(cfg["split"]))[0])
     sweep = noise_sweep(model, ds, sigmas, modality - 1, seeds)
-    run_id = ckpt.get("config_hash", "")
     out = _outdir(args.out)
     write_json({"config_hash": run_id, **sweep}, out / "sweep.json")
     sweep_to_csv(sweep, out / "sweep.csv", comment=f"config_hash={run_id}")
@@ -375,9 +375,8 @@ _REPORT_DEFAULTS = {
 
 def cmd_report(args) -> int:
     cfg = _resolve(args, args.config, _REPORT_DEFAULTS)
-    model, ckpt = _load_checkpoint(args.checkpoint)
-    ds, _ = _load_split(args.data, str(cfg["split"]))
-    ds = Standardization.from_dict(ckpt["standardization"]).apply(ds)
+    model, stats, run_id = _load_checkpoint(args.checkpoint)
+    ds = stats.apply(_load_split(args.data, str(cfg["split"]))[0])
     noise = None
     if cfg["sigma"] is not None:
         if cfg["modality"] is None:
@@ -389,7 +388,6 @@ def cmd_report(args) -> int:
         except ValueError as e:
             raise CliError(str(e), EXIT_VALIDATION) from None
     density = uncertainty_density(model, ds, noise, n_hist_bins=int(cfg["hist_bins"]))
-    run_id = ckpt.get("config_hash", "")
     out = _outdir(args.out)
     write_json({"config_hash": run_id, **density}, out / "density.json")
     edges = density["bin_edges"]
@@ -417,11 +415,12 @@ def cmd_fuse(args) -> int:
         raise CliError("input must be a non-empty JSON list", EXIT_VALIDATION)
     inputs = []
     for i, item in enumerate(doc):
+        triple = None
         if isinstance(item, dict):
             triple = (item.get("u"), item.get("sigma"), item.get("v"))
-        else:
-            triple = tuple(item) if len(item) == 3 else (None,) * 4
-        if len(triple) != 3 or any(t is None for t in triple):
+        elif isinstance(item, list) and len(item) == 3:
+            triple = tuple(item)
+        if triple is None or any(t is None for t in triple):
             raise CliError(
                 f"entry {i}: expected [u, sigma, v] or {{u, sigma, v}}",
                 EXIT_VALIDATION,
@@ -430,16 +429,20 @@ def cmd_fuse(args) -> int:
             inputs.append(StudentT(float(triple[0]), float(triple[1]), float(triple[2])))
         except (TypeError, ValueError) as e:
             raise CliError(f"entry {i}: {e}", EXIT_VALIDATION) from None
-    fused = fuse_many(inputs)
-    out = {
-        "u": fused.st.u,
-        "sigma": fused.st.sigma,
-        "v": fused.st.v,
-        "source_index": fused.source_index,
-        "y_hat": fused.st.u,
-        "uncertainty": student_t_variance(fused.st),
-    }
-    print(json.dumps(out, sort_keys=True))
+    try:
+        fused = fuse_many(inputs)
+        out = {
+            "u": fused.st.u,
+            "sigma": fused.st.sigma,
+            "v": fused.st.v,
+            "source_index": fused.source_index,
+            "y_hat": fused.st.u,
+            "uncertainty": student_t_variance(fused.st),
+        }
+        text = json.dumps(out, sort_keys=True, allow_nan=False)
+    except ValueError as e:
+        raise CliError(f"fused result is not finite: {e}", EXIT_NUMERICAL) from None
+    print(text)
     return EXIT_OK
 
 

@@ -234,6 +234,13 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
         labels.append(label)
         rows.append(vals)
     arr = np.array(rows, dtype=float).reshape(len(rows), n_cols - 1)
+    bad = np.argwhere(~np.isfinite(arr))
+    if len(bad):
+        i, j = bad[0]
+        cell = lines[i + 1].split(",")[j + 1]
+        raise CsvFormatError(
+            f"{path}: row {i + 2 + skipped}, column {j + 2}: non-finite cell {cell!r}"
+        )
     d1 = schema.dims[0]
     return Dataset(
         [arr[:, :d1], arr[:, d1:]],

@@ -59,6 +59,9 @@ class StudentT:
     v: float
 
     def __post_init__(self):
+        for name in ("u", "sigma", "v"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.sigma > 0):
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
         if not (self.v > 2):

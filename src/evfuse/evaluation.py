@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .losses import softmax, st_nll_arrays
-from .model import MultimodalClassifier
+from .model import MultimodalClassifier, readout
 
 
 def class_posterior(u: np.ndarray, sigma: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -89,9 +89,14 @@ def cohen_kappa(
     labels = np.asarray(labels)
     if len(preds) == 0 or len(preds) != len(labels):
         raise ValueError("preds and labels must be equal-length and non-empty")
-    cm = np.zeros((n_classes, n_classes))
-    for p, t in zip(preds, labels):
-        cm[int(t), int(p)] += 1
+    preds = preds.astype(np.int64)
+    labels = labels.astype(np.int64)
+    for name, a in (("preds", preds), ("labels", labels)):
+        if a.min() < 0 or a.max() >= n_classes:
+            raise ValueError(f"{name} must lie in [0, {n_classes})")
+    # cm[t, p] counts samples of true class t predicted as p
+    cm = np.bincount(labels * n_classes + preds, minlength=n_classes * n_classes)
+    cm = cm.reshape(n_classes, n_classes).astype(float)
     n = cm.sum()
     if weighted:
         idx = np.arange(n_classes)
@@ -184,7 +189,21 @@ class EvalResult:
 def evaluate_model(
     model: MultimodalClassifier, dataset, n_bins: int = 10
 ) -> EvalResult:
-    out = model.forward_batch(dataset.features)
+    return _evaluate_readout(
+        model, readout(np.stack(_encode(model, dataset.features))), dataset.labels, n_bins
+    )
+
+
+def _encode(model: MultimodalClassifier, features: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Raw head outputs of every modality through the cache-free inference pass."""
+    if len(features) != model.n_modalities:
+        raise ValueError(
+            f"expected {model.n_modalities} feature blocks, got {len(features)}"
+        )
+    return [model.head_outputs(m, x) for m, x in enumerate(features)]
+
+
+def _evaluate_readout(model: MultimodalClassifier, out: dict, labels, n_bins: int) -> EvalResult:
     trace = out["trace"]
     gamma, delta, alpha, beta = (
         out["gamma"],
@@ -192,7 +211,7 @@ def evaluate_model(
         out["alpha"],
         out["beta"],
     )
-    n = len(dataset.labels)
+    n = len(labels)
     preds = np.argmax(trace.u, axis=-1)
     conf = class_posterior(trace.u, trace.sigma, trace.v)
     conf_pred = conf[np.arange(n), preds]
@@ -209,11 +228,11 @@ def evaluate_model(
     )
     mod_ep = ep.mean(axis=-1)  # (M, N)
 
-    correct = preds == np.asarray(dataset.labels)
+    correct = preds == np.asarray(labels)
     ece_val, per_bin = ece(conf_pred, correct, n_bins)
     report = MetricsReport(
-        acc=accuracy(preds, dataset.labels),
-        kappa=cohen_kappa(preds, dataset.labels, model.n_classes),
+        acc=accuracy(preds, labels),
+        kappa=cohen_kappa(preds, labels, model.n_classes),
         ece=ece_val,
         n_samples=n,
         per_bin=per_bin,
@@ -233,18 +252,18 @@ def noise_sweep(
 
     Returns {"rows": [...], "aggregates": [...]} where each row carries the
     metrics and mean uncertainties for one (sigma, seed) pair and aggregates
-    hold mean/std over seeds per sigma.
+    hold mean/std over seeds per sigma.  Every modality is encoded once on
+    the clean data; each pair re-encodes only the corrupted one.
     """
+    raw = np.stack(_encode(model, dataset.features))
     rows = []
     for sigma in sigmas:
         for seed in seeds:
             feats = inject_noise(
                 dataset.features, NoiseSpec(modality_index, sigma, seed)
             )
-            noisy = type(dataset)(
-                feats, np.asarray(dataset.labels).copy(), split=dataset.split
-            )
-            res = evaluate_model(model, noisy, n_bins)
+            raw[modality_index] = model.head_outputs(modality_index, feats[modality_index])
+            res = _evaluate_readout(model, readout(raw), dataset.labels, n_bins)
             row = {
                 "sigma": sigma,
                 "modality": modality_index,
@@ -257,7 +276,7 @@ def noise_sweep(
             for m in range(model.n_modalities):
                 row[f"mean_unc_m{m + 1}"] = float(res.modality_uncertainty[m].mean())
                 row[f"mean_ep_m{m + 1}"] = float(res.modality_epistemic[m].mean())
-                row[f"acc_m{m + 1}"] = accuracy(res.modality_preds[m], noisy.labels)
+                row[f"acc_m{m + 1}"] = accuracy(res.modality_preds[m], dataset.labels)
             rows.append(row)
 
     aggregates = []

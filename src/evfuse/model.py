@@ -24,6 +24,11 @@ from .fusion import FusedStudentT, fuse_stack
 from .losses import nig_to_st_arrays, softmax, total_loss_and_grads_arrays
 
 CHECKPOINT_FORMAT_VERSION = 1
+# The inference pass runs in row chunks to bound its working memory.  A chunk
+# holds at least INFERENCE_CHUNK_ROWS rows, and enough rows that each of its
+# matrix products does INFERENCE_CHUNK_MACS multiply-adds or more.
+INFERENCE_CHUNK_ROWS = 4096
+INFERENCE_CHUNK_MACS = 2**20
 
 
 class TrainingDivergedError(RuntimeError):
@@ -122,6 +127,33 @@ def _constrain_backward(raw: np.ndarray, g_params: np.ndarray) -> np.ndarray:
     g_raw[..., 2] = g_params[..., 2] * _sigmoid(raw[..., 2])
     g_raw[..., 3] = g_params[..., 3] * _sigmoid(raw[..., 3])
     return g_raw
+
+
+def readout(raw: np.ndarray) -> dict:
+    """Raw head outputs (M, B, K, 4) -> constrained NIG, Student's t and fused trace.
+
+    The one readout of the training forward and the inference pass.
+    """
+    gamma, delta, alpha, beta = _constrain_arrays(raw)
+    u, sigma, v = nig_to_st_arrays(gamma, delta, alpha, beta)
+    return {
+        "raw": raw,
+        "gamma": gamma,
+        "delta": delta,
+        "alpha": alpha,
+        "beta": beta,
+        "st": (u, sigma, v),
+        "trace": fuse_stack(u, sigma, v),
+    }
+
+
+def _check_finite(x: np.ndarray, m: int) -> None:
+    """Raise ValueError naming modality `m` (0-based) and the first row of `x` that is not finite."""
+    bad = ~np.isfinite(x).all(axis=1)
+    if bad.any():
+        raise ValueError(
+            f"modality {m + 1} has a non-finite feature in row {int(np.argmax(bad))}"
+        )
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -235,43 +267,55 @@ class MultimodalClassifier:
 
     # ---- forward -----------------------------------------------------
 
+    def _feature_block(self, m: int, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        d = self.encoder_specs[m].input_dim
+        if x.ndim != 2 or x.shape[1] != d:
+            raise ValueError(f"feature block has shape {x.shape}, expected (B, {d})")
+        return x
+
     def forward_batch(self, features: Sequence[np.ndarray]):
-        """Batch forward; returns constrained parameter arrays and caches.
+        """Training forward; returns constrained parameter arrays and caches.
 
         `features` is one (B, d_m) array per modality.  The returned dict
-        holds gamma/delta/alpha/beta with shape (M, B, K), the raw head
-        outputs, encoder caches, and the fused trace.
+        holds the `readout` of the raw head outputs plus the encoder
+        outputs (`hidden`) and caches that backpropagation needs.
         """
         if len(features) != self.n_modalities:
             raise ValueError(
                 f"expected {self.n_modalities} feature blocks, got {len(features)}"
             )
         hs, caches, raws = [], [], []
-        for enc, head, x in zip(self.encoders, self.heads, features):
-            x = np.asarray(x, dtype=float)
-            if x.ndim != 2 or x.shape[1] != enc.spec.input_dim:
-                raise ValueError(
-                    f"feature block has shape {x.shape}, expected (B, {enc.spec.input_dim})"
-                )
-            h, cache = enc.forward(x)
+        for m, (enc, head, x) in enumerate(zip(self.encoders, self.heads, features)):
+            h, cache = enc.forward(self._feature_block(m, x))
             hs.append(h)
             caches.append(cache)
             raws.append(head.forward(h))
-        raw = np.stack(raws)  # (M, B, K, 4)
-        gamma, delta, alpha, beta = _constrain_arrays(raw)
-        u, sigma, v = nig_to_st_arrays(gamma, delta, alpha, beta)
-        trace = fuse_stack(u, sigma, v)
-        return {
-            "raw": raw,
-            "gamma": gamma,
-            "delta": delta,
-            "alpha": alpha,
-            "beta": beta,
-            "st": (u, sigma, v),
-            "trace": trace,
-            "hidden": hs,
-            "caches": caches,
-        }
+        out = readout(np.stack(raws))
+        out.update(hidden=hs, caches=caches)
+        return out
+
+    def head_outputs(self, m: int, x) -> np.ndarray:
+        """Inference pass of modality `m`: features (N, d_m) -> raw head outputs (N, K, 4).
+
+        Keeps no caches and runs in row chunks, the remainder joining the
+        last chunk.  BLAS picks its kernel by matrix size (OpenBLAS on
+        AVX-512 switches at 10^6 multiply-adds); the chunk floors keep each
+        chunk on the kernel of the whole matrix, so the result equals the
+        unchunked training forward bit for bit, except after a layer one
+        unit wide, whose matrix-vector product BLAS splits by row count.
+        """
+        x = self._feature_block(m, x)
+        _check_finite(x, m)
+        enc, head = self.encoders[m], self.heads[m]
+        narrowest = min(w.size for w in enc.weights + [head.weight])
+        rows = max(INFERENCE_CHUNK_ROWS, -(-INFERENCE_CHUNK_MACS // narrowest))
+        n = x.shape[0]
+        bounds = [i * rows for i in range(max(n // rows, 1))] + [n]
+        out = np.empty((n, self.n_classes, 4))
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            out[a:b] = head.forward(enc.forward(x[a:b])[0])
+        return out
 
     def forward(self, sample: Sequence[np.ndarray]) -> EvidentialOutput:
         """Full evidential readout for a single sample."""
@@ -494,6 +538,9 @@ def train(model: MultimodalClassifier, dataset, config: TrainConfig, val_dataset
     labels = np.asarray(dataset.labels)
     if labels.min() < 0 or labels.max() >= model.n_classes:
         raise ValueError("labels out of range")
+    for ds in [dataset] + ([val_dataset] if val_dataset is not None else []):
+        for m, x in enumerate(ds.features):
+            _check_finite(np.asarray(x, dtype=float), m)
     eye = np.eye(model.n_classes)
 
     # the encoders lead `params`, so freezing them trains a suffix

@@ -163,6 +163,44 @@ class TestEvaluate:
         assert err.startswith("error:") and "encoders[0].biases[0]" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["evaluate", "noise-sweep", "report"])
+    @pytest.mark.parametrize("defect", ["bias_object", "no_standardization"])
+    def test_malformed_checkpoint_exit_1(self, pipeline, tmp_path, capsys, command, defect):
+        data, run = pipeline
+        ckpt = json.loads((run / "checkpoint.json").read_text())
+        if defect == "bias_object":
+            ckpt["model"]["heads"][0]["bias"] = {"not": "an array"}
+        else:
+            del ckpt["standardization"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(ckpt))
+        code, _, err = _run(
+            capsys, command, "--checkpoint", str(bad), "--data", str(data),
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == 1
+        assert err.startswith("error: bad checkpoint contents")
+        assert "Traceback" not in err
+
+    def test_non_finite_csv_cell_exit_1(self, pipeline, tmp_path, capsys):
+        data, run = pipeline
+        copy = tmp_path / "data"
+        copy.mkdir()
+        for f in data.iterdir():
+            (copy / f.name).write_bytes(f.read_bytes())
+        lines = (copy / "test.csv").read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[4] = "nan"
+        lines[2] = ",".join(cells)
+        (copy / "test.csv").write_text("\n".join(lines) + "\n")
+        code, _, err = _run(
+            capsys, "evaluate", "--checkpoint", str(run / "checkpoint.json"),
+            "--data", str(copy), "--out", str(tmp_path / "eval"),
+        )
+        assert code == 1
+        assert err.startswith("error:") and "row 3, column 5: non-finite cell 'nan'" in err
+        assert not (tmp_path / "eval").exists()
+
 
 class TestNoiseSweepAndReport:
     def test_sweep_tables(self, pipeline, tmp_path, capsys):
@@ -238,6 +276,25 @@ class TestFuse:
         f.write_text("[[0, 1, 2]]")
         code, _, err = _run(capsys, "fuse", "--in", str(f))
         assert code == 1 and "v must be > 2" in err
+
+    @pytest.mark.parametrize(
+        "doc, code, message",
+        [
+            ("[1, 2]", 1, "entry 0: expected [u, sigma, v]"),
+            ('["abc"]', 1, "entry 0: expected [u, sigma, v]"),
+            ("[[NaN, 1, 3], [1, 2, 6]]", 1, "entry 0: u must be finite"),
+            ("[[0, 1, 3], [0, Infinity, 6]]", 1, "entry 1: sigma must be finite"),
+            ('[{"u": 0, "sigma": 1, "v": Infinity}]', 1, "entry 0: v must be finite"),
+            ("[[0, 1e308, 3], [0, 1e308, 3]]", 3, "fused result is not finite"),
+        ],
+    )
+    def test_malformed_or_non_finite_input_rejected(self, tmp_path, capsys, doc, code, message):
+        f = tmp_path / "in.json"
+        f.write_text(doc)
+        got, stdout, err = _run(capsys, "fuse", "--in", str(f))
+        assert got == code
+        assert stdout == ""
+        assert err.startswith("error:") and message in err
 
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = _run(capsys, "fuse", "--in", "/does/not/exist.json")

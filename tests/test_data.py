@@ -151,6 +151,13 @@ class TestCsv:
         with pytest.raises(CsvFormatError, match="column 2"):
             load_csv(path, CsvSchema((1, 1), 2))
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell):
+        path = tmp_path / "nan.csv"
+        path.write_text(f"# provenance\nlabel,m1_0,m2_0\n0,1.0,2.0\n1,3.0,{cell}\n")
+        with pytest.raises(CsvFormatError, match=f"row 4, column 3: non-finite cell '{cell}'"):
+            load_csv(path, CsvSchema((1, 1), 2))
+
     def test_label_out_of_range(self, tmp_path):
         path = tmp_path / "lbl.csv"
         path.write_text("label,m1_0,m2_0\n5,1.0,2.0\n")

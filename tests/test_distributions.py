@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import trapezoid
 
 from evfuse.distributions import (
     NIGParams,
@@ -48,6 +49,13 @@ class TestValidation:
             StudentT(0.0, 0.0, 4.0)
         with pytest.raises(ValueError):
             StudentT(0.0, 1.0, 2.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["u", "sigma", "v"])
+    def test_student_t_rejects_non_finite(self, field, bad):
+        kwargs = {"u": 0.0, "sigma": 1.0, "v": 4.0, field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            StudentT(**kwargs)
 
 
 class TestUncertainties:
@@ -113,7 +121,7 @@ class TestDensity:
         stt = StudentT(0, 1, 4)
         ys = np.linspace(-50, 50, 200001)
         vals = np.array([student_t_pdf(stt, y) for y in ys])
-        total = np.trapezoid(vals, ys)
+        total = trapezoid(vals, ys)  # np.trapezoid needs numpy >= 2.0
         assert total == pytest.approx(1.0, abs=1e-4)
 
     def test_logpdf_anchor(self):

@@ -52,6 +52,20 @@ class TestKappa:
     def test_degenerate_single_class(self):
         assert cohen_kappa([1, 1], [1, 1], 3) == 0.0
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_matches_confusion_loop(self, k, weighted):
+        rng = np.random.default_rng(k)
+        for n in (1, 7, 1000):
+            labels = rng.integers(0, k, n)
+            preds = np.where(rng.random(n) < 0.6, labels, rng.integers(0, k, n))
+            assert cohen_kappa(preds, labels, k, weighted) == _kappa_loop(preds, labels, k, weighted)
+
+    @pytest.mark.parametrize("preds", [[0, 3], [-1, 0]])
+    def test_out_of_range_class_rejected(self, preds):
+        with pytest.raises(ValueError, match="preds must lie in"):
+            cohen_kappa(preds, [0, 1], 3)
+
     def test_quadratic_weights_order_sensitivity(self):
         labels = [0, 2, 1, 0, 2]
         near = [0, 1, 1, 0, 2]  # errors off by one class
@@ -59,6 +73,18 @@ class TestKappa:
         kw_near = cohen_kappa(near, labels, 3, weighted=True)
         kw_far = cohen_kappa(far, labels, 3, weighted=True)
         assert kw_near > kw_far
+
+
+def _kappa_loop(preds, labels, n_classes, weighted):
+    """Reference: the confusion matrix built one sample at a time."""
+    cm = np.zeros((n_classes, n_classes))
+    for p, t in zip(preds, labels):
+        cm[int(t), int(p)] += 1
+    idx = np.arange(n_classes)
+    w = (idx[:, None] - idx[None, :]) ** 2 if weighted else 1.0 - np.eye(n_classes)
+    expected = np.outer(cm.sum(axis=1), cm.sum(axis=0)) / cm.sum()
+    d_exp = (w * expected).sum()
+    return 0.0 if d_exp == 0.0 else float(1.0 - (w * cm).sum() / d_exp)
 
 
 class TestEce:
@@ -167,6 +193,73 @@ class TestEvaluateModel:
         post = class_posterior(u, sigma, v)
         assert post.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.argmax(post) == 1
+
+
+def _reference_evaluate(model, features, labels):
+    """Reference: evaluate_model's readouts computed from the training forward."""
+    out = model.forward_batch(features)
+    trace, gamma, delta, alpha, beta = (out[k] for k in ("trace", "gamma", "delta", "alpha", "beta"))
+    rows = np.arange(len(labels))
+    preds = np.argmax(trace.u, axis=-1)
+    conf = class_posterior(trace.u, trace.sigma, trace.v)[rows, preds]
+    fused_unc = (trace.sigma * trace.v / (trace.v - 2.0))[rows, preds]
+    al = beta / (alpha - 1.0)
+    ep = beta / (delta * (alpha - 1.0))
+    own_pred = np.argmax(gamma, axis=-1)
+    mod_unc = np.stack([(al + ep)[m, rows, own_pred[m]] for m in range(len(features))])
+    return preds, conf, fused_unc, mod_unc, ep.mean(axis=-1), own_pred
+
+
+def _wide_model_and_data(n, dims, hidden, seed=0):
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 3, n)
+    feats = [np.eye(3, d)[labels] * 2.0 + rng.normal(size=(n, d)) for d in dims]
+    model = MultimodalClassifier([EncoderSpec(d, hidden, "tanh") for d in dims], 3, seed=seed)
+    return model, Dataset(feats, labels)
+
+
+class TestInferencePass:
+    @pytest.mark.parametrize("n", [4097, 12345])
+    def test_evaluate_model_equals_training_forward_readout(self, n):
+        # ragged last chunks: 4097 = one chunk of 4097, 12345 = 4096 + 4096 + 4153
+        model, ds = _wide_model_and_data(n, (6, 6), (64,))
+        res = evaluate_model(model, ds)
+        got = (res.preds, res.confidences, res.fused_uncertainty,
+               res.modality_uncertainty, res.modality_epistemic, res.modality_preds)
+        for a, b in zip(got, _reference_evaluate(model, ds.features, ds.labels)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("dims", [(6, 4), (3, 6, 4)])
+    def test_noise_sweep_equals_per_pair_evaluation(self, dims):
+        # the old definition: evaluate_model on inject_noise'd data for each pair
+        model, ds = _wide_model_and_data(9000, dims, (16,), seed=len(dims))
+        sigmas, seeds, noisy = (0.0, 0.4, 1.5), (3, 8), 1
+        rows = []
+        for sigma in sigmas:
+            for seed in seeds:
+                feats = inject_noise(ds.features, NoiseSpec(noisy, sigma, seed))
+                res = evaluate_model(model, Dataset(feats, ds.labels.copy()))
+                row = {
+                    "sigma": sigma, "modality": noisy, "seed": seed,
+                    "acc": res.report.acc, "kappa": res.report.kappa, "ece": res.report.ece,
+                    "mean_unc_fused": float(res.fused_uncertainty.mean()),
+                }
+                for m in range(len(dims)):
+                    row[f"mean_unc_m{m + 1}"] = float(res.modality_uncertainty[m].mean())
+                    row[f"mean_ep_m{m + 1}"] = float(res.modality_epistemic[m].mean())
+                    row[f"acc_m{m + 1}"] = accuracy(res.modality_preds[m], ds.labels)
+                rows.append(row)
+        sweep = noise_sweep(model, ds, sigmas, noisy, seeds)
+        assert sweep["rows"] == rows
+        assert [r["acc_m1"] for r in rows] == [rows[0]["acc_m1"]] * len(rows)
+
+    def test_non_finite_features_rejected(self):
+        model, ds = _model_and_data()
+        ds.features[1][4, 2] = np.nan
+        with pytest.raises(ValueError, match="modality 2 has a non-finite feature in row 4"):
+            evaluate_model(model, ds)
+        with pytest.raises(ValueError, match="modality 2 has a non-finite feature in row 4"):
+            noise_sweep(model, ds, [0.5], 0, [1])
 
 
 class TestNoiseSweep:

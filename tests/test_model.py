@@ -101,6 +101,60 @@ class TestForward:
         with pytest.raises(ValueError):
             model.forward([np.zeros(4), np.zeros(2)])
 
+    @pytest.mark.parametrize(
+        "d, hidden, n",
+        [(6, (64,), 150), (6, (64,), 4097), (6, (64,), 8191), (6, (64,), 8192),
+         (6, (64,), 12345), (3, (16,), 12345), (3, (16,), 50000), (3, (5, 3), 139869)],
+    )
+    def test_head_outputs_equal_training_forward(self, d, hidden, n):
+        # the chunked, cache-free pass gives the unchunked pass's bits,
+        # also where a fixed 4096-row chunk would not (a 16 -> 12 head)
+        model = MultimodalClassifier([EncoderSpec(d, hidden, "tanh")] * 2, n_classes=3, seed=4)
+        rng = np.random.default_rng(n)
+        feats = [rng.normal(size=(n, d)), rng.normal(size=(n, d))]
+        raw = np.stack([model.head_outputs(m, x) for m, x in enumerate(feats)])
+        assert np.array_equal(raw, model.forward_batch(feats)["raw"])
+
+    def test_head_outputs_one_unit_layer_matches_to_rounding(self):
+        # BLAS splits a matrix-vector product by row count, so a layer one
+        # unit wide may round differently in chunks of 87,382 rows
+        model = MultimodalClassifier([EncoderSpec(3, (16, 1), "tanh")], n_classes=3, seed=4)
+        x = np.random.default_rng(0).normal(size=(2 * 87382 + 57, 3))
+        np.testing.assert_allclose(
+            model.head_outputs(0, x), model.forward_batch([x])["raw"][0], rtol=1e-12, atol=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "d, hidden, n, chunks",
+        [
+            (6, (64,), 5, [5]),
+            (6, (64,), 8191, [8191]),
+            (6, (64,), 12345, [4096, 4096, 4153]),
+            # 3 -> 16 does 48 multiply-adds per row: 2**20 / 48 -> 21,846 rows
+            (3, (16,), 50000, [21846, 28154]),
+        ],
+    )
+    def test_head_outputs_chunk_rows(self, d, hidden, n, chunks):
+        model = MultimodalClassifier([EncoderSpec(d, hidden, "tanh")], n_classes=3)
+        enc = model.encoders[0]
+        rows = []
+
+        def forward(x, _f=enc.forward):
+            rows.append(len(x))
+            return _f(x)
+
+        enc.forward = forward
+        model.head_outputs(0, np.zeros((n, d)))
+        assert rows == chunks
+
+    def test_head_outputs_reject_non_finite_rows(self):
+        model = _tiny_model()
+        x = np.zeros((10, 2))
+        x[7, 1] = np.nan
+        x[8, 0] = np.inf
+        with pytest.raises(ValueError, match="modality 2 has a non-finite feature in row 7"):
+            model.head_outputs(1, x)
+
     def test_fused_uncertainty_is_argmax_channel_variance(self):
         model = _tiny_model()
         out = model.forward(_sample(np.random.default_rng(3)))
@@ -223,6 +277,17 @@ class TestTrain:
         model.heads[0].weight[:] = np.nan
         with pytest.raises(TrainingDivergedError, match="epoch 0"):
             train(model, _toy_dataset(), TrainConfig(max_epochs=1, seed=0))
+
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_non_finite_features_rejected(self, split):
+        bad = _toy_dataset()
+        bad.features[0][3, 1] = np.nan
+        ds, val = (bad, None) if split == "train" else (_toy_dataset(seed=1), bad)
+        model = _tiny_model()
+        before = model.params.copy()
+        with pytest.raises(ValueError, match="modality 1 has a non-finite feature in row 3"):
+            train(model, ds, TrainConfig(max_epochs=1), val_dataset=val)
+        assert np.array_equal(model.params, before)  # rejected before any step
 
     def test_labels_out_of_range_rejected(self):
         ds = _toy_dataset()
