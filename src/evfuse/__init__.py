@@ -21,30 +21,13 @@ from .distributions import (
     student_t_pdf,
     student_t_variance,
 )
-from .fusion import (
-    FusedStudentT,
-    fuse_classwise,
-    fuse_many,
-    fuse_pair,
-    fused_prediction,
-)
-from .losses import (
-    LossBreakdown,
-    cross_entropy,
-    fused_loss,
-    loss_gradients,
-    modality_loss,
-    nig_nll,
-    student_t_nll,
-    total_loss,
-)
+from .fusion import FusedStudentT, fuse_many, fuse_pair, fused_prediction
+from .losses import nig_nll, student_t_nll
 from .model import (
     EncoderSpec,
     MultimodalClassifier,
     TrainConfig,
     TrainingDivergedError,
-    head_constrain,
-    predict,
     train,
 )
 from .data import (
@@ -84,23 +67,14 @@ __all__ = [
     "FusedStudentT",
     "fuse_pair",
     "fuse_many",
-    "fuse_classwise",
     "fused_prediction",
-    "LossBreakdown",
     "nig_nll",
     "student_t_nll",
-    "cross_entropy",
-    "modality_loss",
-    "fused_loss",
-    "total_loss",
-    "loss_gradients",
     "EncoderSpec",
     "TrainConfig",
     "MultimodalClassifier",
     "TrainingDivergedError",
-    "head_constrain",
     "train",
-    "predict",
     "SyntheticSpec",
     "Dataset",
     "CsvSchema",

@@ -31,7 +31,7 @@ from .data import (
     save_sidecar,
     standardize,
 )
-from .distributions import QuadratureConvergenceError, StudentT, student_t_variance
+from .distributions import QuadratureConvergenceError, StudentT
 from .evaluation import (
     NoiseSpec,
     evaluate_model,
@@ -40,7 +40,7 @@ from .evaluation import (
     uncertainty_density,
     write_json,
 )
-from .fusion import fuse_many
+from .fusion import fuse_many, fused_prediction
 from .model import (
     EncoderSpec,
     MultimodalClassifier,
@@ -143,7 +143,9 @@ def _load_checkpoint(path) -> tuple[MultimodalClassifier, Standardization, str]:
         raise CliError(f"corrupt checkpoint: {e}", EXIT_VALIDATION) from None
     try:
         model = MultimodalClassifier.from_state_dict(doc["model"])
-        stats = Standardization.from_dict(doc["standardization"])
+        stats = Standardization.from_dict(
+            doc["standardization"], [spec.input_dim for spec in model.encoder_specs]
+        )
     except KeyError as e:
         raise CliError(f"bad checkpoint contents: missing key {e}", EXIT_VALIDATION) from None
     except (TypeError, ValueError) as e:
@@ -295,16 +297,13 @@ def cmd_train(args) -> int:
     }
     write_json(artifact, out / "artifact.json")
     _write_meta(out, run_id)
-    first = record.epoch_losses[0] if record.epoch_losses else float("nan")
-    last = record.epoch_losses[-1] if record.epoch_losses else float("nan")
-    print(
-        f"trained {tc.max_epochs} epochs (loss {first:.4f} -> {last:.4f}); "
-        f"checkpoint + artifact in {out} (run {run_id})"
-    )
+    losses = record.epoch_losses
+    arrow = f" (loss {losses[0]:.4f} -> {losses[-1]:.4f})" if losses else ""
+    print(f"trained {tc.max_epochs} epochs{arrow}; checkpoint + artifact in {out} (run {run_id})")
     return EXIT_OK
 
 
-_EVAL_DEFAULTS = {"split": "test", "bins": 10, "weighted_kappa": False}
+_EVAL_DEFAULTS = {"split": "test", "bins": 10}
 
 
 def cmd_evaluate(args) -> int:
@@ -431,13 +430,14 @@ def cmd_fuse(args) -> int:
             raise CliError(f"entry {i}: {e}", EXIT_VALIDATION) from None
     try:
         fused = fuse_many(inputs)
+        y_hat, uncertainty = fused_prediction(fused)
         out = {
             "u": fused.st.u,
             "sigma": fused.st.sigma,
             "v": fused.st.v,
             "source_index": fused.source_index,
-            "y_hat": fused.st.u,
-            "uncertainty": student_t_variance(fused.st),
+            "y_hat": y_hat,
+            "uncertainty": uncertainty,
         }
         text = json.dumps(out, sort_keys=True, allow_nan=False)
     except ValueError as e:

@@ -56,11 +56,27 @@ class Standardization:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "Standardization":
-        return cls(
+    def from_dict(cls, doc: dict, dims: Sequence[int]) -> "Standardization":
+        """Load statistics for modalities of widths `dims`; a ValueError names any
+        array of the wrong count or shape, a non-finite value, or a std <= 0."""
+        stats = cls(
             [np.array(m, dtype=float) for m in doc["mean"]],
             [np.array(s, dtype=float) for s in doc["std"]],
         )
+        for name, arrays in (("mean", stats.mean), ("std", stats.std)):
+            if len(arrays) != len(dims):
+                raise ValueError(
+                    f"standardization {name} holds {len(arrays)} arrays, expected {len(dims)}"
+                )
+            for m, (a, d) in enumerate(zip(arrays, dims)):
+                if a.shape != (d,):
+                    raise ValueError(
+                        f"standardization {name}[{m}] has shape {a.shape}, expected ({d},)"
+                    )
+                if not np.isfinite(a).all() or (name == "std" and not (a > 0).all()):
+                    need = "finite and > 0" if name == "std" else "finite"
+                    raise ValueError(f"standardization {name}[{m}] must be {need}")
+        return stats
 
     def apply(self, ds: "Dataset") -> "Dataset":
         """Z-score every modality of `ds` with these statistics."""

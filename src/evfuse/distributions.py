@@ -5,6 +5,10 @@ mean and variance.  Marginalizing the Gaussian likelihood over an NIG prior
 yields a univariate Student's t predictive distribution in closed form; a
 brute-force double-integration oracle for that marginal lives here too, so
 the closed form can be validated numerically.
+
+Each formula is written once, as an array kernel (`*_arrays`) that training,
+inference and evaluation call; the scalar functions on `NIGParams` /
+`StudentT` are wrappers over those kernels.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -68,34 +73,59 @@ class StudentT:
             raise ValueError(f"v must be > 2, got {self.v}")
 
 
+# ---------------------------------------------------------------------------
+# array kernels: the only implementation of each formula; they broadcast over
+# any shape and take plain floats too
+
+
+def nig_moments_arrays(delta, alpha, beta):
+    """Aleatoric E[sigma^2] = beta/(alpha-1) and epistemic Var[mu] = beta/(delta(alpha-1))."""
+    return beta / (alpha - 1.0), beta / (delta * (alpha - 1.0))
+
+
+def nig_to_st_arrays(gamma, delta, alpha, beta):
+    """NIG -> Student's t: u = gamma, sigma = beta(1+delta)/(delta alpha), v = 2 alpha."""
+    sigma = beta * (1.0 + delta) / (delta * alpha)
+    return gamma, sigma, 2.0 * alpha
+
+
+def st_nll_arrays(u, sigma, v, y):
+    """Negative log-density of the Student's t at y, via log-gamma."""
+    q = 1.0 + (y - u) ** 2 / (v * sigma)
+    return (
+        gammaln(0.5 * v)
+        - gammaln(0.5 * (v + 1.0))
+        + 0.5 * np.log(v * math.pi * sigma)
+        + 0.5 * (v + 1.0) * np.log(q)
+    )
+
+
+def st_variance_arrays(sigma, v):
+    """Variance sigma * v / (v - 2) of the Student's t; finite because v > 2."""
+    return sigma * v / (v - 2.0)
+
+
+# scalar wrappers over the kernels, on one NIGParams / StudentT
+
+
 def nig_aleatoric(p: NIGParams) -> float:
     """Aleatoric uncertainty E[sigma^2] = beta / (alpha - 1)."""
-    return p.beta / (p.alpha - 1.0)
+    return nig_moments_arrays(p.delta, p.alpha, p.beta)[0]
 
 
 def nig_epistemic(p: NIGParams) -> float:
     """Epistemic uncertainty Var[mu] = beta / (delta * (alpha - 1))."""
-    return p.beta / (p.delta * (p.alpha - 1.0))
+    return nig_moments_arrays(p.delta, p.alpha, p.beta)[1]
 
 
 def nig_to_student_t(p: NIGParams) -> StudentT:
-    """Closed-form posterior predictive of an NIG prior.
-
-    u = gamma, sigma = beta*(1+delta)/(delta*alpha), v = 2*alpha.
-    """
-    sigma = p.beta * (1.0 + p.delta) / (p.delta * p.alpha)
-    return StudentT(u=p.gamma, sigma=sigma, v=2.0 * p.alpha)
+    """Closed-form posterior predictive of an NIG prior."""
+    return StudentT(*nig_to_st_arrays(p.gamma, p.delta, p.alpha, p.beta))
 
 
 def student_t_logpdf(st: StudentT, y: float) -> float:
-    """Log-density of the Student's t distribution, via log-gamma."""
-    z2 = (y - st.u) ** 2 / (st.v * st.sigma)
-    return (
-        math.lgamma(0.5 * (st.v + 1.0))
-        - math.lgamma(0.5 * st.v)
-        - 0.5 * math.log(st.v * math.pi * st.sigma)
-        - 0.5 * (st.v + 1.0) * math.log1p(z2)
-    )
+    """Log-density of the Student's t distribution."""
+    return -float(st_nll_arrays(st.u, st.sigma, st.v, y))
 
 
 def student_t_pdf(st: StudentT, y: float) -> float:
@@ -105,7 +135,7 @@ def student_t_pdf(st: StudentT, y: float) -> float:
 
 def student_t_variance(st: StudentT) -> float:
     """Variance sigma * v / (v - 2); finite because v > 2."""
-    return st.sigma * st.v / (st.v - 2.0)
+    return st_variance_arrays(st.sigma, st.v)
 
 
 @dataclass(frozen=True)

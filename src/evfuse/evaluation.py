@@ -25,7 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .losses import softmax, st_nll_arrays
+from .distributions import nig_moments_arrays, st_nll_arrays, st_variance_arrays
+from .losses import softmax
 from .model import MultimodalClassifier, readout
 
 
@@ -190,42 +191,21 @@ def evaluate_model(
     model: MultimodalClassifier, dataset, n_bins: int = 10
 ) -> EvalResult:
     return _evaluate_readout(
-        model, readout(np.stack(_encode(model, dataset.features))), dataset.labels, n_bins
+        model, readout(model.all_head_outputs(dataset.features)), dataset.labels, n_bins
     )
-
-
-def _encode(model: MultimodalClassifier, features: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Raw head outputs of every modality through the cache-free inference pass."""
-    if len(features) != model.n_modalities:
-        raise ValueError(
-            f"expected {model.n_modalities} feature blocks, got {len(features)}"
-        )
-    return [model.head_outputs(m, x) for m, x in enumerate(features)]
 
 
 def _evaluate_readout(model: MultimodalClassifier, out: dict, labels, n_bins: int) -> EvalResult:
     trace = out["trace"]
-    gamma, delta, alpha, beta = (
-        out["gamma"],
-        out["delta"],
-        out["alpha"],
-        out["beta"],
-    )
     n = len(labels)
-    preds = np.argmax(trace.u, axis=-1)
-    conf = class_posterior(trace.u, trace.sigma, trace.v)
-    conf_pred = conf[np.arange(n), preds]
-    fused_var = trace.sigma * trace.v / (trace.v - 2.0)
-    fused_unc = fused_var[np.arange(n), preds]
-
-    al = beta / (alpha - 1.0)
-    ep = beta / (delta * (alpha - 1.0))
-    own_pred = np.argmax(gamma, axis=-1)  # (M, N)
-    m_count = gamma.shape[0]
     rows = np.arange(n)
-    mod_unc = np.stack(
-        [(al + ep)[m, rows, own_pred[m]] for m in range(m_count)]
-    )
+    preds = np.argmax(trace.u, axis=-1)
+    conf_pred = class_posterior(trace.u, trace.sigma, trace.v)[rows, preds]
+    fused_unc = st_variance_arrays(trace.sigma, trace.v)[rows, preds]
+
+    al, ep = nig_moments_arrays(out["delta"], out["alpha"], out["beta"])
+    own_pred = np.argmax(out["gamma"], axis=-1)  # (M, N)
+    mod_unc = np.stack([(al + ep)[m, rows, own] for m, own in enumerate(own_pred)])
     mod_ep = ep.mean(axis=-1)  # (M, N)
 
     correct = preds == np.asarray(labels)
@@ -255,7 +235,7 @@ def noise_sweep(
     hold mean/std over seeds per sigma.  Every modality is encoded once on
     the clean data; each pair re-encodes only the corrupted one.
     """
-    raw = np.stack(_encode(model, dataset.features))
+    raw = model.all_head_outputs(dataset.features)
     rows = []
     for sigma in sigmas:
         for seed in seeds:

@@ -15,9 +15,10 @@ More than two inputs are combined by a left fold of the pairwise rule (an
 extension; the original rule is stated for two modalities).  Ties on v are
 broken toward the smaller scale, then the lower index.
 
-`fuse_stack` / `fuse_stack_backward` are array versions used by training
-code: they fuse along a leading modality axis and backpropagate adjoints,
-treating the discrete min-v selection as locally constant.
+`fuse_stack` is the one implementation of the rule: it fuses along a
+leading modality axis, and `fuse_stack_backward` backpropagates adjoints
+through it, treating the discrete min-v selection as locally constant.
+`fuse_pair` and `fuse_many` are wrappers for `StudentT` values.
 """
 
 from __future__ import annotations
@@ -38,34 +39,19 @@ class FusedStudentT:
     source_index: int
 
 
-def _first_wins(a: StudentT, b: StudentT) -> bool:
-    # tie-break on equal v: smaller scale, then lower (first) index
-    if a.v != b.v:
-        return a.v < b.v
-    return a.sigma <= b.sigma
-
-
 def fuse_pair(a: StudentT, b: StudentT) -> FusedStudentT:
     """Fuse two Student's t distributions; index 0 is `a`, 1 is `b`."""
-    if _first_wins(a, b):
-        sel, oth, idx = a, b, 0
-    else:
-        sel, oth, idx = b, a, 1
-    c = oth.v * (sel.v - 2.0) / (sel.v * (oth.v - 2.0))
-    sigma_f = 0.5 * (sel.sigma + c * oth.sigma)
-    return FusedStudentT(StudentT(u=sel.u, sigma=sigma_f, v=sel.v), idx)
+    return fuse_many([a, b])
 
 
 def fuse_many(inputs: Sequence[StudentT]) -> FusedStudentT:
     """Left-fold pairwise fusion over a non-empty sequence."""
     if len(inputs) == 0:
         raise ValueError("fuse_many requires at least one input")
-    fused = FusedStudentT(inputs[0], 0)
-    for i, st in enumerate(inputs[1:], start=1):
-        step = fuse_pair(fused.st, st)
-        src = fused.source_index if step.source_index == 0 else i
-        fused = FusedStudentT(step.st, src)
-    return fused
+    # as in float arithmetic, an overflow becomes inf and fails StudentT's check
+    with np.errstate(all="ignore"):
+        t = fuse_stack(*np.array([[st.u, st.sigma, st.v] for st in inputs]).T)
+    return FusedStudentT(StudentT(float(t.u), float(t.sigma), float(t.v)), int(t.source))
 
 
 def fused_prediction(f: FusedStudentT) -> tuple[float, float]:
@@ -73,23 +59,8 @@ def fused_prediction(f: FusedStudentT) -> tuple[float, float]:
     return f.st.u, student_t_variance(f.st)
 
 
-def fuse_classwise(
-    per_modality: Sequence[Sequence[StudentT]],
-) -> list[FusedStudentT]:
-    """Fuse per-class Student's t vectors across modalities, channel by channel."""
-    if len(per_modality) == 0:
-        raise ValueError("need at least one modality")
-    k = len(per_modality[0])
-    for m, vec in enumerate(per_modality):
-        if len(vec) != k:
-            raise ValueError(
-                f"modality {m} has {len(vec)} class channels, expected {k}"
-            )
-    return [fuse_many([vec[j] for vec in per_modality]) for j in range(k)]
-
-
 # ---------------------------------------------------------------------------
-# array fold with gradients, for the training path
+# array fold with gradients
 
 
 @dataclass

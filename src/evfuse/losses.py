@@ -6,149 +6,34 @@ over the location parameters.  The fused Student's t gets the analogous
 treatment.  The total objective is the sum of the per-modality losses and
 the fused loss.
 
-The array functions at the bottom are the training workhorses: they accept
-parameter arrays with a leading modality axis, broadcast over batch/class
-axes, and return both the loss and the exact partial derivatives with
-respect to every NIG parameter (the fused path is chained through the
-NIG -> Student's t conversion and the fusion fold).
+The functions accept parameter arrays with a leading modality axis,
+broadcast over batch/class axes, and return both the loss and the exact
+partial derivatives with respect to every NIG parameter (the fused path is
+chained through the NIG -> Student's t conversion and the fusion fold).
+`nig_nll` and `student_t_nll` are scalar wrappers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.special import digamma, gammaln
 
-from .distributions import NIGParams, StudentT
+from .distributions import NIGParams, StudentT, nig_to_st_arrays, st_nll_arrays
 from .fusion import fuse_stack, fuse_stack_backward
 
 _LOG_PI = math.log(math.pi)
 
 
-@dataclass(frozen=True)
-class LossBreakdown:
-    """Per-modality NIG losses, the fused Student's t loss, and their sum."""
-
-    per_modality_nig: list[float]
-    fused_st: float
-    total: float
-    lam: float
-
-
 def nig_nll(p: NIGParams, y: float) -> float:
     """Negative log marginal likelihood of an NIG prior at observation y."""
-    r = (y - p.gamma) ** 2 * p.delta + 2.0 * p.beta * (1.0 + p.delta)
-    return (
-        math.lgamma(p.alpha)
-        - math.lgamma(p.alpha + 0.5)
-        + 0.5 * math.log(math.pi / p.delta)
-        - p.alpha * math.log(2.0 * p.beta * (1.0 + p.delta))
-        + (p.alpha + 0.5) * math.log(r)
-    )
+    return float(nig_nll_arrays(p.gamma, p.delta, p.alpha, p.beta, y))
 
 
 def student_t_nll(st: StudentT, y: float) -> float:
-    """Negative log-likelihood of a Student's t at observation y.
-
-    Equals -log pdf, so it agrees exactly with `nig_nll` under the
-    NIG -> Student's t parameter map.
-    """
-    q = 1.0 + (y - st.u) ** 2 / (st.v * st.sigma)
-    return (
-        math.lgamma(0.5 * st.v)
-        - math.lgamma(0.5 * (st.v + 1.0))
-        + 0.5 * math.log(st.v * math.pi * st.sigma)
-        + 0.5 * (st.v + 1.0) * math.log(q)
-    )
-
-
-def cross_entropy(logits: Sequence[float], label: int) -> float:
-    """-log softmax(logits)[label], computed via a stable log-sum-exp."""
-    logits = np.asarray(logits, dtype=float)
-    if logits.ndim != 1 or len(logits) < 2:
-        raise ValueError("logits must be a vector of length >= 2")
-    if not (0 <= label < len(logits)):
-        raise ValueError(f"label {label} out of range for {len(logits)} classes")
-    m = logits.max()
-    return float(m + np.log(np.exp(logits - m).sum()) - logits[label])
-
-
-def _check_onehot(y_onehot: Sequence[float], k: int) -> int:
-    y = np.asarray(y_onehot, dtype=float)
-    if len(y) != k:
-        raise ValueError(f"one-hot length {len(y)} does not match {k} channels")
-    ones = np.flatnonzero(y == 1.0)
-    if len(ones) != 1 or not np.all((y == 0.0) | (y == 1.0)):
-        raise ValueError("y_onehot must contain exactly one 1 and otherwise 0s")
-    return int(ones[0])
-
-
-def modality_loss(
-    nig_per_class: Sequence[NIGParams], y_onehot: Sequence[float], lam: float
-) -> float:
-    """Summed per-class NIG NLL plus lam * cross-entropy over locations."""
-    label = _check_onehot(y_onehot, len(nig_per_class))
-    nll = sum(nig_nll(p, yk) for p, yk in zip(nig_per_class, y_onehot))
-    ce = cross_entropy([p.gamma for p in nig_per_class], label)
-    return nll + lam * ce
-
-
-def fused_loss(
-    fused_per_class: Sequence[StudentT], y_onehot: Sequence[float], lam: float
-) -> float:
-    """Summed per-class Student's t NLL plus lam * cross-entropy over locations."""
-    label = _check_onehot(y_onehot, len(fused_per_class))
-    nll = sum(student_t_nll(st, yk) for st, yk in zip(fused_per_class, y_onehot))
-    ce = cross_entropy([st.u for st in fused_per_class], label)
-    return nll + lam * ce
-
-
-def total_loss(
-    per_modality: Sequence[Sequence[NIGParams]],
-    fused: Sequence[StudentT],
-    y_onehot: Sequence[float],
-    lam: float,
-) -> LossBreakdown:
-    """Total objective: sum of per-modality losses plus the fused loss."""
-    if len(per_modality) < 1:
-        raise ValueError("need at least one modality")
-    k = len(fused)
-    for m, vec in enumerate(per_modality):
-        if len(vec) != k:
-            raise ValueError(f"modality {m} has {len(vec)} channels, expected {k}")
-    per = [modality_loss(vec, y_onehot, lam) for vec in per_modality]
-    fst = fused_loss(fused, y_onehot, lam)
-    return LossBreakdown(per, fst, sum(per) + fst, lam)
-
-
-def loss_gradients(
-    per_modality: Sequence[Sequence[NIGParams]],
-    y_onehot: Sequence[float],
-    lam: float,
-) -> list[np.ndarray]:
-    """Gradients of the total objective w.r.t. every NIG parameter.
-
-    The fused distributions are re-derived internally so that gradients flow
-    through the conversion and the fusion rule (the min-v selection is
-    treated as locally constant).  Returns one (K, 4) array per modality
-    with columns (d/dgamma, d/ddelta, d/dalpha, d/dbeta).
-    """
-    k = len(per_modality[0])
-    _check_onehot(y_onehot, k)
-    gamma = np.array([[p.gamma for p in vec] for vec in per_modality])
-    delta = np.array([[p.delta for p in vec] for vec in per_modality])
-    alpha = np.array([[p.alpha for p in vec] for vec in per_modality])
-    beta = np.array([[p.beta for p in vec] for vec in per_modality])
-    y = np.asarray(y_onehot, dtype=float)
-    _, grads = total_loss_and_grads_arrays(gamma, delta, alpha, beta, y, lam)
-    return [grads[m] for m in range(len(per_modality))]
-
-
-# ---------------------------------------------------------------------------
-# array implementations (broadcast over arbitrary batch/class axes)
+    """Negative log-likelihood of a Student's t at observation y."""
+    return float(st_nll_arrays(st.u, st.sigma, st.v, y))
 
 
 def nig_nll_arrays(gamma, delta, alpha, beta, y):
@@ -177,16 +62,6 @@ def nig_nll_grads_arrays(gamma, delta, alpha, beta, y):
     )
     d_beta = -alpha / beta + (alpha + 0.5) * 2.0 * (1.0 + delta) / r
     return d_gamma, d_delta, d_alpha, d_beta
-
-
-def st_nll_arrays(u, sigma, v, y):
-    q = 1.0 + (y - u) ** 2 / (v * sigma)
-    return (
-        gammaln(0.5 * v)
-        - gammaln(0.5 * (v + 1.0))
-        + 0.5 * np.log(v * math.pi * sigma)
-        + 0.5 * (v + 1.0) * np.log(q)
-    )
 
 
 def st_nll_grads_arrays(u, sigma, v, y):
@@ -218,11 +93,6 @@ def cross_entropy_arrays(logits: np.ndarray, y_onehot: np.ndarray):
     ce = (lse[..., 0] - (logits * y_onehot).sum(axis=-1))
     grad = softmax(logits) - y_onehot
     return ce, grad
-
-
-def nig_to_st_arrays(gamma, delta, alpha, beta):
-    sigma = beta * (1.0 + delta) / (delta * alpha)
-    return gamma, sigma, 2.0 * alpha
 
 
 def total_loss_and_grads_arrays(gamma, delta, alpha, beta, y_onehot, lam):

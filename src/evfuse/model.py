@@ -19,9 +19,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import NIGParams, StudentT
+from .distributions import (
+    NIGParams,
+    StudentT,
+    nig_moments_arrays,
+    nig_to_st_arrays,
+    st_variance_arrays,
+)
 from .fusion import FusedStudentT, fuse_stack
-from .losses import nig_to_st_arrays, softmax, total_loss_and_grads_arrays
+from .losses import softmax, total_loss_and_grads_arrays
 
 CHECKPOINT_FORMAT_VERSION = 1
 # The inference pass runs in row chunks to bound its working memory.  A chunk
@@ -69,6 +75,8 @@ class TrainConfig:
     def __post_init__(self):
         if not (self.learning_rate > 0):
             raise ValueError("learning_rate must be > 0")
+        if self.max_epochs < 0:
+            raise ValueError("max_epochs must be >= 0")
         if not (0.0 <= self.lam <= 1.0):
             raise ValueError("lam must be in [0, 1]")
         if self.batch_size < 1:
@@ -100,14 +108,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 _DELTA_FLOOR = 1e-6
 _ALPHA_FLOOR = 1e-4
 _BETA_FLOOR = 1e-6
-
-
-def head_constrain(raw: Sequence[float]) -> NIGParams:
-    """Map four unconstrained head outputs to a valid NIG parameter set."""
-    raw = np.asarray(raw, dtype=float)
-    if raw.shape != (4,) or not np.all(np.isfinite(raw)):
-        raise ValueError("raw must be four finite values")
-    return NIGParams(*(float(p) for p in _constrain_arrays(raw)))
 
 
 def _constrain_arrays(raw: np.ndarray):
@@ -267,6 +267,12 @@ class MultimodalClassifier:
 
     # ---- forward -----------------------------------------------------
 
+    def _check_count(self, features) -> None:
+        if len(features) != self.n_modalities:
+            raise ValueError(
+                f"expected {self.n_modalities} feature blocks, got {len(features)}"
+            )
+
     def _feature_block(self, m: int, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         d = self.encoder_specs[m].input_dim
@@ -281,10 +287,7 @@ class MultimodalClassifier:
         holds the `readout` of the raw head outputs plus the encoder
         outputs (`hidden`) and caches that backpropagation needs.
         """
-        if len(features) != self.n_modalities:
-            raise ValueError(
-                f"expected {self.n_modalities} feature blocks, got {len(features)}"
-            )
+        self._check_count(features)
         hs, caches, raws = [], [], []
         for m, (enc, head, x) in enumerate(zip(self.encoders, self.heads, features)):
             h, cache = enc.forward(self._feature_block(m, x))
@@ -317,50 +320,32 @@ class MultimodalClassifier:
             out[a:b] = head.forward(enc.forward(x[a:b])[0])
         return out
 
+    def all_head_outputs(self, features: Sequence[np.ndarray]) -> np.ndarray:
+        """`head_outputs` of every modality, stacked: (M, N, K, 4)."""
+        self._check_count(features)
+        return np.stack([self.head_outputs(m, x) for m, x in enumerate(features)])
+
     def forward(self, sample: Sequence[np.ndarray]) -> EvidentialOutput:
-        """Full evidential readout for a single sample."""
-        batch = [np.asarray(x, dtype=float).reshape(1, -1) for x in sample]
-        out = self.forward_batch(batch)
-        gamma, delta, alpha, beta = (
-            out["gamma"][:, 0],
-            out["delta"][:, 0],
-            out["alpha"][:, 0],
-            out["beta"][:, 0],
-        )
+        """Full evidential readout for a single sample: one row of the inference pass."""
+        out = readout(self.all_head_outputs([np.reshape(x, (1, -1)) for x in sample]))
+        gamma, delta, alpha, beta = (out[k][:, 0] for k in ("gamma", "delta", "alpha", "beta"))
         u, sigma, v = (a[:, 0] for a in out["st"])
-        trace = out["trace"]
-        nig = [
-            [
-                NIGParams(gamma[m, k], delta[m, k], alpha[m, k], beta[m, k])
-                for k in range(self.n_classes)
-            ]
-            for m in range(self.n_modalities)
-        ]
-        st = [
-            [StudentT(u[m, k], sigma[m, k], v[m, k]) for k in range(self.n_classes)]
-            for m in range(self.n_modalities)
-        ]
-        fused = [
-            FusedStudentT(
-                StudentT(
-                    trace.u[0, k], trace.sigma[0, k], trace.v[0, k]
-                ),
-                int(trace.source[0, k]),
-            )
-            for k in range(self.n_classes)
-        ]
-        conf = softmax(trace.u[0])
-        pred = int(np.argmax(trace.u[0]))
-        fused_var = trace.sigma[0, pred] * trace.v[0, pred] / (trace.v[0, pred] - 2.0)
+        t = out["trace"]
+        fu, fs, fv = t.u[0], t.sigma[0], t.v[0]
+        pred = int(np.argmax(fu))
+        aleatoric, epistemic = nig_moments_arrays(delta, alpha, beta)
         return EvidentialOutput(
-            nig=nig,
-            st=st,
-            fused=fused,
+            nig=[[NIGParams(*p) for p in zip(*m)] for m in zip(gamma, delta, alpha, beta)],
+            st=[[StudentT(*q) for q in zip(*m)] for m in zip(u, sigma, v)],
+            fused=[
+                FusedStudentT(StudentT(*q), int(src))
+                for *q, src in zip(fu, fs, fv, t.source[0])
+            ],
             predicted_class=pred,
-            confidences=conf,
-            aleatoric=beta / (alpha - 1.0),
-            epistemic=beta / (delta * (alpha - 1.0)),
-            fused_uncertainty=float(fused_var),
+            confidences=softmax(fu),
+            aleatoric=aleatoric,
+            epistemic=epistemic,
+            fused_uncertainty=float(st_variance_arrays(fs[pred], fv[pred])),
         )
 
     # ---- persistence ---------------------------------------------------
@@ -436,22 +421,6 @@ def _copy_into(view: np.ndarray, saved, name: str) -> None:
             f"checkpoint array {name} has shape {saved.shape}, expected {view.shape}"
         )
     view[...] = saved
-
-
-def predict(model: MultimodalClassifier, sample: Sequence[np.ndarray]):
-    """Class decision plus confidence and uncertainty readouts.
-
-    Returns (class, confidences, per-modality uncertainties, fused
-    uncertainty); the per-modality entry holds the aleatoric and epistemic
-    arrays shaped (M, K).
-    """
-    out = model.forward(sample)
-    return (
-        out.predicted_class,
-        out.confidences,
-        {"aleatoric": out.aleatoric, "epistemic": out.epistemic},
-        out.fused_uncertainty,
-    )
 
 
 # ---------------------------------------------------------------------------

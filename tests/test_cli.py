@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import evfuse
 from evfuse.cli import main
 
 
@@ -92,6 +97,25 @@ class TestTrain:
         )
         assert ckpt["model"] == fresh.state_dict()
 
+    def test_zero_epochs_summary_has_no_loss(self, pipeline, tmp_path, capsys):
+        data, _ = pipeline
+        code, stdout, _ = _run(
+            capsys, "train", "--data", str(data), "--out", str(tmp_path / "zero"),
+            "--epochs", "0", "--hidden", "8",
+        )
+        assert code == 0
+        assert stdout.startswith("trained 0 epochs; checkpoint") and "nan" not in stdout
+
+    def test_negative_epochs_exit_1(self, pipeline, tmp_path, capsys):
+        data, _ = pipeline
+        code, stdout, err = _run(
+            capsys, "train", "--data", str(data), "--out", str(tmp_path / "neg"),
+            "--epochs", "-3", "--hidden", "8",
+        )
+        assert code == 1 and stdout == ""
+        assert err.startswith("error:") and "max_epochs must be >= 0" in err
+        assert not (tmp_path / "neg").exists()
+
     def test_missing_data_exit_2(self, tmp_path, capsys):
         code, _, err = _run(
             capsys, "train", "--data", str(tmp_path / "none"), "--out", str(tmp_path / "o")
@@ -181,6 +205,41 @@ class TestEvaluate:
         assert code == 1
         assert err.startswith("error: bad checkpoint contents")
         assert "Traceback" not in err
+
+    def test_weighted_kappa_config_key_exit_1(self, pipeline, tmp_path, capsys):
+        data, run = pipeline
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"weighted_kappa": True}))
+        code, _, err = _run(
+            capsys, "evaluate", "--checkpoint", str(run / "checkpoint.json"),
+            "--data", str(data), "--out", str(tmp_path / "eval"), "--config", str(cfg),
+        )
+        assert code == 1 and "unknown config keys: ['weighted_kappa']" in err
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda s: s["std"].__setitem__(0, [1.0]),
+             "standardization std[0] has shape (1,), expected (3,)"),
+            (lambda s: s["std"][1].__setitem__(0, 0.0), "standardization std[1] must be finite and > 0"),
+            (lambda s: s["mean"][0].__setitem__(2, float("nan")), "standardization mean[0] must be finite"),
+            (lambda s: (s["mean"].pop(), s["std"].pop()),
+             "standardization mean holds 1 arrays, expected 2"),
+        ],
+        ids=["std-shape", "zero-std", "nan-mean", "missing-modality"],
+    )
+    def test_bad_standardization_exit_1(self, pipeline, tmp_path, capsys, mutate, message):
+        data, run = pipeline
+        ckpt = json.loads((run / "checkpoint.json").read_text())
+        mutate(ckpt["standardization"])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(ckpt))
+        code, stdout, err = _run(
+            capsys, "evaluate", "--checkpoint", str(bad), "--data", str(data),
+            "--out", str(tmp_path / "eval"),
+        )
+        assert code == 1 and stdout == ""
+        assert err == f"error: bad checkpoint contents: {message}\n"
 
     def test_non_finite_csv_cell_exit_1(self, pipeline, tmp_path, capsys):
         data, run = pipeline
@@ -295,6 +354,18 @@ class TestFuse:
         assert got == code
         assert stdout == ""
         assert err.startswith("error:") and message in err
+
+    def test_overflow_prints_only_the_error_line(self, tmp_path):
+        # in a fresh process, so that a numpy warning would reach stderr
+        f = tmp_path / "in.json"
+        f.write_text("[[0, 1e308, 3], [0, 1e308, 3]]")
+        env = dict(os.environ, PYTHONPATH=str(Path(evfuse.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "evfuse.cli", "fuse", "--in", str(f)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr == "error: fused result is not finite: sigma must be finite, got inf\n"
 
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = _run(capsys, "fuse", "--in", "/does/not/exist.json")

@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 
 from evfuse.distributions import StudentT, student_t_variance
 from evfuse.fusion import (
-    FuseTrace,
-    fuse_classwise,
     fuse_many,
     fuse_pair,
     fuse_stack,
@@ -133,25 +131,42 @@ class TestFusedPrediction:
         assert u_hat > f.st.sigma
 
 
+def _stack(per_modality):
+    """(u, sigma, v) arrays shaped (M, K) from per-modality lists of StudentT."""
+    return tuple(
+        np.array([[getattr(st, f) for st in vec] for vec in per_modality], dtype=float)
+        for f in ("u", "sigma", "v")
+    )
+
+
 class TestFuseClasswise:
     def test_per_channel_rule(self):
         m1 = [StudentT(0, 1, 4), StudentT(1, 1, 4)]
         m2 = [StudentT(5, 1, 9), StudentT(6, 1, 9)]
-        fused = fuse_classwise([m1, m2])
-        assert [f.st.u for f in fused] == [0.0, 1.0]
-        assert all(f.source_index == 0 for f in fused)
+        trace = fuse_stack(*_stack([m1, m2]))
+        assert trace.u.tolist() == [0.0, 1.0]
+        assert trace.source.tolist() == [0, 0]
 
     def test_mixed_dofs_hand_table(self):
         m1 = [StudentT(0, 1, 4), StudentT(1, 2, 9), StudentT(2, 1, 5)]
         m2 = [StudentT(3, 2, 6), StudentT(4, 1, 3), StudentT(5, 2, 5)]
-        fused = fuse_classwise([m1, m2])
+        trace = fuse_stack(*_stack([m1, m2]))
         for k in range(3):
-            assert fused[k].st == fuse_pair(m1[k], m2[k]).st
-        assert [f.source_index for f in fused] == [0, 1, 0]
+            f = fuse_pair(m1[k], m2[k]).st
+            assert (trace.u[k], trace.sigma[k], trace.v[k]) == (f.u, f.sigma, f.v)
+        assert trace.source.tolist() == [0, 1, 0]
 
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            fuse_classwise([[StudentT(0, 1, 4)], []])
+
+def _float_fold(sts):
+    """Reference left fold of the pairwise rule over (u, sigma, v) float triples."""
+    (u, s, v), src = sts[0], 0
+    for i, (u2, s2, v2) in enumerate(sts[1:], start=1):
+        new_wins = v2 < v or (v2 == v and s2 < s)
+        sel, oth = ((u2, s2, v2), (u, s, v)) if new_wins else ((u, s, v), (u2, s2, v2))
+        c = oth[2] * (sel[2] - 2.0) / (sel[2] * (oth[2] - 2.0))
+        u, s, v = sel[0], 0.5 * (sel[1] + c * oth[1]), sel[2]
+        src = i if new_wins else src
+    return u, s, v, src
 
 
 class TestFuseStack:
@@ -163,16 +178,18 @@ class TestFuseStack:
 
     def test_matches_scalar_fold(self):
         rng = np.random.default_rng(7)
-        u, sigma, v = self._random_stack(rng, 3, (4, 5))
-        trace = fuse_stack(u, sigma, v)
-        for i in range(4):
-            for j in range(5):
-                sts = [StudentT(u[m, i, j], sigma[m, i, j], v[m, i, j]) for m in range(3)]
-                f = fuse_many(sts)
-                assert trace.u[i, j] == pytest.approx(f.st.u)
-                assert trace.sigma[i, j] == pytest.approx(f.st.sigma, rel=1e-13)
-                assert trace.v[i, j] == pytest.approx(f.st.v)
-                assert trace.source[i, j] == f.source_index
+        for m in (1, 2, 3, 5):
+            u, sigma, v = self._random_stack(rng, m, (4, 50))
+            # ties on v in half of the channels, and on the scale too in a quarter
+            v[:, :, :25] = rng.choice([3.0, 4.0], size=(m, 4, 25))
+            sigma[:, 2:, :25] = rng.choice([1.0, 2.0], size=(m, 2, 25))
+            trace = fuse_stack(u, sigma, v)
+            for i in range(4):
+                for j in range(50):
+                    ref = _float_fold([(float(u[k, i, j]), float(sigma[k, i, j]), float(v[k, i, j]))
+                                       for k in range(m)])
+                    got = (trace.u[i, j], trace.sigma[i, j], trace.v[i, j], trace.source[i, j])
+                    assert got == ref
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(13)

@@ -6,20 +6,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import digamma
 
-from evfuse.distributions import NIGParams, StudentT, nig_to_student_t, student_t_logpdf
+from evfuse.distributions import NIGParams, StudentT, nig_to_student_t, st_nll_arrays, student_t_logpdf
+from evfuse.fusion import fuse_many
 from evfuse.losses import (
-    LossBreakdown,
-    cross_entropy,
-    fused_loss,
-    loss_gradients,
-    modality_loss,
+    cross_entropy_arrays,
     nig_nll,
     nig_nll_arrays,
     nig_nll_grads_arrays,
-    st_nll_arrays,
     st_nll_grads_arrays,
     student_t_nll,
-    total_loss,
     total_loss_and_grads_arrays,
 )
 from conftest import random_nig_params
@@ -69,31 +64,49 @@ class TestStudentTNll:
         assert slope == pytest.approx(5.0 * math.log(100.0), rel=1e-6)
 
 
+def _ce(logits, label):
+    """Reference cross-entropy of one logit vector, in plain floats."""
+    return math.log(sum(math.exp(l) for l in logits)) - logits[label]
+
+
+def _ce_arrays(logits, label):
+    return cross_entropy_arrays(np.array(logits, dtype=float), np.eye(len(logits))[label])
+
+
 class TestCrossEntropy:
     def test_uniform_logits(self):
-        assert cross_entropy([3.0, 3.0, 3.0], 1) == pytest.approx(math.log(3.0))
+        assert _ce_arrays([3.0, 3.0, 3.0], 1)[0] == pytest.approx(math.log(3.0))
 
     def test_saturated_logits(self):
-        assert cross_entropy([1e6, 0.0], 0) == pytest.approx(0.0, abs=1e-12)
+        assert _ce_arrays([1e6, 0.0], 0)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_value(self):
         logits = [1.0, 2.0, 3.0]
-        expected = math.log(sum(math.exp(l) for l in logits)) - 3.0
-        assert cross_entropy(logits, 2) == pytest.approx(expected, rel=1e-12)
+        ce, grad = _ce_arrays(logits, 2)
+        assert ce == pytest.approx(_ce(logits, 2), rel=1e-12)
+        # d CE / d logits = softmax - one-hot
+        e = np.exp(logits)
+        np.testing.assert_allclose(grad, e / e.sum() - [0.0, 0.0, 1.0], rtol=1e-12)
 
-    def test_label_out_of_range(self):
-        with pytest.raises(ValueError):
-            cross_entropy([0.0, 1.0], 2)
+
+def _parts(per_modality, y, lam):
+    """Loss parts of NIG parameter rows shaped (M, K, 4)."""
+    arr = np.asarray(per_modality, dtype=float)
+    return total_loss_and_grads_arrays(*(arr[..., i] for i in range(4)), np.asarray(y), lam)[0]
 
 
 def _toy_modality():
     return [NIGParams(2.0, 0.5, 2.5, 1.0), NIGParams(-1.0, 1.5, 3.0, 2.0)]
 
 
+def _rows(nigs):
+    return [[p.gamma, p.delta, p.alpha, p.beta] for p in nigs]
+
+
 class TestModalityAndFusedLoss:
     def test_lambda_zero_is_pure_nll(self):
         nigs = _toy_modality()
-        got = modality_loss(nigs, [1.0, 0.0], 0.0)
+        got = _parts([_rows(nigs)], [1.0, 0.0], 0.0)["per_modality_nig"][0]
         expected = nig_nll(nigs[0], 1.0) + nig_nll(nigs[1], 0.0)
         assert got == pytest.approx(expected, rel=1e-14)
 
@@ -102,55 +115,36 @@ class TestModalityAndFusedLoss:
         expected = (
             nig_nll(nigs[0], 1.0)
             + nig_nll(nigs[1], 0.0)
-            + 0.5 * cross_entropy([2.0, -1.0], 0)
+            + 0.5 * _ce([2.0, -1.0], 0)
         )
-        assert modality_loss(nigs, [1.0, 0.0], 0.5) == pytest.approx(expected)
+        got = _parts([_rows(nigs)], [1.0, 0.0], 0.5)["per_modality_nig"][0]
+        assert got == pytest.approx(expected)
 
     def test_fused_matches_modality_under_conversion(self):
-        nigs = _toy_modality()
-        sts = [nig_to_student_t(p) for p in nigs]
-        assert fused_loss(sts, [0.0, 1.0], 0.5) == pytest.approx(
-            modality_loss(nigs, [0.0, 1.0], 0.5), abs=1e-10
-        )
+        # one modality: the fused t is its converted t, so the two terms agree
+        parts = _parts([_rows(_toy_modality())], [0.0, 1.0], 0.5)
+        assert parts["fused_st"] == pytest.approx(parts["per_modality_nig"][0], abs=1e-10)
 
-    def test_invalid_onehot_rejected(self):
-        with pytest.raises(ValueError):
-            modality_loss(_toy_modality(), [1.0, 1.0], 0.5)
-        with pytest.raises(ValueError):
-            modality_loss(_toy_modality(), [0.5, 0.5], 0.5)
+
+def _toy_pair():
+    m2 = [NIGParams(0.5, 1.0, 2.0, 0.7), NIGParams(1.5, 0.3, 4.0, 1.1)]
+    return [_rows(_toy_modality()), _rows(m2)]
 
 
 class TestTotalLoss:
-    def _instance(self):
-        m1 = _toy_modality()
-        m2 = [NIGParams(0.5, 1.0, 2.0, 0.7), NIGParams(1.5, 0.3, 4.0, 1.1)]
-        from evfuse.fusion import fuse_classwise
-
-        fused = [f.st for f in fuse_classwise([[nig_to_student_t(p) for p in m1],
-                                               [nig_to_student_t(p) for p in m2]])]
-        return [m1, m2], fused
-
     def test_additivity(self):
-        per_modality, fused = self._instance()
-        br = total_loss(per_modality, fused, [1.0, 0.0], 0.5)
-        assert isinstance(br, LossBreakdown)
-        assert br.total == pytest.approx(
-            sum(br.per_modality_nig) + br.fused_st, abs=1e-12
+        parts = _parts(_toy_pair(), [1.0, 0.0], 0.5)
+        assert parts["total"] == pytest.approx(
+            parts["per_modality_nig"].sum() + parts["fused_st"], abs=1e-12
         )
 
     def test_lambda_linearity(self):
-        per_modality, fused = self._instance()
-        l0 = total_loss(per_modality, fused, [1.0, 0.0], 0.0).total
-        l5 = total_loss(per_modality, fused, [1.0, 0.0], 0.5).total
-        l1 = total_loss(per_modality, fused, [1.0, 0.0], 1.0).total
+        l0, l5, l1 = (_parts(_toy_pair(), [1.0, 0.0], lam)["total"] for lam in (0.0, 0.5, 1.0))
         assert l5 == pytest.approx(0.5 * (l0 + l1), rel=1e-12)
 
     def test_class_permutation_invariance(self):
-        per_modality, fused = self._instance()
-        base = total_loss(per_modality, fused, [1.0, 0.0], 0.5).total
-        flipped = total_loss(
-            [vec[::-1] for vec in per_modality], fused[::-1], [0.0, 1.0], 0.5
-        ).total
+        base = _parts(_toy_pair(), [1.0, 0.0], 0.5)["total"]
+        flipped = _parts([vec[::-1] for vec in _toy_pair()], [0.0, 1.0], 0.5)["total"]
         assert flipped == pytest.approx(base, rel=1e-12)
 
 
@@ -218,18 +212,11 @@ class TestGradients:
             [NIGParams(*row) for row in random_nig_params(rng, 3)] for _ in range(2)
         ]
         y = [0.0, 1.0, 0.0]
-        grads = loss_gradients(per_modality, y, 0.5)
-
-        from evfuse.fusion import fuse_classwise
-
-        def loss_at(pm):
-            fused = [
-                f.st
-                for f in fuse_classwise(
-                    [[nig_to_student_t(p) for p in vec] for vec in pm]
-                )
-            ]
-            return total_loss(pm, fused, y, 0.5).total
+        arr = np.array([_rows(vec) for vec in per_modality])
+        parts, grads = total_loss_and_grads_arrays(
+            *(arr[..., i] for i in range(4)), np.array(y), 0.5
+        )
+        assert parts["total"] == pytest.approx(_reference_total(per_modality, y, 0.5), rel=1e-12)
 
         h = 1e-6
         names = ["gamma", "delta", "alpha", "beta"]
@@ -242,6 +229,18 @@ class TestGradients:
                         kw = {n: getattr(p, n) for n in names}
                         kw[name] += eps
                         pm[m][k] = NIGParams(**kw)
-                        return loss_at(pm)
+                        return _reference_total(pm, y, 0.5)
                     fd = (bumped(h) - bumped(-h)) / (2 * h)
-                    assert grads[m][k, j] == pytest.approx(fd, rel=1e-4, abs=1e-6)
+                    assert grads[m, k, j] == pytest.approx(fd, rel=1e-4, abs=1e-6)
+
+
+def _reference_total(per_modality, y, lam):
+    """The total objective from the scalar API, one class channel at a time."""
+    label = y.index(1.0)
+    total = 0.0
+    for vec in per_modality:
+        total += sum(nig_nll(p, yk) for p, yk in zip(vec, y))
+        total += lam * _ce([p.gamma for p in vec], label)
+    fused = [fuse_many([nig_to_student_t(vec[k]) for vec in per_modality]).st for k in range(len(y))]
+    total += sum(student_t_nll(f, yk) for f, yk in zip(fused, y))
+    return total + lam * _ce([f.u for f in fused], label)

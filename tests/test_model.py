@@ -16,40 +16,40 @@ from evfuse.model import (
     TrainConfig,
     TrainingDivergedError,
     _batch_loss_and_param_grads,
+    _constrain_arrays,
     _dataset_loss,
     config_hash,
-    head_constrain,
-    predict,
+    readout,
     train,
 )
 
 LOG2 = math.log(2.0)
 
 
+def _constrain(raw):
+    return _constrain_arrays(np.array(raw, dtype=float))
+
+
 class TestHeadConstrain:
     def test_zero_anchor(self):
-        p = head_constrain([0.0, 0.0, 0.0, 0.0])
-        assert p.gamma == 0.0
-        assert p.delta == pytest.approx(LOG2 + 1e-6, rel=1e-12)
-        assert p.alpha == pytest.approx(1.0 + LOG2 + 1e-4, rel=1e-12)
-        assert p.beta == pytest.approx(LOG2 + 1e-6, rel=1e-12)
+        gamma, delta, alpha, beta = _constrain([0.0, 0.0, 0.0, 0.0])
+        assert gamma == 0.0
+        assert delta == pytest.approx(LOG2 + 1e-6, rel=1e-12)
+        assert alpha == pytest.approx(1.0 + LOG2 + 1e-4, rel=1e-12)
+        assert beta == pytest.approx(LOG2 + 1e-6, rel=1e-12)
 
     def test_alpha_floor(self):
-        p = head_constrain([0.0, 0.0, -1e4, 0.0])
-        assert p.alpha == pytest.approx(1.0 + 1e-4, rel=1e-12)
+        alpha = _constrain([0.0, 0.0, -1e4, 0.0])[2]
+        assert alpha == pytest.approx(1.0 + 1e-4, rel=1e-12)
 
     def test_softplus_linear_regime(self):
-        p = head_constrain([0.0, 0.0, 20.0, 0.0])
-        assert p.alpha == pytest.approx(21.0, abs=1e-3)
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            head_constrain([0.0, np.inf, 0.0, 0.0])
+        alpha = _constrain([0.0, 0.0, 20.0, 0.0])[2]
+        assert alpha == pytest.approx(21.0, abs=1e-3)
 
     @given(st.lists(st.floats(-50, 50), min_size=4, max_size=4))
     def test_constraint_map_is_total(self, raw):
-        p = head_constrain(raw)
-        assert p.delta > 0 and p.alpha > 1 and p.beta > 0
+        _, delta, alpha, beta = _constrain(raw)
+        assert delta > 0 and alpha > 1 and beta > 0
 
 
 def _tiny_model(seed=0, activation="tanh"):
@@ -155,6 +155,31 @@ class TestForward:
         with pytest.raises(ValueError, match="modality 2 has a non-finite feature in row 7"):
             model.head_outputs(1, x)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_forward_rejects_non_finite_features(self, bad):
+        x = _sample(np.random.default_rng(5))
+        x[1][1] = bad
+        with pytest.raises(ValueError, match="modality 2 has a non-finite feature in row 0"):
+            _tiny_model().forward(x)
+
+    def test_forward_is_one_row_of_the_inference_pass(self):
+        # BLAS may round a one-row product differently from a batch, so the
+        # values agree to rounding and the decisions exactly
+        model = _tiny_model()
+        rng = np.random.default_rng(6)
+        feats = [rng.normal(size=(7, 3)), rng.normal(size=(7, 2))]
+        batch = readout(model.all_head_outputs(feats))
+        t = batch["trace"]
+        for i in range(7):
+            out = model.forward([x[i] for x in feats])
+            fused = np.array([(f.st.u, f.st.sigma, f.st.v) for f in out.fused])
+            np.testing.assert_allclose(fused, np.stack([t.u[i], t.sigma[i], t.v[i]], axis=-1), rtol=1e-12)
+            nig = np.array([[(p.gamma, p.delta, p.alpha, p.beta) for p in vec] for vec in out.nig])
+            np.testing.assert_allclose(nig, np.stack(
+                [batch[k][:, i] for k in ("gamma", "delta", "alpha", "beta")], axis=-1), rtol=1e-12)
+            assert [f.source_index for f in out.fused] == t.source[i].tolist()
+            assert out.predicted_class == int(np.argmax(t.u[i]))
+
     def test_fused_uncertainty_is_argmax_channel_variance(self):
         model = _tiny_model()
         out = model.forward(_sample(np.random.default_rng(3)))
@@ -166,14 +191,13 @@ class TestForward:
 
 class TestPredict:
     def test_contract(self):
-        model = _tiny_model()
-        cls, conf, unc, fused_unc = predict(model, _sample(np.random.default_rng(4)))
-        assert cls == int(np.argmax(conf))
-        assert conf.sum() == pytest.approx(1.0, abs=1e-12)
-        assert unc["aleatoric"].shape == (2, 3)
-        assert unc["epistemic"].shape == (2, 3)
-        assert np.all(unc["aleatoric"] > 0) and np.all(unc["epistemic"] > 0)
-        assert fused_unc > 0
+        out = _tiny_model().forward(_sample(np.random.default_rng(4)))
+        assert out.predicted_class == int(np.argmax(out.confidences))
+        assert out.confidences.sum() == pytest.approx(1.0, abs=1e-12)
+        assert out.aleatoric.shape == (2, 3)
+        assert out.epistemic.shape == (2, 3)
+        assert np.all(out.aleatoric > 0) and np.all(out.epistemic > 0)
+        assert out.fused_uncertainty > 0
 
 
 class TestCheckpoint:
@@ -243,6 +267,10 @@ class TestTrain:
         before = copy.deepcopy(model.state_dict())
         train(model, _toy_dataset(), TrainConfig(max_epochs=0, seed=0))
         assert model.state_dict() == before
+
+    def test_negative_epochs_rejected(self):
+        with pytest.raises(ValueError, match="max_epochs must be >= 0"):
+            TrainConfig(max_epochs=-3)
 
     def test_determinism(self):
         ds = _toy_dataset()
