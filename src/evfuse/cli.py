@@ -31,7 +31,7 @@ from .data import (
     save_sidecar,
     standardize,
 )
-from .distributions import QuadratureConvergenceError, StudentT
+from .distributions import StudentT
 from .evaluation import (
     NoiseSpec,
     evaluate_model,
@@ -533,7 +533,7 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (TrainingDivergedError, QuadratureConvergenceError, FloatingPointError) as e:
+    except TrainingDivergedError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as e:

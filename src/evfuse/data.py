@@ -1,4 +1,4 @@
-"""Synthetic two-modality datasets, CSV ingestion, and standardization.
+"""Synthetic multimodal datasets, CSV ingestion, and standardization.
 
 Synthetic data is Gaussian class-conditional blobs with identity covariance
 per modality; a modality's informativeness is controlled purely by its
@@ -24,8 +24,8 @@ class CsvFormatError(ValueError):
 class SyntheticSpec:
     n_classes: int = 3
     n_per_class: int = 200
-    dims: tuple[int, int] = (4, 4)
-    separation: tuple[float, float] = (3.0, 3.0)
+    dims: tuple[int, ...] = (4, 4)
+    separation: tuple[float, ...] = (3.0, 3.0)
     seed: int = 0
     # explicit (train, val, test) sizes; None means a 70/15/15 split
     split_sizes: tuple[int, int, int] | None = None
@@ -35,6 +35,8 @@ class SyntheticSpec:
             raise ValueError("n_classes must be >= 2")
         if self.n_per_class < 1:
             raise ValueError("n_per_class must be >= 1")
+        if len(self.dims) != len(self.separation):
+            raise ValueError("dims and separation must have the same length")
         if any(d < 1 for d in self.dims):
             raise ValueError("dims must be >= 1")
         if any(s < 0 for s in self.separation):
@@ -198,7 +200,7 @@ def save_csv(dataset: Dataset, path, comment: str | None = None) -> None:
 
 @dataclass(frozen=True)
 class CsvSchema:
-    dims: tuple[int, int]
+    dims: tuple[int, ...]
     n_classes: int
 
 
@@ -257,11 +259,8 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
         raise CsvFormatError(
             f"{path}: row {i + 2 + skipped}, column {j + 2}: non-finite cell {cell!r}"
         )
-    d1 = schema.dims[0]
-    return Dataset(
-        [arr[:, :d1], arr[:, d1:]],
-        np.array(labels, dtype=np.int64),
-    )
+    blocks = np.split(arr, np.cumsum(schema.dims)[:-1], axis=1)
+    return Dataset(blocks, np.array(labels, dtype=np.int64))
 
 
 def save_sidecar(path, spec: SyntheticSpec, config_hash: str) -> None:

@@ -235,6 +235,8 @@ def noise_sweep(
     hold mean/std over seeds per sigma.  Every modality is encoded once on
     the clean data; each pair re-encodes only the corrupted one.
     """
+    if len(sigmas) == 0 or len(seeds) == 0:
+        raise ValueError("noise sweep needs at least one sigma and one seed")
     raw = model.all_head_outputs(dataset.features)
     rows = []
     for sigma in sigmas:
@@ -285,6 +287,8 @@ def uncertainty_density(
     and the fused variance at the fused predicted class.  Bins are shared:
     equal width over the pooled min-max range.
     """
+    if n_hist_bins < 1:
+        raise ValueError("n_hist_bins must be >= 1")
     if spec is not None:
         feats = inject_noise(dataset.features, spec)
         dataset = type(dataset)(

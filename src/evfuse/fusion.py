@@ -2,18 +2,20 @@
 
 Given one Student's t per modality, the fused distribution keeps the
 location and degrees of freedom of the heaviest-tailed (smallest-v) input
-and averages the scales with a tail correction:
+and averages the tail-corrected scales of all M inputs:
 
-    v_F = v_1,  u_F = u_1,
-    Sigma_F = 1/2 * (Sigma_1 + v_2 (v_1 - 2) / (v_1 (v_2 - 2)) * Sigma_2)
+    v_F = v_w,  u_F = u_w,
+    Sigma_F = 1/M * sum_m c_m Sigma_m,  c_m = v_m (v_F - 2) / (v_F (v_m - 2))
 
-with index 1 the smaller-v input.  An exact consequence of the correction
-factor is that the fused variance Sigma_F * v_F / (v_F - 2) equals the
-arithmetic mean of the two input variances.
-
-More than two inputs are combined by a left fold of the pairwise rule (an
-extension; the original rule is stated for two modalities).  Ties on v are
-broken toward the smaller scale, then the lower index.
+with w the winning input: the smallest v, then the smaller input scale,
+then the lower index.  The winner's own c is exactly 1, so for M = 2 this is
+the paper's pairwise rule 1/2 (Sigma_w + c Sigma_other).  An exact
+consequence of the correction factor is that the fused variance
+Sigma_F * v_F / (v_F - 2) equals the arithmetic mean of the M input
+variances.  The result does not depend on the order of the inputs, up to
+rounding in the sum; only the choice among inputs equal in both v and scale
+follows the order.  More than two inputs is an extension; the paper states
+the rule for two modalities.
 
 `fuse_stack` is the one implementation of the rule: it fuses along a
 leading modality axis, and `fuse_stack_backward` backpropagates adjoints
@@ -45,7 +47,9 @@ def fuse_pair(a: StudentT, b: StudentT) -> FusedStudentT:
 
 
 def fuse_many(inputs: Sequence[StudentT]) -> FusedStudentT:
-    """Left-fold pairwise fusion over a non-empty sequence."""
+    """Fuse a non-empty sequence in closed form: the location and v of the min-v
+    input (ties: the smaller input scale, then the lower index) and the mean
+    of the tail-corrected scales of all inputs."""
     if len(inputs) == 0:
         raise ValueError("fuse_many requires at least one input")
     # as in float arithmetic, an overflow becomes inf and fails StudentT's check
@@ -60,39 +64,40 @@ def fused_prediction(f: FusedStudentT) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# array fold with gradients
+# array form with gradients
 
 
 @dataclass
 class FuseTrace:
-    """Forward record of an array fold, consumed by `fuse_stack_backward`."""
+    """Forward record of `fuse_stack`, consumed by `fuse_stack_backward`."""
 
     u: np.ndarray  # fused location
     sigma: np.ndarray  # fused scale
     v: np.ndarray  # fused degrees of freedom
     source: np.ndarray  # winning modality index, integer array
-    steps: list  # per fold step: (new_wins, v_sel, v_oth, sigma_oth, c)
+    sigma_in: np.ndarray  # input scales, modality axis first
+    v_in: np.ndarray  # input degrees of freedom, modality axis first
+    c: np.ndarray  # tail correction c_m of each input; 1.0 for the winner
 
 
 def fuse_stack(u: np.ndarray, sigma: np.ndarray, v: np.ndarray) -> FuseTrace:
     """Fuse along axis 0 (modalities); remaining axes are independent channels."""
-    m_count = u.shape[0]
-    cur_u, cur_s, cur_v = u[0].copy(), sigma[0].copy(), v[0].copy()
-    source = np.zeros(cur_u.shape, dtype=np.int64)
-    steps = []
-    for m in range(1, m_count):
-        new_wins = (v[m] < cur_v) | ((v[m] == cur_v) & (sigma[m] < cur_s))
-        v_sel = np.where(new_wins, v[m], cur_v)
-        v_oth = np.where(new_wins, cur_v, v[m])
-        s_sel = np.where(new_wins, sigma[m], cur_s)
-        s_oth = np.where(new_wins, cur_s, sigma[m])
-        c = v_oth * (v_sel - 2.0) / (v_sel * (v_oth - 2.0))
-        steps.append((new_wins, v_sel, v_oth, s_oth, c))
-        cur_u = np.where(new_wins, u[m], cur_u)
-        cur_s = 0.5 * (s_sel + c * s_oth)
-        cur_v = v_sel
-        source = np.where(new_wins, m, source)
-    return FuseTrace(cur_u, cur_s, cur_v, source, steps)
+    fu, fv, fs = u[0].copy(), v[0].copy(), sigma[0]
+    source = np.zeros(fu.shape, dtype=np.int64)
+    for m in range(1, u.shape[0]):
+        wins = (v[m] < fv) | ((v[m] == fv) & (sigma[m] < fs))
+        fu = np.where(wins, u[m], fu)
+        fv = np.where(wins, v[m], fv)
+        fs = np.where(wins, sigma[m], fs)
+        source = np.where(wins, m, source)
+    # c_m = v_m (v_F - 2) / (v_F (v_m - 2)), exactly 1.0 for the winner; the
+    # in-place steps keep the (M, ...) temporaries to two at large N
+    c = v * (fv - 2.0)
+    den = v - 2.0
+    den *= fv
+    c /= den
+    scaled = np.multiply(c, sigma, out=den)
+    return FuseTrace(fu, np.add.reduce(scaled, axis=0) / len(v), fv, source, sigma, v, c)
 
 
 def fuse_stack_backward(
@@ -107,26 +112,15 @@ def fuse_stack_backward(
     The min-v selection is piecewise constant, so no gradient flows through
     the choice itself.
     """
-    n_modalities = len(trace.steps) + 1
-    gu_in = np.zeros((n_modalities,) + g_u.shape)
-    gs_in = np.zeros_like(gu_in)
-    gv_in = np.zeros_like(gu_in)
-    bu, bs, bv = g_u.copy(), g_sigma.copy(), g_v.copy()
-    for m in range(n_modalities - 1, 0, -1):
-        new_wins, v_sel, v_oth, s_oth, c = trace.steps[m - 1]
-        # sigma_F = 0.5 * (s_sel + c(v_sel, v_oth) * s_oth)
-        g_s_sel = 0.5 * bs
-        g_s_oth = 0.5 * c * bs
-        dc_dvsel = v_oth * 2.0 / (v_sel**2 * (v_oth - 2.0))
-        dc_dvoth = (v_sel - 2.0) / v_sel * (-2.0 / (v_oth - 2.0) ** 2)
-        g_v_sel = bv + 0.5 * s_oth * dc_dvsel * bs
-        g_v_oth = 0.5 * s_oth * dc_dvoth * bs
-        # route sel/oth adjoints to (input m) vs (folded state)
-        gu_in[m] = np.where(new_wins, bu, 0.0)
-        gs_in[m] = np.where(new_wins, g_s_sel, g_s_oth)
-        gv_in[m] = np.where(new_wins, g_v_sel, g_v_oth)
-        bu = np.where(new_wins, 0.0, bu)
-        bs = np.where(new_wins, g_s_oth, g_s_sel)
-        bv = np.where(new_wins, g_v_oth, g_v_sel)
-    gu_in[0], gs_in[0], gv_in[0] = bu, bs, bv
-    return gu_in, gs_in, gv_in
+    s, v, fv = trace.sigma_in, trace.v_in, trace.v
+    wins = np.arange(len(v)).reshape((-1,) + (1,) * g_u.ndim) == trace.source
+    w = 1.0 / len(v)
+    # sigma_F = w * sum_m c(v_m, v_F) * s_m; the winner's c is identically 1
+    dc_dv = (fv - 2.0) / fv * (-2.0 / (v - 2.0) ** 2)
+    dc_dvf = np.where(wins, 0.0, v * 2.0 / (fv**2 * (v - 2.0)))
+    gv_f = g_v + (w * s * dc_dvf * g_sigma).sum(axis=0)
+    return (
+        np.where(wins, g_u, 0.0),
+        w * trace.c * g_sigma,
+        np.where(wins, gv_f, w * s * dc_dv * g_sigma),
+    )

@@ -9,7 +9,7 @@ the fused loss.
 The functions accept parameter arrays with a leading modality axis,
 broadcast over batch/class axes, and return both the loss and the exact
 partial derivatives with respect to every NIG parameter (the fused path is
-chained through the NIG -> Student's t conversion and the fusion fold).
+chained through the NIG -> Student's t conversion and the fusion rule).
 `nig_nll` and `student_t_nll` are scalar wrappers.
 """
 
@@ -128,7 +128,7 @@ def total_loss_and_grads_arrays(gamma, delta, alpha, beta, y_onehot, lam):
     )
     d_gamma = d_gamma + lam * ce_m_grad
 
-    # fused path: St NLL + fused CE, back through the fold and the conversion
+    # fused path: St NLL + fused CE, back through the fusion and the conversion
     g_u, g_sigma, g_v = st_nll_grads_arrays(trace.u, trace.sigma, trace.v, y)
     g_u = g_u + lam * ce_f_grad
     gu_in, gs_in, gv_in = fuse_stack_backward(trace, g_u, g_sigma, g_v)

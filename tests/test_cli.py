@@ -285,6 +285,18 @@ class TestNoiseSweepAndReport:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("flag", ["--sigmas", "--noise-seeds"])
+    def test_empty_sweep_list_exit_1(self, pipeline, tmp_path, capsys, flag):
+        data, run = pipeline
+        out = tmp_path / "sweep"
+        code, _, err = _run(
+            capsys, "noise-sweep", "--checkpoint", str(run / "checkpoint.json"),
+            "--data", str(data), flag, ",", "--out", str(out),
+        )
+        assert code == 1
+        assert err.startswith("error: noise sweep needs at least one sigma and one seed")
+        assert not out.exists()
+
     def test_report_density(self, pipeline, tmp_path, capsys):
         data, run = pipeline
         out = tmp_path / "rep"
@@ -299,6 +311,18 @@ class TestNoiseSweepAndReport:
             assert sum(counts) == 18
         lines = (out / "density.csv").read_text().splitlines()
         assert lines[1].split(",")[:2] == ["bin_lo", "bin_hi"]
+
+    @pytest.mark.parametrize("bins", ["0", "-1"])
+    def test_hist_bins_below_one_exit_1(self, pipeline, tmp_path, capsys, bins):
+        data, run = pipeline
+        out = tmp_path / "rep"
+        code, _, err = _run(
+            capsys, "report", "--checkpoint", str(run / "checkpoint.json"),
+            "--data", str(data), f"--hist-bins={bins}", "--out", str(out),
+        )
+        assert code == 1
+        assert err.startswith("error: n_hist_bins must be >= 1")
+        assert not out.exists()
 
     def test_sigma_without_modality_exit_1(self, pipeline, tmp_path, capsys):
         data, run = pipeline

@@ -26,6 +26,11 @@ class TestSyntheticSpec:
         with pytest.raises(ValueError):
             SyntheticSpec(n_per_class=10, split_sizes=(20, 20, 20))
 
+    @pytest.mark.parametrize("dims, sep", [((4, 4, 4), (3.0, 3.0)), ((4,), (3.0, 3.0))])
+    def test_dims_and_separation_must_match(self, dims, sep):
+        with pytest.raises(ValueError, match="same length"):
+            SyntheticSpec(dims=dims, separation=sep)
+
     def test_split_smaller_than_total_allowed(self):
         spec = SyntheticSpec(n_per_class=100, split_sizes=(100, 50, 50))
         tr, va, te = generate_synthetic(spec)
@@ -116,6 +121,17 @@ class TestCsv:
         np.testing.assert_array_equal(back.labels, tr.labels)
         for a, b in zip(back.features, tr.features):
             np.testing.assert_array_equal(a, b)  # repr round trip is exact
+
+    def test_three_modality_round_trip(self, tmp_path):
+        spec = SyntheticSpec(seed=3, n_per_class=10, dims=(2, 3, 4), separation=(1.0, 2.0, 3.0))
+        tr, _, _ = generate_synthetic(spec)
+        path = tmp_path / "ds.csv"
+        save_csv(tr, path)
+        back = load_csv(path, CsvSchema((2, 3, 4), 3))
+        assert [x.shape[1] for x in back.features] == [2, 3, 4]
+        np.testing.assert_array_equal(back.labels, tr.labels)
+        for a, b in zip(back.features, tr.features, strict=True):
+            np.testing.assert_array_equal(a, b)
 
     def test_comment_line_skipped(self, tmp_path):
         tr, _, _ = generate_synthetic(SyntheticSpec(seed=2, n_per_class=5))

@@ -97,15 +97,24 @@ class TestFuseMany:
         a = StudentT(0.0, 1.0, 4.0)
         b = StudentT(1.0, 2.0, 6.0)
         c = StudentT(2.0, 1.5, 8.0)
-        step1 = fuse_pair(a, b)
-        expected = fuse_pair(step1.st, c)
         got = fuse_many([a, b, c])
-        assert got.st == expected.st
-        assert got.st.v == 4.0 and got.source_index == 0
-        # hand expansion of the two applications
-        s1 = 0.5 * (1.0 + (6.0 * 2.0 / (4.0 * 4.0)) * 2.0)
-        s2 = 0.5 * (s1 + (8.0 * 2.0 / (4.0 * 6.0)) * 1.5)
-        assert got.st.sigma == pytest.approx(s2, rel=1e-15)
+        assert got.st.u == 0.0 and got.st.v == 4.0 and got.source_index == 0
+        # mean of c_m * sigma_m with c_m = v_m (v_F - 2) / (v_F (v_m - 2))
+        expected = (1.0 + (6.0 * 2.0 / (4.0 * 4.0)) * 2.0 + (8.0 * 2.0 / (4.0 * 6.0)) * 1.5) / 3
+        assert got.st.sigma == pytest.approx(expected, rel=1e-15)
+        # fused variance 7/6 * 4/2 = mean of the input variances 2, 3 and 2
+        assert student_t_variance(got.st) == pytest.approx(7 / 3, rel=1e-15)
+        for order in ([c, b, a], [b, c, a], [c, a, b]):
+            assert fuse_many(order).st == got.st
+
+    def test_tie_break_compares_input_scales(self):
+        # a left fold would compare c's scale 1.5 with the folded scale 1.32
+        a, b, c = StudentT(0, 2, 4), StudentT(1, 1, 9), StudentT(2, 1.5, 4)
+        f = fuse_many([a, b, c])
+        assert f.source_index == 2 and f.st.u == 2.0 and f.st.v == 4.0
+        # full ties go to the lower index
+        g = fuse_many([StudentT(0, 1, 5), StudentT(1, 1, 4), StudentT(2, 1, 4)])
+        assert g.source_index == 1 and g.st.u == 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -169,6 +178,19 @@ def _float_fold(sts):
     return u, s, v, src
 
 
+def _float_closed_form(sts):
+    """Reference closed form over (u, sigma, v) float triples: the min-v winner
+    (then the smaller input scale, then the lower index) and the mean of the
+    tail-corrected scales."""
+    src = 0
+    for i, (_, s, v) in enumerate(sts):
+        if v < sts[src][2] or (v == sts[src][2] and s < sts[src][1]):
+            src = i
+    u_f, _, v_f = sts[src]
+    terms = [v * (v_f - 2.0) / (v_f * (v - 2.0)) * s for _, s, v in sts]
+    return u_f, sum(terms) / len(sts), v_f, src
+
+
 class TestFuseStack:
     def _random_stack(self, rng, m, shape):
         u = rng.normal(size=(m,) + shape)
@@ -176,48 +198,81 @@ class TestFuseStack:
         v = rng.uniform(2.1, 30, size=(m,) + shape)
         return u, sigma, v
 
+    def _check_against(self, reference, m, seed):
+        rng = np.random.default_rng(seed)
+        u, sigma, v = self._random_stack(rng, m, (4, 50))
+        # ties on v in half of the channels, and on the scale too in a quarter
+        v[:, :, :25] = rng.choice([3.0, 4.0], size=(m, 4, 25))
+        sigma[:, 2:, :25] = rng.choice([1.0, 2.0], size=(m, 2, 25))
+        trace = fuse_stack(u, sigma, v)
+        for i in range(4):
+            for j in range(50):
+                ref = reference([(float(u[k, i, j]), float(sigma[k, i, j]), float(v[k, i, j]))
+                                 for k in range(m)])
+                got = (trace.u[i, j], trace.sigma[i, j], trace.v[i, j], trace.source[i, j])
+                assert got == ref
+
     def test_matches_scalar_fold(self):
-        rng = np.random.default_rng(7)
-        for m in (1, 2, 3, 5):
-            u, sigma, v = self._random_stack(rng, m, (4, 50))
-            # ties on v in half of the channels, and on the scale too in a quarter
-            v[:, :, :25] = rng.choice([3.0, 4.0], size=(m, 4, 25))
-            sigma[:, 2:, :25] = rng.choice([1.0, 2.0], size=(m, 2, 25))
-            trace = fuse_stack(u, sigma, v)
-            for i in range(4):
-                for j in range(50):
-                    ref = _float_fold([(float(u[k, i, j]), float(sigma[k, i, j]), float(v[k, i, j]))
-                                       for k in range(m)])
-                    got = (trace.u[i, j], trace.sigma[i, j], trace.v[i, j], trace.source[i, j])
-                    assert got == ref
+        # for one and two inputs the closed form is the pairwise rule, bit for bit
+        for m in (1, 2):
+            self._check_against(_float_fold, m, 7 + m)
+
+    def test_matches_scalar_closed_form(self):
+        for m in (3, 5):
+            self._check_against(_float_closed_form, m, 7 + m)
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(13)
-        u, sigma, v = self._random_stack(rng, 3, (6,))
-        trace = fuse_stack(u, sigma, v)
-        w_u = rng.normal(size=trace.u.shape)
-        w_s = rng.normal(size=trace.u.shape)
-        w_v = rng.normal(size=trace.u.shape)
+        for m in (3, 5):
+            u, sigma, v = self._random_stack(rng, m, (6,))
+            trace = fuse_stack(u, sigma, v)
+            w_u, w_s, w_v = rng.normal(size=(3,) + trace.u.shape)
 
-        def scalar_out(uu, ss, vv):
-            t = fuse_stack(uu, ss, vv)
-            return float((w_u * t.u + w_s * t.sigma + w_v * t.v).sum())
+            def scalar_out(uu, ss, vv):
+                t = fuse_stack(uu, ss, vv)
+                return float((w_u * t.u + w_s * t.sigma + w_v * t.v).sum())
 
-        gu, gs, gv = fuse_stack_backward(trace, w_u, w_s, w_v)
-        h = 1e-6
-        for arr, grad in ((u, gu), (sigma, gs), (v, gv)):
-            for idx in [(0, 2), (1, 4), (2, 0)]:
-                bump = np.zeros_like(arr)
-                bump[idx] = h
-                plus = scalar_out(
-                    u + (bump if arr is u else 0),
-                    sigma + (bump if arr is sigma else 0),
-                    v + (bump if arr is v else 0),
-                )
-                minus = scalar_out(
-                    u - (bump if arr is u else 0),
-                    sigma - (bump if arr is sigma else 0),
-                    v - (bump if arr is v else 0),
-                )
-                fd = (plus - minus) / (2 * h)
-                assert grad[idx] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+            grads = fuse_stack_backward(trace, w_u, w_s, w_v)
+            h = 1e-6
+            for which, grad in enumerate(grads):
+                for idx in np.ndindex(u.shape):
+                    plus = [u.copy(), sigma.copy(), v.copy()]
+                    minus = [u.copy(), sigma.copy(), v.copy()]
+                    plus[which][idx] += h
+                    minus[which][idx] -= h
+                    fd = (scalar_out(*plus) - scalar_out(*minus)) / (2 * h)
+                    assert grad[idx] == pytest.approx(fd, rel=1e-5, abs=1e-7), (m, which, idx)
+
+
+class TestOrderFreeRule:
+    """Properties of the closed form that a left fold lacks beyond two inputs."""
+
+    # v and scale ties are drawn often; inputs share no (v, scale) pair, so the
+    # winner is unique and must not depend on the input order
+    stack = st.lists(
+        st.builds(
+            StudentT,
+            u=st.floats(-10, 10),
+            sigma=st.one_of(st.sampled_from([1.0, 2.0]), st.floats(0.05, 10)),
+            v=st.one_of(st.sampled_from([3.0, 4.0]), st.floats(2.05, 50)),
+        ),
+        min_size=1,
+        max_size=5,
+        unique_by=lambda t: (t.v, t.sigma),
+    )
+
+    @given(stack, st.randoms(use_true_random=False))
+    def test_permutation_invariance(self, inputs, random):
+        f = fuse_many(inputs)
+        shuffled = random.sample(inputs, len(inputs))
+        g = fuse_many(shuffled)
+        assert (g.st.u, g.st.v) == (f.st.u, f.st.v)
+        assert shuffled[g.source_index] == inputs[f.source_index]
+        assert abs(g.st.sigma - f.st.sigma) <= 1e-15 * f.st.sigma
+
+    @given(stack)
+    def test_fused_variance_is_mean_of_input_variances(self, inputs):
+        f = fuse_many(inputs)
+        mean_var = sum(student_t_variance(t) for t in inputs) / len(inputs)
+        assert student_t_variance(f.st) == pytest.approx(mean_var, rel=1e-12)
+        assert f.st.v == min(t.v for t in inputs)
