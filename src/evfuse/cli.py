@@ -402,6 +402,11 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+# The fusion's tail correction multiplies two degrees of freedom, which
+# overflows once v passes about 1.3e154; `fuse` accepts v up to this bound.
+FUSE_MAX_V = 1e150
+
+
 def cmd_fuse(args) -> int:
     try:
         with open(args.infile, "r", encoding="utf-8") as f:
@@ -428,6 +433,11 @@ def cmd_fuse(args) -> int:
             inputs.append(StudentT(float(triple[0]), float(triple[1]), float(triple[2])))
         except (TypeError, ValueError) as e:
             raise CliError(f"entry {i}: {e}", EXIT_VALIDATION) from None
+        if inputs[-1].v > FUSE_MAX_V:
+            raise CliError(
+                f"entry {i}: v must be at most {FUSE_MAX_V:g}, got {inputs[-1].v!r}",
+                EXIT_VALIDATION,
+            )
     try:
         fused = fuse_many(inputs)
         y_hat, uncertainty = fused_prediction(fused)
@@ -533,7 +543,7 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    except TrainingDivergedError as e:
+    except (TrainingDivergedError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as e:

@@ -39,8 +39,8 @@ class SyntheticSpec:
             raise ValueError("dims and separation must have the same length")
         if any(d < 1 for d in self.dims):
             raise ValueError("dims must be >= 1")
-        if any(s < 0 for s in self.separation):
-            raise ValueError("separation must be >= 0")
+        if not all(0 <= s < np.inf for s in self.separation):
+            raise ValueError("separation must be finite and >= 0")
         if self.split_sizes is not None:
             if sum(self.split_sizes) > self.n_classes * self.n_per_class:
                 raise ValueError("split_sizes must not exceed the total sample count")
@@ -273,9 +273,13 @@ def save_sidecar(path, spec: SyntheticSpec, config_hash: str) -> None:
         "split_sizes": list(spec.split_sizes) if spec.split_sizes else None,
         "config_hash": config_hash,
     }
+    # JSON holds no NaN or infinity: refuse before the file is opened
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError as e:
+        raise FloatingPointError(f"not writing {path}: {e}") from None
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
+        f.write(text + "\n")
 
 
 def load_sidecar(path) -> dict:

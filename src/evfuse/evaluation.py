@@ -332,6 +332,11 @@ def sweep_to_csv(sweep: dict, path, comment: str | None = None) -> None:
 
 
 def write_json(doc: dict, path) -> None:
+    """Write `doc` as sorted, indented JSON.  JSON holds no NaN or infinity,
+    so one raises FloatingPointError before the file is opened."""
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as e:
+        raise FloatingPointError(f"not writing {path}: {e}") from None
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(text + "\n")

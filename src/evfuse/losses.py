@@ -1,16 +1,15 @@
 """Evidential losses and their analytic gradients.
 
-Per modality, the loss on a one-hot target is the NIG negative
-log-likelihood summed over class channels plus a weighted cross-entropy
-over the location parameters.  The fused Student's t gets the analogous
-treatment.  The total objective is the sum of the per-modality losses and
-the fused loss.
-
-The functions accept parameter arrays with a leading modality axis,
-broadcast over batch/class axes, and return both the loss and the exact
-partial derivatives with respect to every NIG parameter (the fused path is
-chained through the NIG -> Student's t conversion and the fusion rule).
-`nig_nll` and `student_t_nll` are scalar wrappers.
+The objective sums, over the M modality Student's t's and the fused one,
+the t negative log-likelihood of a one-hot target summed over class
+channels plus a weighted cross-entropy over the locations.  A modality's
+term is its NIG NLL: the NIG marginal is the t with u = gamma,
+sigma = beta (1 + delta) / (delta alpha) and v = 2 alpha (Amini et al.,
+2020), so one kernel, `st_nll_and_grads_arrays`, evaluates all M + 1 terms
+and their adjoints at once.  The fused adjoints go back through the fusion
+rule, and then all of them through the NIG -> t map to the NIG parameters.
+`nig_nll_arrays` is the NIG-form NLL, with the scalar wrapper `nig_nll`;
+`student_t_nll` wraps the t form.
 """
 
 from __future__ import annotations
@@ -47,37 +46,27 @@ def nig_nll_arrays(gamma, delta, alpha, beta, y):
     )
 
 
-def nig_nll_grads_arrays(gamma, delta, alpha, beta, y):
-    res = y - gamma
-    r = res**2 * delta + 2.0 * beta * (1.0 + delta)
-    d_gamma = -(alpha + 0.5) * 2.0 * res * delta / r
-    d_delta = (
-        -0.5 / delta - alpha / (1.0 + delta) + (alpha + 0.5) * (res**2 + 2.0 * beta) / r
-    )
-    d_alpha = (
-        digamma(alpha)
-        - digamma(alpha + 0.5)
-        - np.log(2.0 * beta * (1.0 + delta))
-        + np.log(r)
-    )
-    d_beta = -alpha / beta + (alpha + 0.5) * 2.0 * (1.0 + delta) / r
-    return d_gamma, d_delta, d_alpha, d_beta
+def st_nll_and_grads_arrays(u, sigma, v, y):
+    """Student's t NLL at y and its partials in (u, sigma, v), sharing every intermediate.
 
-
-def st_nll_grads_arrays(u, sigma, v, y):
+    With z = y - u, w = z^2 / (v sigma), q = 1 + w, h = v / 2, k = (h + 1/2) / q
+    and t = 1/2 - k w:  d/du = -2 k z / (v sigma),  d/dsigma = t / sigma,
+    d/dv = (psi(h) - psi(h + 1/2) + log q) / 2 + t / v.  The NLL is computed
+    exactly as `st_nll_arrays` computes it.
+    """
     z = y - u
-    denom = v * sigma + z**2
-    q = 1.0 + z**2 / (v * sigma)
-    d_u = -(v + 1.0) * z / denom
-    d_sigma = 0.5 / sigma - (v + 1.0) * z**2 / (2.0 * sigma * denom)
-    d_v = (
-        0.5 * digamma(0.5 * v)
-        - 0.5 * digamma(0.5 * (v + 1.0))
-        + 0.5 / v
-        + 0.5 * np.log(q)
-        - (v + 1.0) * z**2 / (2.0 * v * denom)
-    )
-    return d_u, d_sigma, d_v
+    vs = v * sigma
+    w = z**2 / vs
+    q = 1.0 + w
+    log_q = np.log(q)
+    h = 0.5 * v
+    h1 = h + 0.5
+    nll = gammaln(h) - gammaln(h1) + 0.5 * np.log(v * math.pi * sigma) + h1 * log_q
+    k = h1 / q
+    t = 0.5 - k * w
+    d_u = -2.0 * k * z / vs
+    d_v = 0.5 * (digamma(h) - digamma(h1) + log_q) + t / v
+    return nll, d_u, t / sigma, d_v
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -88,55 +77,47 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 def cross_entropy_arrays(logits: np.ndarray, y_onehot: np.ndarray):
     """CE against one-hot targets along the last axis, with its gradient."""
-    m = logits.max(axis=-1, keepdims=True)
-    lse = m + np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
-    ce = (lse[..., 0] - (logits * y_onehot).sum(axis=-1))
-    grad = softmax(logits) - y_onehot
-    return ce, grad
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    s = e.sum(axis=-1, keepdims=True)
+    ce = np.log(s[..., 0]) - (z * y_onehot).sum(axis=-1)
+    return ce, e / s - y_onehot
 
 
 def total_loss_and_grads_arrays(gamma, delta, alpha, beta, y_onehot, lam):
     """Loss terms and gradients of the full objective, vectorized.
 
-    Parameter arrays are shaped (M, ..., K): leading modality axis, trailing
-    class axis, anything in between (e.g. a batch axis) broadcast.  Returns
+    Parameter arrays share one shape (M, ..., K): leading modality axis,
+    trailing class axis; `y_onehot` broadcasts against (..., K).  Returns
     (parts, grads) where parts is a dict of loss arrays with shape (...)
     (per_modality_nig keeps the modality axis) and grads has shape
     (M, ..., K, 4) with the last axis ordered (gamma, delta, alpha, beta).
     """
-    y = y_onehot
-
-    nig_terms = nig_nll_arrays(gamma, delta, alpha, beta, y).sum(axis=-1)
-    ce_m, ce_m_grad = cross_entropy_arrays(gamma, np.broadcast_to(y, gamma.shape))
-    per_modality = nig_terms + lam * ce_m  # (M, ...)
-
     u, sigma, v = nig_to_st_arrays(gamma, delta, alpha, beta)
     trace = fuse_stack(u, sigma, v)
-    st_terms = st_nll_arrays(trace.u, trace.sigma, trace.v, y).sum(axis=-1)
-    ce_f, ce_f_grad = cross_entropy_arrays(trace.u, np.broadcast_to(y, trace.u.shape))
-    fused = st_terms + lam * ce_f  # (...)
-
-    parts = {
-        "per_modality_nig": per_modality,
-        "fused_st": fused,
-        "total": per_modality.sum(axis=0) + fused,
-    }
-
-    # direct per-modality gradients
-    d_gamma, d_delta, d_alpha, d_beta = nig_nll_grads_arrays(
-        gamma, delta, alpha, beta, y
+    m = len(u)
+    # the M modality t's and the fused t, stacked along the modality axis
+    us, ss, vs = (
+        np.concatenate((a, f[None])) for a, f in ((u, trace.u), (sigma, trace.sigma), (v, trace.v))
     )
-    d_gamma = d_gamma + lam * ce_m_grad
+    nll, g_u, g_sigma, g_v = st_nll_and_grads_arrays(us, ss, vs, y_onehot)
+    ce, g_ce = cross_entropy_arrays(us, y_onehot)
+    terms = nll.sum(axis=-1) + lam * ce  # (M + 1, ...)
+    parts = {"per_modality_nig": terms[:m], "fused_st": terms[m], "total": terms.sum(axis=0)}
 
-    # fused path: St NLL + fused CE, back through the fusion and the conversion
-    g_u, g_sigma, g_v = st_nll_grads_arrays(trace.u, trace.sigma, trace.v, y)
-    g_u = g_u + lam * ce_f_grad
-    gu_in, gs_in, gv_in = fuse_stack_backward(trace, g_u, g_sigma, g_v)
-
-    d_gamma = d_gamma + gu_in
-    d_beta = d_beta + gs_in * (1.0 + delta) / (delta * alpha)
-    d_delta = d_delta + gs_in * (-beta / (delta**2 * alpha))
-    d_alpha = d_alpha + gs_in * (-beta * (1.0 + delta) / (delta * alpha**2)) + 2.0 * gv_in
-
-    grads = np.stack([d_gamma, d_delta, d_alpha, d_beta], axis=-1)
+    # the fused adjoints back through the fusion, joined with the modality ones
+    g_u += lam * g_ce
+    gu_f, gs_f, gv_f = fuse_stack_backward(trace, g_u[m], g_sigma[m], g_v[m])
+    # then through the NIG -> t map: log sigma = log beta + log(1 + delta)
+    # - log delta - log alpha, and v = 2 alpha
+    g_log_sigma = (g_sigma[:m] + gs_f) * sigma
+    grads = np.stack(
+        [
+            g_u[:m] + gu_f,
+            g_log_sigma / (delta * (-1.0 - delta)),
+            2.0 * (g_v[:m] + gv_f) - g_log_sigma / alpha,
+            g_log_sigma / beta,
+        ],
+        axis=-1,
+    )
     return parts, grads

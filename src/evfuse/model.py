@@ -101,10 +101,6 @@ def softplus(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, x)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
 _DELTA_FLOOR = 1e-6
 _ALPHA_FLOOR = 1e-4
 _BETA_FLOOR = 1e-6
@@ -121,11 +117,8 @@ def _constrain_arrays(raw: np.ndarray):
 
 def _constrain_backward(raw: np.ndarray, g_params: np.ndarray) -> np.ndarray:
     """Chain (..., K, 4) parameter adjoints back to the raw head outputs."""
-    g_raw = np.empty_like(g_params)
-    g_raw[..., 0] = g_params[..., 0]
-    g_raw[..., 1] = g_params[..., 1] * _sigmoid(raw[..., 1])
-    g_raw[..., 2] = g_params[..., 2] * _sigmoid(raw[..., 2])
-    g_raw[..., 3] = g_params[..., 3] * _sigmoid(raw[..., 3])
+    g_raw = g_params.copy()
+    g_raw[..., 1:] *= 0.5 * (1.0 + np.tanh(0.5 * raw[..., 1:]))  # softplus' = sigmoid
     return g_raw
 
 
@@ -178,30 +171,30 @@ class _MLP:
         return self.spec.hidden_dims[-1]
 
     def forward(self, x: np.ndarray):
+        """Output features, and the activations of every layer as the backward cache."""
         acts = [x]
-        pre = []
         for w, b in zip(self.weights, self.biases):
             z = acts[-1] @ w + b
-            pre.append(z)
             if self.spec.activation == "relu":
                 acts.append(np.maximum(z, 0.0))
             else:
                 acts.append(np.tanh(z))
-        return acts[-1], (acts, pre)
+        return acts[-1], acts
 
-    def backward(self, cache, g_out: np.ndarray) -> list[np.ndarray]:
+    def backward(self, acts, g_out: np.ndarray) -> list[np.ndarray]:
         """Gradients of every array in `arrays`, in the same order."""
-        acts, pre = cache
         grads_w, grads_b = [], []
         g = g_out
         for i in range(len(self.weights) - 1, -1, -1):
+            # both derivatives read off the layer's output a: relu' = [a > 0], tanh' = 1 - a^2
             if self.spec.activation == "relu":
-                g = g * (pre[i] > 0.0)
+                g = g * (acts[i + 1] > 0.0)
             else:
-                g = g * (1.0 - np.tanh(pre[i]) ** 2)
+                g = g * (1.0 - acts[i + 1] ** 2)
             grads_w.append(acts[i].T @ g)
             grads_b.append(g.sum(axis=0))
-            g = g @ self.weights[i].T
+            if i:  # the input features need no gradient
+                g = g @ self.weights[i].T
         return grads_w[::-1] + grads_b[::-1]
 
 

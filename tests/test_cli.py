@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import evfuse
+import evfuse.cli
 from evfuse.cli import main
+from evfuse.evaluation import evaluate_model
 
 
 def _run(capsys, *argv):
@@ -58,6 +60,13 @@ class TestGenerateData:
             capsys, "generate-data", "--classes", "1", "--out", str(tmp_path / "x")
         )
         assert code == 1 and "error" in err
+
+    @pytest.mark.parametrize("sep", ["nan,3", "3,inf"])
+    def test_non_finite_separation_exit_1(self, tmp_path, capsys, sep):
+        out = tmp_path / "d"
+        code, _, err = _run(capsys, "generate-data", "--sep", sep, "--out", str(out))
+        assert code == 1 and err.startswith("error:") and "separation must be finite" in err
+        assert not out.exists()
 
 
 class TestTrain:
@@ -172,6 +181,23 @@ class TestEvaluate:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert (a / "metrics.json").read_bytes() == (b / "metrics.json").read_bytes()
+
+    def test_nan_metric_exit_3_without_metrics_file(self, pipeline, tmp_path, capsys, monkeypatch):
+        def nan_ece(*args, **kwargs):
+            res = evaluate_model(*args, **kwargs)
+            res.report.ece = float("nan")
+            return res
+
+        monkeypatch.setattr(evfuse.cli, "evaluate_model", nan_ece)
+        data, run = pipeline
+        out = tmp_path / "e"
+        code, stdout, err = _run(
+            capsys, "evaluate", "--checkpoint", str(run / "checkpoint.json"),
+            "--data", str(data), "--out", str(out),
+        )
+        assert code == 3 and stdout == ""
+        assert err.startswith("error: not writing") and "metrics.json" in err
+        assert not (out / "metrics.json").exists()
 
     def test_wrong_weight_shape_exit_1(self, pipeline, tmp_path, capsys):
         data, run = pipeline
@@ -353,6 +379,21 @@ class TestFuse:
         assert code == 0
         assert (doc["u"], doc["sigma"], doc["v"]) == (2.0, 3.0, 6.0)
         assert doc["uncertainty"] == pytest.approx(4.5)
+
+    def test_v_above_bound_exit_1(self, tmp_path, capsys):
+        f = tmp_path / "in.json"
+        f.write_text("[[0, 1, 1e300]]")
+        code, stdout, err = _run(capsys, "fuse", "--in", str(f))
+        assert code == 1 and stdout == ""
+        assert err == "error: entry 0: v must be at most 1e+150, got 1e+300\n"
+
+    def test_v_at_bound_fuses(self, tmp_path, capsys):
+        f = tmp_path / "in.json"
+        f.write_text("[[0, 1, 1e150], [1, 2, 1e150]]")
+        code, stdout, _ = _run(capsys, "fuse", "--in", str(f))
+        doc = json.loads(stdout)
+        assert code == 0
+        assert (doc["u"], doc["sigma"], doc["v"], doc["source_index"]) == (0.0, 1.5, 1e150, 0)
 
     def test_invalid_dof_exit_1(self, tmp_path, capsys):
         f = tmp_path / "in.json"

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -189,3 +191,16 @@ class TestCsv:
         assert doc["n_classes"] == 3
         assert doc["dims"] == [4, 4]
         assert doc["split_sizes"] == [400, 100, 100]
+
+    def test_sidecar_refuses_non_finite_values_before_opening(self, tmp_path):
+        # SyntheticSpec rejects a NaN separation, so hand save_sidecar a look-alike
+        spec = SimpleNamespace(**{**vars(SyntheticSpec()), "separation": (float("nan"), 3.0)})
+        path = tmp_path / "dataset.json"
+        with pytest.raises(FloatingPointError, match="not writing .*dataset.json"):
+            save_sidecar(path, spec, "0123456789abcdef")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("sep", [float("nan"), float("inf")])
+    def test_spec_rejects_non_finite_separation(self, sep):
+        with pytest.raises(ValueError, match="separation must be finite"):
+            SyntheticSpec(separation=(sep, 3.0))

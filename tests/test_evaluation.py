@@ -12,6 +12,7 @@ from evfuse.evaluation import (
     inject_noise,
     noise_sweep,
     uncertainty_density,
+    write_json,
 )
 from evfuse.model import EncoderSpec, MultimodalClassifier
 
@@ -305,3 +306,17 @@ class TestUncertaintyDensity:
         assert noisy["means"]["modality_2"] == pytest.approx(
             clean["means"]["modality_2"]
         )
+
+
+class TestWriteJson:
+    def test_sorted_indented_with_newline(self, tmp_path):
+        path = tmp_path / "m.json"
+        write_json({"b": 1.5, "a": [1, 2]}, path)
+        assert path.read_text() == '{\n  "a": [\n    1,\n    2\n  ],\n  "b": 1.5\n}\n'
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_refuses_non_finite_values_before_opening(self, tmp_path, bad):
+        path = tmp_path / "m.json"
+        with pytest.raises(FloatingPointError, match="not writing .*m.json"):
+            write_json({"metrics": {"ece": bad}}, path)
+        assert not path.exists()

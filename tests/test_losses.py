@@ -12,8 +12,7 @@ from evfuse.losses import (
     cross_entropy_arrays,
     nig_nll,
     nig_nll_arrays,
-    nig_nll_grads_arrays,
-    st_nll_grads_arrays,
+    st_nll_and_grads_arrays,
     student_t_nll,
     total_loss_and_grads_arrays,
 )
@@ -159,13 +158,24 @@ def _central_diff(f, x, h=1e-5):
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
+def _single_modality_grads(g, d, a, b, y):
+    """NIG NLL gradients of one channel, read off the loss at lam = 0 with one modality.
+
+    With one modality the fused t is the modality's own t, so the total is
+    twice the NIG NLL summed over the channels.
+    """
+    params = np.array([[[g, d, a, b], [0.0, 1.0, 2.0, 1.0]]])  # second channel: target 0
+    _, grads = total_loss_and_grads_arrays(*(params[..., i] for i in range(4)), np.array([y, 0.0]), 0.0)
+    return grads[0, 0] / 2.0
+
+
 class TestGradients:
     def test_nig_grads_match_finite_differences(self):
         rng = np.random.default_rng(5)
         for row in random_nig_params(rng, 50):
             g, d, a, b = row
             y = g + rng.uniform(-3, 3)
-            grads = nig_nll_grads_arrays(g, d, a, b, y)
+            grads = _single_modality_grads(g, d, a, b, y)
             args = [g, d, a, b]
             for i in range(4):
                 def f(x, i=i):
@@ -180,7 +190,7 @@ class TestGradients:
         for _ in range(50):
             u, s, v = rng.normal(), rng.uniform(0.2, 5), rng.uniform(2.2, 30)
             y = u + rng.uniform(-3, 3)
-            grads = st_nll_grads_arrays(u, s, v, y)
+            grads = st_nll_and_grads_arrays(u, s, v, y)[1:]
             args = [u, s, v]
             for i in range(3):
                 def f(x, i=i):
@@ -190,10 +200,30 @@ class TestGradients:
                 fd = _central_diff(f, args[i])
                 assert grads[i] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
+    def test_st_kernel_nll_matches_st_nll_arrays(self):
+        rng = np.random.default_rng(10)
+        shape = (3, 64, 5)
+        u, y = rng.normal(0, 3, shape), rng.integers(0, 2, shape).astype(float)
+        s = np.exp(rng.uniform(-10, 10, shape))
+        v = 2.0 + np.exp(rng.uniform(-9, 6, shape))
+        np.testing.assert_allclose(
+            st_nll_and_grads_arrays(u, s, v, y)[0], st_nll_arrays(u, s, v, y), rtol=1e-14, atol=0
+        )
+
     def test_gamma_gradient_zero_at_target(self):
         p = NIGParams(0.7, 1.0, 2.0, 1.0)
-        g = nig_nll_grads_arrays(p.gamma, p.delta, p.alpha, p.beta, p.gamma)[0]
+        g = _single_modality_grads(p.gamma, p.delta, p.alpha, p.beta, p.gamma)[0]
         assert g == pytest.approx(0.0, abs=1e-14)
+
+    def test_per_modality_term_is_nig_nll_plus_ce(self):
+        rng = np.random.default_rng(11)
+        params = random_nig_params(rng, 3 * 8 * 4).reshape(3, 8, 4, 4)
+        gamma, delta, alpha, beta = (params[..., i] for i in range(4))
+        y = np.eye(4)[rng.integers(0, 4, 8)]
+        parts, _ = total_loss_and_grads_arrays(gamma, delta, alpha, beta, y, 0.3)
+        ce, _ = cross_entropy_arrays(gamma, y)
+        expected = nig_nll_arrays(gamma, delta, alpha, beta, y).sum(-1) + 0.3 * ce
+        np.testing.assert_allclose(parts["per_modality_nig"], expected, rtol=1e-12, atol=0)
 
     def test_lambda_zero_drops_ce_gradients(self):
         rng = np.random.default_rng(8)

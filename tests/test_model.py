@@ -5,10 +5,12 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from evfuse.data import Dataset, SyntheticSpec, generate_synthetic, standardize
+from evfuse.evaluation import class_posterior
 from evfuse.losses import total_loss_and_grads_arrays
 from evfuse.model import (
     EncoderSpec,
@@ -17,6 +19,7 @@ from evfuse.model import (
     TrainingDivergedError,
     _batch_loss_and_param_grads,
     _constrain_arrays,
+    _constrain_backward,
     _dataset_loss,
     config_hash,
     readout,
@@ -50,6 +53,44 @@ class TestHeadConstrain:
     def test_constraint_map_is_total(self, raw):
         _, delta, alpha, beta = _constrain(raw)
         assert delta > 0 and alpha > 1 and beta > 0
+
+
+
+@st.composite
+def _raw_heads(draw):
+    """Raw head outputs (M, B, K, 4) over the constrained space's extremes.
+
+    gamma and alpha's raw values span +-300, so alpha reaches its floor
+    1 + 1e-4 (v = 2.0002) and 301; delta and beta reach from their floors
+    to 1e6.
+    """
+    m, b, k = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(2, 4))
+    edges = st.sampled_from([-300.0, 0.0, 300.0])
+    narrow = hnp.arrays(float, (m, b, k, 2), elements=st.floats(-300, 300) | edges)
+    wide = hnp.arrays(float, (m, b, k, 2), elements=st.floats(-300, 1e6) | edges)
+    raw = np.empty((m, b, k, 4))
+    raw[..., [0, 2]] = draw(narrow)
+    raw[..., [1, 3]] = draw(wide)
+    labels = draw(hnp.arrays(np.int64, b, elements=st.integers(0, k - 1)))
+    return raw, np.eye(k)[labels]
+
+
+class TestFiniteInFiniteOut:
+    @settings(max_examples=200, deadline=None)
+    @given(_raw_heads(), st.sampled_from([0.0, 0.5, 1.0]))
+    def test_readout_posterior_and_loss_stay_finite(self, case, lam):
+        raw, y = case
+        out = readout(raw)
+        trace = out["trace"]
+        readings = [out[k] for k in ("gamma", "delta", "alpha", "beta")] + list(out["st"])
+        readings += [trace.u, trace.sigma, trace.v, trace.c]
+        readings.append(class_posterior(trace.u, trace.sigma, trace.v))
+        parts, grads = total_loss_and_grads_arrays(
+            out["gamma"], out["delta"], out["alpha"], out["beta"], y, lam
+        )
+        readings += list(parts.values()) + [grads, _constrain_backward(raw, grads)]
+        for a in readings:
+            assert np.isfinite(a).all()
 
 
 def _tiny_model(seed=0, activation="tanh"):
@@ -378,6 +419,29 @@ class TestEndToEndGradients:
             params[i] = orig
             fd = (plus - minus) / (2 * h)
             assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-8)
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_two_hidden_layers_match_finite_differences(self, activation):
+        specs = [EncoderSpec(2, (3, 2), activation), EncoderSpec(1, (2, 2), activation)]
+        model = MultimodalClassifier(specs, n_classes=2, seed=3)
+        rng = np.random.default_rng(3)
+        feats = [rng.normal(size=(4, 2)), rng.normal(size=(4, 1))]
+        y = np.eye(2)[[0, 1, 1, 0]]
+
+        def loss():
+            return _dataset_loss(model, Dataset(feats, np.argmax(y, axis=1)), 0.5)
+
+        _, grad = _batch_loss_and_param_grads(model, feats, y, 0.5)
+        h = 1e-6
+        params = model.params
+        for i in range(params.size):
+            orig = params[i]
+            params[i] = orig + h
+            plus = loss()
+            params[i] = orig - h
+            minus = loss()
+            params[i] = orig
+            assert grad[i] == pytest.approx((plus - minus) / (2 * h), rel=1e-4, abs=1e-8)
 
 
 class TestConfigHash:
