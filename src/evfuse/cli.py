@@ -177,8 +177,8 @@ _GEN_DEFAULTS = {
 
 def cmd_generate_data(args) -> int:
     cfg = _resolve(args, args.config, _GEN_DEFAULTS)
-    dims = _parse_tuple(str(cfg["dims"]), 2, int, "dims")
-    sep = _parse_tuple(str(cfg["sep"]), 2, float, "sep")
+    dims = _parse_tuple(str(cfg["dims"]), None, int, "dims")
+    sep = _parse_tuple(str(cfg["sep"]), None, float, "sep")
     split = (
         _parse_tuple(str(cfg["split"]), 3, int, "split")
         if cfg["split"] is not None
@@ -467,11 +467,11 @@ def build_parser() -> argparse.ArgumentParser:
     def add_config(p):
         p.add_argument("--config", help="JSON file with option defaults")
 
-    p = sub.add_parser("generate-data", help="write synthetic two-modality CSVs")
+    p = sub.add_parser("generate-data", help="write synthetic CSVs with one or more modalities")
     p.add_argument("--classes", type=int)
     p.add_argument("--per-class", dest="per_class", type=int)
-    p.add_argument("--dims", help="per-modality feature dims, e.g. 4,4")
-    p.add_argument("--sep", help="per-modality class separations, e.g. 3,3")
+    p.add_argument("--dims", help="feature dims, one per modality, e.g. 4,4")
+    p.add_argument("--sep", help="class separations, one per modality, e.g. 3,3")
     p.add_argument("--seed", type=int)
     p.add_argument("--split", help="explicit train,val,test sizes, e.g. 500,100,100")
     p.add_argument("--out", required=True)

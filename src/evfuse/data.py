@@ -35,6 +35,8 @@ class SyntheticSpec:
             raise ValueError("n_classes must be >= 2")
         if self.n_per_class < 1:
             raise ValueError("n_per_class must be >= 1")
+        if not self.dims:
+            raise ValueError("dims must name at least one modality")
         if len(self.dims) != len(self.separation):
             raise ValueError("dims and separation must have the same length")
         if any(d < 1 for d in self.dims):
@@ -185,17 +187,22 @@ def _header(dims: Sequence[int]) -> list[str]:
     return cols
 
 
+# Rows per block of save_csv and load_csv: each block is formatted or parsed by
+# a few whole-block calls, and its temporary strings stay a few MB.
+_ROW_BLOCK = 4096
+
+
 def save_csv(dataset: Dataset, path, comment: str | None = None) -> None:
     dims = [x.shape[1] for x in dataset.features]
+    values = np.hstack(dataset.features, dtype=float)
+    labels = np.asarray(dataset.labels)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         if comment:
             f.write(f"# {comment}\n")
         f.write(",".join(_header(dims)) + "\n")
-        for i in range(len(dataset)):
-            cells = [str(int(dataset.labels[i]))]
-            for x in dataset.features:
-                cells.extend(repr(float(v)) for v in x[i])
-            f.write(",".join(cells) + "\n")
+        for i in range(0, len(dataset), _ROW_BLOCK):
+            rows = zip(labels[i : i + _ROW_BLOCK].tolist(), values[i : i + _ROW_BLOCK].tolist())
+            f.write("".join(f"{int(lab)},{','.join(map(repr, row))}\n" for lab, row in rows))
 
 
 @dataclass(frozen=True)
@@ -204,8 +211,39 @@ class CsvSchema:
     n_classes: int
 
 
+def _parse_block(lines: list[str], labels: np.ndarray, values: np.ndarray, n_classes: int) -> None:
+    """Fill `labels` and `values` from `lines` by whole-block conversions, which
+    accept what `int` and `float` accept; a malformed line raises ValueError or
+    OverflowError without naming its row."""
+    n_cols = values.shape[1] + 1
+    if any(line.count(",") != n_cols - 1 for line in lines):
+        raise ValueError("ragged row")
+    cells = ",".join(lines).split(",")
+    labels[:] = np.array(cells[::n_cols], dtype=np.int64)
+    if labels.min() < 0 or labels.max() >= n_classes:
+        raise ValueError("label out of range")
+    del cells[::n_cols]
+    values[:] = np.array(cells, dtype=float).reshape(values.shape)
+
+
+def _raise_row_error(path, lines: list[str], first_row: int, n_cols: int, n_classes: int) -> None:
+    """Raise the diagnostic of the first malformed line; `lines[0]` is file row `first_row`."""
+    for r, line in enumerate(lines, start=first_row):
+        cells = line.split(",")
+        if len(cells) != n_cols:
+            raise CsvFormatError(f"{path}: row {r} has {len(cells)} columns, expected {n_cols}")
+        for c, cell in enumerate(cells, start=1):
+            try:
+                value = int(cell) if c == 1 else float(cell)
+            except ValueError:
+                kind = "non-integer label" if c == 1 else "non-numeric cell"
+                raise CsvFormatError(f"{path}: row {r}, column {c}: {kind} {cell!r}") from None
+            if c == 1 and not (0 <= value < n_classes):
+                raise CsvFormatError(f"{path}: row {r}: label {value} out of range [0, {n_classes})")
+
+
 def load_csv(path, schema: CsvSchema) -> Dataset:
-    """Parse a dataset CSV, validating header, shape, and label range."""
+    """Parse a dataset CSV a block of rows at a time, validating header, shape, and label range."""
     path = Path(path)
     expected_header = _header(schema.dims)
     n_cols = len(expected_header)
@@ -223,35 +261,16 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
         raise CsvFormatError(
             f"{path}: bad header; expected {','.join(expected_header)!r}"
         )
-    labels = []
-    rows = []
-    for r, line in enumerate(lines[1:], start=2 + skipped):
-        cells = line.split(",")
-        if len(cells) != n_cols:
-            raise CsvFormatError(
-                f"{path}: row {r} has {len(cells)} columns, expected {n_cols}"
-            )
+    labels = np.empty(len(lines) - 1, dtype=np.int64)
+    arr = np.empty((len(lines) - 1, n_cols - 1))
+    for start in range(0, len(labels), _ROW_BLOCK):
+        block = lines[1 + start : 1 + start + _ROW_BLOCK]
+        rows = slice(start, start + len(block))
         try:
-            label = int(cells[0])
-        except ValueError:
-            raise CsvFormatError(
-                f"{path}: row {r}, column 1: non-integer label {cells[0]!r}"
-            ) from None
-        if not (0 <= label < schema.n_classes):
-            raise CsvFormatError(
-                f"{path}: row {r}: label {label} out of range [0, {schema.n_classes})"
-            )
-        vals = []
-        for c, cell in enumerate(cells[1:], start=2):
-            try:
-                vals.append(float(cell))
-            except ValueError:
-                raise CsvFormatError(
-                    f"{path}: row {r}, column {c}: non-numeric cell {cell!r}"
-                ) from None
-        labels.append(label)
-        rows.append(vals)
-    arr = np.array(rows, dtype=float).reshape(len(rows), n_cols - 1)
+            _parse_block(block, labels[rows], arr[rows], schema.n_classes)
+        except (ValueError, OverflowError):
+            _raise_row_error(path, block, start + 2 + skipped, n_cols, schema.n_classes)
+            raise
     bad = np.argwhere(~np.isfinite(arr))
     if len(bad):
         i, j = bad[0]
@@ -260,7 +279,7 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
             f"{path}: row {i + 2 + skipped}, column {j + 2}: non-finite cell {cell!r}"
         )
     blocks = np.split(arr, np.cumsum(schema.dims)[:-1], axis=1)
-    return Dataset(blocks, np.array(labels, dtype=np.int64))
+    return Dataset(blocks, labels)
 
 
 def save_sidecar(path, spec: SyntheticSpec, config_hash: str) -> None:

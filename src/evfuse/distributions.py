@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -91,6 +90,8 @@ def nig_to_st_arrays(gamma, delta, alpha, beta):
 
 def st_nll_arrays(u, sigma, v, y):
     """Negative log-density of the Student's t at y, via log-gamma."""
+    from scipy.special import gammaln
+
     q = 1.0 + (y - u) ** 2 / (v * sigma)
     return (
         gammaln(0.5 * v)

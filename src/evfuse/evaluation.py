@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import nig_moments_arrays, st_nll_arrays, st_variance_arrays
+from .distributions import nig_moments_arrays, st_variance_arrays
 from .losses import softmax
 from .model import MultimodalClassifier, readout
 
@@ -35,9 +35,11 @@ def class_posterior(u: np.ndarray, sigma: np.ndarray, v: np.ndarray) -> np.ndarr
 
     The channel score is log pdf(1) - log pdf(0) under the channel's
     Student's t; softmax of the scores is the posterior under a uniform
-    class prior with independent channels.
+    class prior with independent channels.  The normalizing terms cancel:
+    the score is (v + 1)/2 (log(1 + u^2/(v sigma)) - log(1 + (1 - u)^2/(v sigma))).
     """
-    llr = st_nll_arrays(u, sigma, v, 0.0) - st_nll_arrays(u, sigma, v, 1.0)
+    vs = v * sigma
+    llr = 0.5 * (v + 1.0) * (np.log1p(u**2 / vs) - np.log1p((1.0 - u) ** 2 / vs))
     return softmax(llr, axis=-1)
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import digamma, gammaln
 
 from .distributions import NIGParams, StudentT, nig_to_st_arrays, st_nll_arrays
 from .fusion import fuse_stack, fuse_stack_backward
@@ -36,6 +35,8 @@ def student_t_nll(st: StudentT, y: float) -> float:
 
 
 def nig_nll_arrays(gamma, delta, alpha, beta, y):
+    from scipy.special import gammaln
+
     r = (y - gamma) ** 2 * delta + 2.0 * beta * (1.0 + delta)
     return (
         gammaln(alpha)
@@ -54,6 +55,8 @@ def st_nll_and_grads_arrays(u, sigma, v, y):
     d/dv = (psi(h) - psi(h + 1/2) + log q) / 2 + t / v.  The NLL is computed
     exactly as `st_nll_arrays` computes it.
     """
+    from scipy.special import digamma, gammaln
+
     z = y - u
     vs = v * sigma
     w = z**2 / vs

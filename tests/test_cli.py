@@ -69,6 +69,72 @@ class TestGenerateData:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "dims, sep, message",
+        [("4,4,4", "3,3", "same length"), (",", ",", "at least one modality")],
+    )
+    def test_modality_count_checked(self, tmp_path, capsys, dims, sep, message):
+        out = tmp_path / "d"
+        code, _, err = _run(capsys, "generate-data", "--dims", dims, "--sep", sep, "--out", str(out))
+        assert code == 1 and err.startswith("error:") and message in err
+        assert not out.exists()
+
+    def test_three_modality_chain(self, tmp_path, capsys):
+        data, run = tmp_path / "data", tmp_path / "run"
+        ckpt = str(run / "checkpoint.json")
+        steps = [
+            ["generate-data", "--per-class", "30", "--dims", "2,3,2", "--sep", "4,4,1",
+             "--seed", "3", "--out", str(data)],
+            ["train", "--data", str(data), "--out", str(run), "--epochs", "3", "--hidden", "8"],
+            ["evaluate", "--checkpoint", ckpt, "--data", str(data), "--out", str(tmp_path / "eval")],
+            ["noise-sweep", "--checkpoint", ckpt, "--data", str(data), "--modality", "3",
+             "--sigmas", "0,1", "--noise-seeds", "1", "--out", str(tmp_path / "sweep")],
+            ["report", "--checkpoint", ckpt, "--data", str(data), "--modality", "3",
+             "--sigma", "1.0", "--out", str(tmp_path / "rep")],
+        ]
+        for argv in steps:
+            code, _, err = _run(capsys, *argv)
+            assert code == 0, (argv[0], err)
+        assert json.loads((data / "dataset.json").read_text())["dims"] == [2, 3, 2]
+        assert (data / "test.csv").read_text().splitlines()[1].endswith(",m2_2,m3_0,m3_1")
+        assert json.loads((tmp_path / "eval" / "metrics.json").read_text())["metrics"]["n_samples"] == 13
+        assert len(json.loads((tmp_path / "sweep" / "sweep.json").read_text())["rows"]) == 2
+        density = json.loads((tmp_path / "rep" / "density.json").read_text())
+        assert {"modality_1", "modality_2", "modality_3"} <= set(density["histograms"])
+
+
+class TestImports:
+    def test_scipy_is_loaded_only_by_training(self, pipeline, tmp_path):
+        # a fresh process: this one has scipy loaded already
+        data, run = pipeline
+        fuse_in = tmp_path / "in.json"
+        fuse_in.write_text("[[0, 1, 4], [1, 2, 6]]")
+        script = f"""
+import contextlib, io, json, sys
+import evfuse.cli
+loaded = {{"import": "scipy" in sys.modules}}
+for argv in (
+    ["fuse", "--in", {str(fuse_in)!r}],
+    ["generate-data", "--per-class", "10", "--out", {str(tmp_path / "gen")!r}],
+    ["evaluate", "--checkpoint", {str(run / "checkpoint.json")!r}, "--data", {str(data)!r},
+     "--out", {str(tmp_path / "eval")!r}],
+    ["train", "--data", {str(data)!r}, "--out", {str(tmp_path / "run")!r}, "--epochs", "1",
+     "--hidden", "4"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert evfuse.cli.main(argv) == 0, argv
+    loaded[argv[0]] = "scipy" in sys.modules
+print(json.dumps(loaded))
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(evfuse.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {
+            "import": False, "fuse": False, "generate-data": False, "evaluate": False, "train": True,
+        }
+
+
 class TestTrain:
     def test_artifact_contents(self, pipeline):
         _, run = pipeline

@@ -2,8 +2,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from csv_oracle import load_csv_rows, save_csv_rows
 from evfuse.data import (
+    _ROW_BLOCK,
     CsvFormatError,
     CsvSchema,
     Dataset,
@@ -32,6 +36,10 @@ class TestSyntheticSpec:
     def test_dims_and_separation_must_match(self, dims, sep):
         with pytest.raises(ValueError, match="same length"):
             SyntheticSpec(dims=dims, separation=sep)
+
+    def test_at_least_one_modality(self):
+        with pytest.raises(ValueError, match="at least one modality"):
+            SyntheticSpec(dims=(), separation=())
 
     def test_split_smaller_than_total_allowed(self):
         spec = SyntheticSpec(n_per_class=100, split_sizes=(100, 50, 50))
@@ -204,3 +212,150 @@ class TestCsv:
     def test_spec_rejects_non_finite_separation(self, sep):
         with pytest.raises(ValueError, match="separation must be finite"):
             SyntheticSpec(separation=(sep, 3.0))
+
+
+# Edge floats for the writer: signed zero, the smallest subnormal, the switch
+# of repr to exponent notation on either side, and the largest double.
+EDGE_FLOATS = [-0.0, 5e-324, 1e-05, 0.0001, 9999999999999998.0, 1e16, 1.7976931348623157e308,
+               -1.7976931348623157e308, 0.1, -2.5]
+
+
+class TestCsvMatchesPerRowOracle:
+    """`save_csv` and `load_csv` against the per-row writer and reader in `csv_oracle`."""
+
+    @pytest.mark.parametrize("n", [0, 1, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1])
+    @pytest.mark.parametrize("comment", [None, "config_hash=abc"])
+    def test_writer_bytes_match(self, tmp_path, n, comment):
+        rng = np.random.default_rng(n)
+        dims = (2, 3, 4)
+        flat = rng.normal(size=n * sum(dims)) * 10.0 ** rng.integers(-8, 9, n * sum(dims))
+        flat[::3] = np.resize(EDGE_FLOATS, len(flat[::3]))
+        x = flat.reshape(n, sum(dims))
+        feats = np.split(x, np.cumsum(dims)[:-1], axis=1)
+        ds = Dataset(feats, rng.integers(0, 3, n))
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        save_csv(ds, new, comment=comment)
+        save_csv_rows(ds, old, comment=comment)
+        assert new.read_bytes() == old.read_bytes()
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
+    def test_writer_bytes_match_for_other_feature_dtypes(self, tmp_path, dtype):
+        rng = np.random.default_rng(0)
+        ds = Dataset([(rng.normal(size=(9, d)) * 4).astype(dtype) for d in (2, 3)], rng.integers(0, 2, 9))
+        save_csv(ds, tmp_path / "new.csv")
+        save_csv_rows(ds, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @staticmethod
+    def _outcome(reader, path, schema):
+        """The parsed arrays, or the CsvFormatError message."""
+        try:
+            ds = reader(path, schema)
+        except CsvFormatError as e:
+            return str(e)
+        return ds.labels, ds.features
+
+    def _assert_readers_agree(self, path, schema):
+        new = self._outcome(load_csv, path, schema)
+        old = self._outcome(load_csv_rows, path, schema)
+        if isinstance(old, str):
+            assert new == old
+            return
+        assert not isinstance(new, str), new
+        assert new[0].dtype == old[0].dtype == np.int64
+        np.testing.assert_array_equal(new[0], old[0])
+        assert len(new[1]) == len(old[1])
+        for a, b in zip(new[1], old[1]):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+    # faults: (name, column, cell); column "label" or "value", cell None for a row-level fault
+    FAULTS = [
+        ("ragged short", None, None),
+        ("ragged long", None, None),
+        ("blank line", None, None),
+        ("comment in body", None, None),
+        ("non-integer label", "label", "1.0"),
+        ("non-integer label", "label", "x"),
+        ("non-integer label", "label", ""),
+        ("non-integer label", "label", "1\x00"),
+        ("label out of range", "label", "-1"),
+        ("label out of range", "label", "{k}"),
+        ("huge label", "label", "99999999999999999999"),
+        ("huge label", "label", "-99999999999999999999"),
+        ("non-numeric cell", "value", "oops"),
+        ("non-numeric cell", "value", ""),
+        ("non-numeric cell", "value", "0x1p3"),
+        ("non-numeric cell", "value", "1__0"),
+        ("non-numeric cell", "value", "1.5\x00"),
+        ("non-finite cell", "value", "nan"),
+        ("non-finite cell", "value", "+nan"),
+        ("non-finite cell", "value", "inf"),
+        ("non-finite cell", "value", "-Infinity"),
+        ("underscore", "value", "1_0"),
+        ("underscore", "label", "0_1"),
+        ("whitespace", "value", " 1.5 "),
+        ("whitespace", "value", "\t-2e3"),
+        ("whitespace", "label", " 1 "),
+        ("other digits", "label", "\u0661"),
+        ("other digits", "value", "\u0661\u0662"),
+    ]
+
+    @pytest.mark.parametrize("fault", [None] + FAULTS, ids=lambda f: f[0] if f else "well-formed")
+    @settings(max_examples=6, deadline=None)
+    @given(
+        dims=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        n_classes=st.integers(2, 4),
+        n_rows=st.sampled_from([0, 1, 2, 5, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 3]),
+        n_comments=st.integers(0, 2),
+        newline=st.sampled_from(["\n", "\r\n"]),
+        final_newline=st.booleans(),
+        where=st.sampled_from(["first", "boundary", "last"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_reader_matches_oracle(self, tmp_path_factory, fault, dims, n_classes, n_rows, n_comments,
+                                   newline, final_newline, where, seed):
+        rng = np.random.default_rng(seed)
+        n_vals = sum(dims)
+        values = rng.normal(size=(n_rows, n_vals)) * 10.0 ** rng.integers(-5, 6, (n_rows, n_vals))
+        rows = [
+            [str(lab)] + list(map(repr, row))
+            for lab, row in zip(rng.integers(0, n_classes, n_rows).tolist(), values.tolist())
+        ]
+        lines = [",".join(cells) for cells in rows]
+        if fault is not None and n_rows:
+            r = {"first": 0, "boundary": min(_ROW_BLOCK, n_rows - 1), "last": n_rows - 1}[where]
+            kind, column, cell = fault
+            if kind == "ragged short":
+                lines[r] = ",".join(rows[r][:-1])
+            elif kind == "ragged long":
+                lines[r] += ",0.5"
+            elif kind == "blank line":
+                lines[r] = ""
+            elif kind == "comment in body":
+                lines[r] = "# not a leading comment"
+            else:
+                c = 0 if column == "label" else int(rng.integers(1, n_vals + 1))
+                rows[r][c] = cell.format(k=n_classes)
+                lines[r] = ",".join(rows[r])
+        header = ",".join(["label"] + [f"m{m}_{j}" for m, d in enumerate(dims, 1) for j in range(d)])
+        text = newline.join([f"# comment {i}" for i in range(n_comments)] + [header] + lines)
+        path = tmp_path_factory.mktemp("csv") / "ds.csv"
+        path.write_bytes((text + (newline if final_newline else "")).encode("utf-8"))
+        self._assert_readers_agree(path, CsvSchema(tuple(dims), n_classes))
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            # a parse error anywhere wins over an earlier non-finite cell
+            ["0,nan,1.0"] + ["1,2.0,3.0"] * _ROW_BLOCK + ["1,oops,3.0"],
+            # in one block, the first bad row wins whatever its kind
+            ["0,1.0,2.0", "7,1.0,2.0", "0,1.0"],
+            ["0,1.0,2.0", "0,1.0", "x,1.0,2.0"],
+            ["0,1.0,inf", "0,-inf,2.0"],
+        ],
+    )
+    def test_first_fault_reported(self, tmp_path, body):
+        path = tmp_path / "ds.csv"
+        path.write_text("label,m1_0,m2_0\n" + "\n".join(body) + "\n")
+        self._assert_readers_agree(path, CsvSchema((1, 1), 2))

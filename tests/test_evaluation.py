@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from evfuse.data import Dataset
+from evfuse.distributions import st_nll_arrays
 from evfuse.evaluation import (
     NoiseSpec,
     accuracy,
@@ -14,6 +15,7 @@ from evfuse.evaluation import (
     uncertainty_density,
     write_json,
 )
+from evfuse.losses import softmax
 from evfuse.model import EncoderSpec, MultimodalClassifier
 
 
@@ -194,6 +196,31 @@ class TestEvaluateModel:
         post = class_posterior(u, sigma, v)
         assert post.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.argmax(post) == 1
+
+    @staticmethod
+    def _channels(seed, v_max, shape=(500, 4)):
+        rng = np.random.default_rng(seed)
+        u = rng.normal(0.5, 2.0, shape)
+        sigma = np.exp(rng.uniform(np.log(1e-3), np.log(1e2), shape))
+        v = np.exp(rng.uniform(np.log(2.0001), np.log(v_max), shape))
+        return u, sigma, v
+
+    def test_class_posterior_matches_log_density_difference(self):
+        u, sigma, v = self._channels(0, 1e3)
+        llr = st_nll_arrays(u, sigma, v, 0.0) - st_nll_arrays(u, sigma, v, 1.0)
+        np.testing.assert_allclose(class_posterior(u, sigma, v), softmax(llr), rtol=0, atol=1e-9)
+
+    def test_class_posterior_at_large_v_matches_extended_precision(self):
+        # up to v = 1e6, where the difference of two log-densities loses digits
+        u, sigma, v = self._channels(1, 1e6)
+        post = class_posterior(u, sigma, v)
+        assert np.isfinite(post).all()
+        u, sigma, v = (a.astype(np.longdouble) for a in (u, sigma, v))
+        vs = v * sigma
+        llr = 0.5 * (v + 1) * (np.log1p(u**2 / vs) - np.log1p((1 - u) ** 2 / vs))
+        e = np.exp(llr - llr.max(axis=-1, keepdims=True))
+        np.testing.assert_allclose(post, (e / e.sum(axis=-1, keepdims=True)).astype(float),
+                                   rtol=0, atol=1e-12)
 
 
 def _reference_evaluate(model, features, labels):
