@@ -27,7 +27,7 @@ import numpy as np
 
 from .distributions import nig_moments_arrays, st_variance_arrays
 from .losses import softmax
-from .model import MultimodalClassifier, readout
+from .model import INFERENCE_CHUNK_ROWS, MultimodalClassifier, readout
 
 
 def class_posterior(u: np.ndarray, sigma: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -192,23 +192,34 @@ class EvalResult:
 def evaluate_model(
     model: MultimodalClassifier, dataset, n_bins: int = 10
 ) -> EvalResult:
-    return _evaluate_readout(
-        model, readout(model.all_head_outputs(dataset.features)), dataset.labels, n_bins
-    )
+    return _evaluate_raw(model, model.all_head_outputs(dataset.features), dataset.labels, n_bins)
 
 
-def _evaluate_readout(model: MultimodalClassifier, out: dict, labels, n_bins: int) -> EvalResult:
-    trace = out["trace"]
-    n = len(labels)
-    rows = np.arange(n)
-    preds = np.argmax(trace.u, axis=-1)
-    conf_pred = class_posterior(trace.u, trace.sigma, trace.v)[rows, preds]
-    fused_unc = st_variance_arrays(trace.sigma, trace.v)[rows, preds]
+def _evaluate_raw(model: MultimodalClassifier, raw: np.ndarray, labels, n_bins: int) -> EvalResult:
+    """Metrics and uncertainty readouts of raw head outputs (M, N, K, 4).
 
-    al, ep = nig_moments_arrays(out["delta"], out["alpha"], out["beta"])
-    own_pred = np.argmax(out["gamma"], axis=-1)  # (M, N)
-    mod_unc = np.stack([(al + ep)[m, rows, own] for m, own in enumerate(own_pred)])
-    mod_ep = ep.mean(axis=-1)  # (M, N)
+    The readout is per row and runs in row chunks, the remainder joining
+    the last chunk, so its temporaries do not grow with N.
+    """
+    n_mod, n = raw.shape[:2]
+    preds, conf_pred, fused_unc = np.empty(n, dtype=np.intp), np.empty(n), np.empty(n)
+    own_pred = np.empty((n_mod, n), dtype=np.intp)
+    mod_unc, mod_ep = np.empty((n_mod, n)), np.empty((n_mod, n))
+    bounds = [i * INFERENCE_CHUNK_ROWS for i in range(max(n // INFERENCE_CHUNK_ROWS, 1))] + [n]
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        out = readout(raw[:, a:b])
+        trace = out["trace"]
+        rows = np.arange(b - a)
+        pred = np.argmax(trace.u, axis=-1)
+        preds[a:b] = pred
+        conf_pred[a:b] = class_posterior(trace.u, trace.sigma, trace.v)[rows, pred]
+        fused_unc[a:b] = st_variance_arrays(trace.sigma, trace.v)[rows, pred]
+
+        al, ep = nig_moments_arrays(out["delta"], out["alpha"], out["beta"])
+        own = np.argmax(out["gamma"], axis=-1)  # (M, rows)
+        own_pred[:, a:b] = own
+        mod_unc[:, a:b] = np.take_along_axis(al + ep, own[..., None], axis=-1)[..., 0]
+        mod_ep[:, a:b] = ep.mean(axis=-1)
 
     correct = preds == np.asarray(labels)
     ece_val, per_bin = ece(conf_pred, correct, n_bins)
@@ -247,7 +258,7 @@ def noise_sweep(
                 dataset.features, NoiseSpec(modality_index, sigma, seed)
             )
             raw[modality_index] = model.head_outputs(modality_index, feats[modality_index])
-            res = _evaluate_readout(model, readout(raw), dataset.labels, n_bins)
+            res = _evaluate_raw(model, raw, dataset.labels, n_bins)
             row = {
                 "sigma": sigma,
                 "modality": modality_index,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from evfuse.data import Dataset
 from evfuse.distributions import st_nll_arrays
 from evfuse.evaluation import (
     NoiseSpec,
+    _evaluate_raw,
     accuracy,
     class_posterior,
     cohen_kappa,
@@ -256,6 +259,21 @@ class TestInferencePass:
                res.modality_uncertainty, res.modality_epistemic, res.modality_preds)
         for a, b in zip(got, _reference_evaluate(model, ds.features, ds.labels)):
             assert np.array_equal(a, b)
+
+    def test_readout_memory_does_not_grow_with_rows(self):
+        # scoring raw head outputs allocates its O(N) results and metrics,
+        # about 210 bytes per row here; a readout of all N rows at once took
+        # about 590, in (M, N, K) temporaries
+        n = 40_000
+        model, ds = _wide_model_and_data(n, (6, 6), (16,))
+        raw = model.all_head_outputs(ds.features)
+        tracemalloc.start()
+        try:
+            _evaluate_raw(model, raw, ds.labels, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 320 * n
 
     @pytest.mark.parametrize("dims", [(6, 4), (3, 6, 4)])
     def test_noise_sweep_equals_per_pair_evaluation(self, dims):
