@@ -70,7 +70,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_tuple(text: str, n: int, kind, name: str):
-    parts = [p for p in text.split(",") if p != ""]
+    """Comma-separated values; text without any value ("" or ",") is the
+    empty tuple, which the caller's own checks reject."""
+    parts = text.split(",") if text.strip(",") else []
+    if "" in parts:
+        raise CliError(f"--{name}: empty item in {text!r}", EXIT_VALIDATION)
     if n is not None and len(parts) != n:
         raise CliError(f"--{name} expects {n} comma-separated values", EXIT_VALIDATION)
     try:

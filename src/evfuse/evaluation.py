@@ -20,14 +20,16 @@ generator's uniforms so fixtures are reproducible across platforms.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .distributions import nig_moments_arrays, st_variance_arrays
+from .distributions import nig_moments_arrays, nig_to_st_arrays, st_variance_arrays
+from .fusion import fuse_stack
 from .losses import softmax
-from .model import INFERENCE_CHUNK_ROWS, MultimodalClassifier, readout
+from .model import INFERENCE_CHUNK_ROWS, MultimodalClassifier, _constrain_arrays
 
 
 def class_posterior(u: np.ndarray, sigma: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -50,8 +52,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma!r}")
 
 
 @dataclass
@@ -152,25 +154,41 @@ def ece(
 
 
 def _box_muller(rng: np.random.Generator, shape) -> np.ndarray:
+    """r cos(theta), then r sin(theta), with r = sqrt(-2 log(1 - u1)) and
+    theta = 2 pi u2 (1-u1 avoids log(0)); each step runs in place."""
     n = int(np.prod(shape))
     half = (n + 1) // 2
-    u1 = rng.random(half)
-    u2 = rng.random(half)
-    r = np.sqrt(-2.0 * np.log1p(-u1))  # 1-u1 avoids log(0)
-    z = np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])
+    r = rng.random(half)
+    theta = rng.random(half)
+    np.negative(r, out=r)
+    np.log1p(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta *= 2.0 * np.pi
+    z = np.empty(2 * half)
+    np.cos(theta, out=z[:half])
+    np.sin(theta, out=z[half:])
+    z[:half] *= r
+    z[half:] *= r
     return z[:n].reshape(shape)
 
 
-def inject_noise(features: Sequence[np.ndarray], spec: NoiseSpec) -> list[np.ndarray]:
-    """Additive i.i.d. Gaussian noise on one modality; the rest untouched."""
+def _check_noise_target(features: Sequence[np.ndarray], spec: NoiseSpec) -> None:
     if not (0 <= spec.modality_index < len(features)):
         raise ValueError(f"modality_index {spec.modality_index} out of range")
-    out = [x.copy() for x in features]
+
+
+def inject_noise(features: Sequence[np.ndarray], spec: NoiseSpec) -> list[np.ndarray]:
+    """Additive i.i.d. Gaussian noise on one modality, in a new array; every
+    other entry (and at sigma = 0 every entry) is the input array itself."""
+    _check_noise_target(features, spec)
+    out = list(features)
     if spec.sigma == 0.0:
         return out
-    rng = np.random.default_rng(spec.seed)
     x = out[spec.modality_index]
-    out[spec.modality_index] = x + spec.sigma * _box_muller(rng, x.shape)
+    z = _box_muller(np.random.default_rng(spec.seed), np.shape(x))
+    z *= spec.sigma
+    out[spec.modality_index] = np.add(x, z, out=z)
     return out
 
 
@@ -189,48 +207,104 @@ class EvalResult:
     modality_preds: np.ndarray  # (M, N): unimodal argmax-location class
 
 
-def evaluate_model(
-    model: MultimodalClassifier, dataset, n_bins: int = 10
-) -> EvalResult:
-    return _evaluate_raw(model, model.all_head_outputs(dataset.features), dataset.labels, n_bins)
+@dataclass
+class _Scores:
+    """Per-modality readouts of N rows; index m of each field is modality m."""
+
+    st: np.ndarray  # (3, M, N, K): each modality's Student's t (u, sigma, v)
+    pred: np.ndarray  # (M, N): argmax-location class
+    unc: np.ndarray  # (M, N): AL+EP at the own-argmax channel
+    ep: np.ndarray  # (M, N): channel-mean epistemic
 
 
-def _evaluate_raw(model: MultimodalClassifier, raw: np.ndarray, labels, n_bins: int) -> EvalResult:
-    """Metrics and uncertainty readouts of raw head outputs (M, N, K, 4).
-
-    The readout is per row and runs in row chunks, the remainder joining
-    the last chunk, so its temporaries do not grow with N.
-    """
-    n_mod, n = raw.shape[:2]
-    preds, conf_pred, fused_unc = np.empty(n, dtype=np.intp), np.empty(n), np.empty(n)
-    own_pred = np.empty((n_mod, n), dtype=np.intp)
-    mod_unc, mod_ep = np.empty((n_mod, n)), np.empty((n_mod, n))
+def _row_chunks(n: int):
+    """Bounds of the readout's row chunks; the remainder joins the last chunk."""
     bounds = [i * INFERENCE_CHUNK_ROWS for i in range(max(n // INFERENCE_CHUNK_ROWS, 1))] + [n]
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        out = readout(raw[:, a:b])
-        trace = out["trace"]
+    return zip(bounds[:-1], bounds[1:])
+
+
+def _score_modality(model: MultimodalClassifier, scores: _Scores, m: int, x) -> None:
+    """Encode modality `m` and read out its head outputs into slot `m` of
+    `scores`, in row chunks; the (N, K, 4) raw head outputs do not outlive
+    the call."""
+    raw = model.head_outputs(m, x)
+    u, sigma, v = scores.st[:, m]
+    for a, b in _row_chunks(len(raw)):
+        gamma, delta, alpha, beta = _constrain_arrays(raw[a:b])
+        u[a:b], sigma[a:b], v[a:b] = nig_to_st_arrays(gamma, delta, alpha, beta)
+        al, ep = nig_moments_arrays(delta, alpha, beta)
+        own = np.argmax(gamma, axis=-1)
+        scores.pred[m, a:b] = own
+        scores.unc[m, a:b] = np.take_along_axis(al + ep, own[:, None], axis=-1)[:, 0]
+        scores.ep[m, a:b] = ep.mean(axis=-1)
+
+
+def _score_modalities(model: MultimodalClassifier, features) -> _Scores:
+    """Score every modality into freshly allocated arrays."""
+    model._check_count(features)
+    n_mod, n, k = len(features), len(features[0]), model.n_classes
+    for m, x in enumerate(features):
+        if len(x) != n:
+            raise ValueError(f"modality {m + 1} has {len(x)} rows, modality 1 has {n}")
+    scores = _Scores(np.empty((3, n_mod, n, k)), np.empty((n_mod, n), dtype=np.intp),
+                     np.empty((n_mod, n)), np.empty((n_mod, n)))
+    for m, x in enumerate(features):
+        _score_modality(model, scores, m, x)
+    return scores
+
+
+def _score_fused(scores: _Scores, labels, n_classes: int, n_bins: int):
+    """Fuse the modalities' t's and score the fused prediction.
+
+    Each row chunk is fused from views of `scores.st`, so nothing the size
+    of the (M, N, K) inputs is allocated.  Returns the metrics report, the
+    fused predictions, the confidences and the fused variance at the
+    predicted channel.
+    """
+    n = scores.pred.shape[1]
+    preds, conf_pred, fused_unc = np.empty(n, dtype=np.intp), np.empty(n), np.empty(n)
+    for a, b in _row_chunks(n):
+        trace = fuse_stack(*scores.st[:, :, a:b])
         rows = np.arange(b - a)
         pred = np.argmax(trace.u, axis=-1)
         preds[a:b] = pred
         conf_pred[a:b] = class_posterior(trace.u, trace.sigma, trace.v)[rows, pred]
         fused_unc[a:b] = st_variance_arrays(trace.sigma, trace.v)[rows, pred]
 
-        al, ep = nig_moments_arrays(out["delta"], out["alpha"], out["beta"])
-        own = np.argmax(out["gamma"], axis=-1)  # (M, rows)
-        own_pred[:, a:b] = own
-        mod_unc[:, a:b] = np.take_along_axis(al + ep, own[..., None], axis=-1)[..., 0]
-        mod_ep[:, a:b] = ep.mean(axis=-1)
-
     correct = preds == np.asarray(labels)
     ece_val, per_bin = ece(conf_pred, correct, n_bins)
     report = MetricsReport(
         acc=accuracy(preds, labels),
-        kappa=cohen_kappa(preds, labels, model.n_classes),
+        kappa=cohen_kappa(preds, labels, n_classes),
         ece=ece_val,
         n_samples=n,
         per_bin=per_bin,
     )
-    return EvalResult(report, preds, conf_pred, fused_unc, mod_unc, mod_ep, own_pred)
+    return report, preds, conf_pred, fused_unc
+
+
+def evaluate_model(
+    model: MultimodalClassifier, dataset, n_bins: int = 10
+) -> EvalResult:
+    scores = _score_modalities(model, dataset.features)
+    fused = _score_fused(scores, dataset.labels, model.n_classes, n_bins)
+    return EvalResult(*fused, scores.unc, scores.ep, scores.pred)
+
+
+def _sweep_metrics(scores: _Scores, labels, n_classes: int, n_bins: int) -> dict:
+    """The metrics and mean uncertainties of one noise-sweep row."""
+    report, _, _, fused_unc = _score_fused(scores, labels, n_classes, n_bins)
+    row = {
+        "acc": report.acc,
+        "kappa": report.kappa,
+        "ece": report.ece,
+        "mean_unc_fused": float(fused_unc.mean()),
+    }
+    for m in range(len(scores.pred)):
+        row[f"mean_unc_m{m + 1}"] = float(scores.unc[m].mean())
+        row[f"mean_ep_m{m + 1}"] = float(scores.ep[m].mean())
+        row[f"acc_m{m + 1}"] = accuracy(scores.pred[m], labels)
+    return row
 
 
 def noise_sweep(
@@ -245,34 +319,30 @@ def noise_sweep(
 
     Returns {"rows": [...], "aggregates": [...]} where each row carries the
     metrics and mean uncertainties for one (sigma, seed) pair and aggregates
-    hold mean/std over seeds per sigma.  Every modality is encoded once on
-    the clean data; each pair re-encodes only the corrupted one.
+    hold mean/std over seeds per sigma.  Every modality is scored once on
+    the clean data, and the sigma = 0 pairs share that clean evaluation.
+    A pair with sigma > 0 re-scores only the corrupted modality, in place.
+    Every sigma and the modality index are checked before anything is
+    encoded.
     """
     if len(sigmas) == 0 or len(seeds) == 0:
         raise ValueError("noise sweep needs at least one sigma and one seed")
-    raw = model.all_head_outputs(dataset.features)
+    specs = [NoiseSpec(modality_index, sigma, seed) for sigma in sigmas for seed in seeds]
+    _check_noise_target(dataset.features, specs[0])
+    scores = _score_modalities(model, dataset.features)
+    clean = None
+    if any(spec.sigma == 0.0 for spec in specs):
+        clean = _sweep_metrics(scores, dataset.labels, model.n_classes, n_bins)
     rows = []
-    for sigma in sigmas:
-        for seed in seeds:
-            feats = inject_noise(
-                dataset.features, NoiseSpec(modality_index, sigma, seed)
-            )
-            raw[modality_index] = model.head_outputs(modality_index, feats[modality_index])
-            res = _evaluate_raw(model, raw, dataset.labels, n_bins)
-            row = {
-                "sigma": sigma,
-                "modality": modality_index,
-                "seed": seed,
-                "acc": res.report.acc,
-                "kappa": res.report.kappa,
-                "ece": res.report.ece,
-                "mean_unc_fused": float(res.fused_uncertainty.mean()),
-            }
-            for m in range(model.n_modalities):
-                row[f"mean_unc_m{m + 1}"] = float(res.modality_uncertainty[m].mean())
-                row[f"mean_ep_m{m + 1}"] = float(res.modality_epistemic[m].mean())
-                row[f"acc_m{m + 1}"] = accuracy(res.modality_preds[m], dataset.labels)
-            rows.append(row)
+    for spec in specs:
+        if spec.sigma == 0.0:
+            metrics = clean
+        else:
+            # the noisy features live only for the call that scores them
+            _score_modality(model, scores, modality_index,
+                            inject_noise(dataset.features, spec)[modality_index])
+            metrics = _sweep_metrics(scores, dataset.labels, model.n_classes, n_bins)
+        rows.append({"sigma": spec.sigma, "modality": modality_index, "seed": spec.seed, **metrics})
 
     aggregates = []
     for sigma in sigmas:

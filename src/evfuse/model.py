@@ -125,7 +125,8 @@ def _constrain_backward(raw: np.ndarray, g_params: np.ndarray) -> np.ndarray:
 def readout(raw: np.ndarray) -> dict:
     """Raw head outputs (M, B, K, 4) -> constrained NIG, Student's t and fused trace.
 
-    The one readout of the training forward and the inference pass.
+    The readout of the training forward; evaluation reads out one modality
+    at a time through the same kernels.
     """
     gamma, delta, alpha, beta = _constrain_arrays(raw)
     u, sigma, v = nig_to_st_arrays(gamma, delta, alpha, beta)

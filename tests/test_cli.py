@@ -10,6 +10,7 @@ import evfuse
 import evfuse.cli
 from evfuse.cli import main
 from evfuse.evaluation import evaluate_model
+from evfuse.model import MultimodalClassifier
 
 
 def _run(capsys, *argv):
@@ -423,6 +424,55 @@ class TestNoiseSweepAndReport:
             "--data", str(data), "--sigma", "1.0", "--out", str(tmp_path / "x"),
         )
         assert code == 1
+
+    @pytest.mark.parametrize("sigmas", ["nan", "inf", "1e400", "0.1,-1"])
+    def test_bad_sweep_sigma_exit_1_before_encoding(self, pipeline, tmp_path, capsys, monkeypatch, sigmas):
+        data, run = pipeline
+        encoded = []
+        monkeypatch.setattr(MultimodalClassifier, "head_outputs", lambda self, m, x: encoded.append(m))
+        out = tmp_path / "sweep"
+        code, _, err = _run(
+            capsys, "noise-sweep", "--checkpoint", str(run / "checkpoint.json"),
+            "--data", str(data), "--sigmas", sigmas, "--out", str(out),
+        )
+        assert code == 1 and err.startswith("error: sigma must be finite and >= 0")
+        assert encoded == [] and not out.exists()
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "1e400"])
+    def test_non_finite_report_sigma_exit_1(self, pipeline, tmp_path, capsys, sigma):
+        data, run = pipeline
+        out = tmp_path / "rep"
+        code, _, err = _run(
+            capsys, "report", "--checkpoint", str(run / "checkpoint.json"),
+            "--data", str(data), "--modality", "1", "--sigma", sigma, "--out", str(out),
+        )
+        assert code == 1 and err.startswith("error: sigma must be finite and >= 0")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("generate-data", "--dims", "4,,4"),
+        ("generate-data", "--sep", "3,3,"),
+        ("generate-data", "--split", "10,,10"),
+        ("train", "--hidden", "8,"),
+        ("noise-sweep", "--sigmas", "0,,1"),
+        ("noise-sweep", "--noise-seeds", ",1"),
+    ],
+)
+def test_empty_list_item_exit_1(pipeline, tmp_path, capsys, command, flag, value):
+    data, run = pipeline
+    inputs = {
+        "generate-data": [],
+        "train": ["--data", str(data)],
+        "noise-sweep": ["--checkpoint", str(run / "checkpoint.json"), "--data", str(data)],
+    }[command]
+    out = tmp_path / "out"
+    code, stdout, err = _run(capsys, command, *inputs, flag, value, "--out", str(out))
+    assert code == 1 and stdout == ""
+    assert err == f"error: {flag}: empty item in {value!r}\n"
+    assert not out.exists()
 
 
 class TestFuse:

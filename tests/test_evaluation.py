@@ -7,7 +7,8 @@ from evfuse.data import Dataset
 from evfuse.distributions import st_nll_arrays
 from evfuse.evaluation import (
     NoiseSpec,
-    _evaluate_raw,
+    _score_fused,
+    _score_modalities,
     accuracy,
     class_posterior,
     cohen_kappa,
@@ -163,6 +164,11 @@ class TestInjectNoise:
         with pytest.raises(ValueError):
             NoiseSpec(0, -0.1)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+            NoiseSpec(0, sigma)
+
 
 def _model_and_data(n=60):
     rng = np.random.default_rng(10)
@@ -261,15 +267,15 @@ class TestInferencePass:
             assert np.array_equal(a, b)
 
     def test_readout_memory_does_not_grow_with_rows(self):
-        # scoring raw head outputs allocates its O(N) results and metrics,
-        # about 210 bytes per row here; a readout of all N rows at once took
-        # about 590, in (M, N, K) temporaries
+        # fusing and scoring the modalities' t's allocates its O(N) results
+        # and metrics, about 85 bytes per row here; a readout of all N rows at
+        # once took about 590, in (M, N, K) temporaries
         n = 40_000
         model, ds = _wide_model_and_data(n, (6, 6), (16,))
-        raw = model.all_head_outputs(ds.features)
+        scores = _score_modalities(model, ds.features)
         tracemalloc.start()
         try:
-            _evaluate_raw(model, raw, ds.labels, 10)
+            _score_fused(scores, ds.labels, model.n_classes, 10)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -298,6 +304,66 @@ class TestInferencePass:
         sweep = noise_sweep(model, ds, sigmas, noisy, seeds)
         assert sweep["rows"] == rows
         assert [r["acc_m1"] for r in rows] == [rows[0]["acc_m1"]] * len(rows)
+
+    def test_noise_sweep_memory(self):
+        # the sweep keeps one set of per-modality scores and re-scores the
+        # corrupted modality into it: about 580 bytes per row here, at peak
+        # while encoding a noisy block; keeping a second, stacked copy of the
+        # M modalities' t's for the whole sweep took about 795, and keeping
+        # the raw (M, N, K, 4) head outputs about 840
+        n = 40_000
+        model, ds = _wide_model_and_data(n, (6, 6, 6), (16,))
+        tracemalloc.start()
+        try:
+            noise_sweep(model, ds, (0.0, 0.5), 0, (1, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 700 * n
+
+    def test_encoder_runs_only_where_the_noise_reaches(self, monkeypatch):
+        model, ds = _wide_model_and_data(3000, (3, 6, 4), (16,), seed=3)
+        clean = evaluate_model(model, ds)
+        encoded = []
+        head_outputs = MultimodalClassifier.head_outputs
+
+        def counted(self, m, x):
+            encoded.append(m)
+            return head_outputs(self, m, x)
+
+        monkeypatch.setattr(MultimodalClassifier, "head_outputs", counted)
+        sweep = noise_sweep(model, ds, (0.0, 0.4, 1.5), 1, (3, 8))
+        # each clean modality once, then the corrupted one per sigma > 0 pair
+        assert encoded == [0, 1, 2] + [1] * 4
+        expected = {
+            "acc": clean.report.acc, "kappa": clean.report.kappa, "ece": clean.report.ece,
+            "mean_unc_fused": float(clean.fused_uncertainty.mean()),
+        }
+        for m in range(3):
+            expected[f"mean_unc_m{m + 1}"] = float(clean.modality_uncertainty[m].mean())
+            expected[f"mean_ep_m{m + 1}"] = float(clean.modality_epistemic[m].mean())
+            expected[f"acc_m{m + 1}"] = accuracy(clean.modality_preds[m], ds.labels)
+        for row, seed in zip(sweep["rows"][:2], (3, 8)):
+            assert row == {"sigma": 0.0, "modality": 1, "seed": seed, **expected}
+
+    @pytest.mark.parametrize("sigmas, modality, message", [
+        ((0.1, -1.0), 0, "sigma must be finite and >= 0"),
+        ((0.1, float("nan")), 0, "sigma must be finite and >= 0"),
+        ((0.1,), 2, "modality_index 2 out of range"),
+    ])
+    def test_noise_sweep_checks_before_encoding(self, monkeypatch, sigmas, modality, message):
+        model, ds = _model_and_data()
+        encoded = []
+        monkeypatch.setattr(MultimodalClassifier, "head_outputs", lambda self, m, x: encoded.append(m))
+        with pytest.raises(ValueError, match=message):
+            noise_sweep(model, ds, sigmas, modality, (1,))
+        assert encoded == []
+
+    def test_feature_blocks_of_unequal_rows_rejected(self):
+        model, ds = _model_and_data()
+        ds.features[1] = ds.features[1][:-1]  # past Dataset's own check
+        with pytest.raises(ValueError, match="modality 2 has 59 rows, modality 1 has 60"):
+            evaluate_model(model, ds)
 
     def test_non_finite_features_rejected(self):
         model, ds = _model_and_data()
