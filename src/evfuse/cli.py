@@ -26,7 +26,6 @@ from .data import (
     SyntheticSpec,
     generate_synthetic,
     load_csv,
-    load_sidecar,
     save_csv,
     save_sidecar,
     standardize,
@@ -36,7 +35,6 @@ from .evaluation import (
     NoiseSpec,
     evaluate_model,
     noise_sweep,
-    sweep_to_csv,
     uncertainty_density,
     write_json,
 )
@@ -83,22 +81,57 @@ def _parse_tuple(text: str, n: int, kind, name: str):
         raise CliError(f"--{name}: could not parse {text!r}", EXIT_VALIDATION) from None
 
 
-def _resolve(args, config_path, defaults: dict) -> dict:
-    """Merge flag values over a JSON config file over built-in defaults."""
+def _read_json(path, what: str, kind: type):
+    """The JSON document at `path`, whose top level must be a `kind` (dict or
+    list).  An unreadable file raises its OSError; text that is not JSON, or
+    a top level of another type, exits 1 with an error naming `what`."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    # a JSONDecodeError, UnicodeDecodeError or too deep a nesting names no file
+    except (ValueError, RecursionError) as e:
+        raise CliError(f"bad {what}: {path}: {e}", EXIT_VALIDATION) from None
+    if not isinstance(doc, kind):
+        name = {dict: "object", list: "list"}[kind]
+        raise CliError(
+            f"bad {what}: {path}: expected a JSON {name}, got {type(doc).__name__}",
+            EXIT_VALIDATION,
+        )
+    return doc
+
+
+# The JSON values a config key takes, by the type of its flag (a switch is a
+# bool): an integer flag takes only an integer, a float flag any finite number.
+_CONFIG_TYPES = {
+    bool: ((bool,), "true or false"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a finite number"),
+    str: ((str,), "a string"),
+}
+
+
+def _resolve(args, defaults: dict) -> dict:
+    """Merge flag values over the `--config` JSON object over built-in
+    defaults.  A config value must have its flag's type (and be one of the
+    flag's choices, if it has them); it may be null where the default is."""
     merged = dict(defaults)
-    if config_path is not None:
-        try:
-            with open(config_path, "r", encoding="utf-8") as f:
-                file_cfg = json.load(f)
-        except OSError as e:
-            raise CliError(f"cannot read config file: {e}", EXIT_IO) from None
-        except json.JSONDecodeError as e:
-            raise CliError(f"bad config file: {e}", EXIT_VALIDATION) from None
+    if args.config is not None:
+        file_cfg = _read_json(args.config, "config file", dict)
         unknown = set(file_cfg) - set(defaults)
         if unknown:
-            raise CliError(
-                f"unknown config keys: {sorted(unknown)}", EXIT_VALIDATION
-            )
+            raise CliError(f"unknown config keys: {sorted(unknown)}", EXIT_VALIDATION)
+        for key, val in file_cfg.items():
+            if val is None and defaults[key] is None:
+                continue
+            flag = args.flags[key]
+            types, want = _CONFIG_TYPES[bool if flag.const is True else flag.type or str]
+            if flag.choices:
+                want = f"one of {', '.join(flag.choices)}"
+            # `not <=` also rejects NaN, and an integer too large for a float
+            if (type(val) not in types or flag.choices and val not in flag.choices
+                    or flag.type is float and not abs(val) <= sys.float_info.max):
+                raise CliError(
+                    f"config {key}: expected {want}, got {json.dumps(val)}", EXIT_VALIDATION
+                )
         merged.update(file_cfg)
     for key in defaults:
         val = getattr(args, key, None)
@@ -109,10 +142,7 @@ def _resolve(args, config_path, defaults: dict) -> dict:
 
 def _outdir(path) -> Path:
     out = Path(path)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        raise CliError(f"cannot create output directory: {e}", EXIT_IO) from None
+    out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -120,31 +150,30 @@ def _outdir(path) -> Path:
 # dataset directory layout: train/val/test.csv plus a dataset.json sidecar
 
 
-def _load_split(data_dir, split: str) -> tuple[Dataset, dict]:
+def _load_splits(data_dir, *splits: str) -> tuple[dict, list[Dataset]]:
+    """The dataset directory's sidecar and the named splits."""
     data_dir = Path(data_dir)
-    sidecar_path = data_dir / "dataset.json"
-    try:
-        sidecar = load_sidecar(sidecar_path)
-    except OSError as e:
-        raise CliError(f"cannot read dataset sidecar: {e}", EXIT_IO) from None
-    schema = CsvSchema(tuple(sidecar["dims"]), sidecar["n_classes"])
-    csv_path = data_dir / f"{split}.csv"
-    if not csv_path.exists():
-        raise CliError(f"missing dataset file: {csv_path}", EXIT_IO)
-    ds = load_csv(csv_path, schema)
-    ds.split = split
-    return ds, sidecar
+    sidecar = _read_json(data_dir / "dataset.json", "dataset sidecar", dict)
+    dims, n_classes = sidecar.get("dims"), sidecar.get("n_classes")
+    if not (isinstance(dims, list) and dims and all(type(d) is int and d >= 1 for d in dims)):
+        raise CliError(
+            "bad dataset sidecar: dims must be a non-empty list of positive integers",
+            EXIT_VALIDATION,
+        )
+    if not (type(n_classes) is int and n_classes >= 2):
+        raise CliError("bad dataset sidecar: n_classes must be an integer >= 2", EXIT_VALIDATION)
+    schema = CsvSchema(tuple(dims), n_classes)
+    datasets = []
+    for split in splits:
+        ds = load_csv(data_dir / f"{split}.csv", schema)
+        ds.split = split
+        datasets.append(ds)
+    return sidecar, datasets
 
 
 def _load_checkpoint(path) -> tuple[MultimodalClassifier, Standardization, str]:
     """The model, its standardization and the run's config hash."""
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except OSError as e:
-        raise CliError(f"cannot read checkpoint: {e}", EXIT_IO) from None
-    except json.JSONDecodeError as e:
-        raise CliError(f"corrupt checkpoint: {e}", EXIT_VALIDATION) from None
+    doc = _read_json(path, "checkpoint", dict)
     try:
         model = MultimodalClassifier.from_state_dict(doc["model"])
         stats = Standardization.from_dict(
@@ -152,9 +181,35 @@ def _load_checkpoint(path) -> tuple[MultimodalClassifier, Standardization, str]:
         )
     except KeyError as e:
         raise CliError(f"bad checkpoint contents: missing key {e}", EXIT_VALIDATION) from None
-    except (TypeError, ValueError) as e:
+    # AttributeError: a JSON value other than an object where one is expected
+    except (AttributeError, TypeError, ValueError) as e:
         raise CliError(f"bad checkpoint contents: {e}", EXIT_VALIDATION) from None
-    return model, stats, doc.get("config_hash", "")
+    run_id = doc.get("config_hash", "")
+    if not isinstance(run_id, str):
+        raise CliError("bad checkpoint contents: config_hash must be a string", EXIT_VALIDATION)
+    return model, stats, run_id
+
+
+def _scoring_inputs(args, defaults: dict):
+    """What `evaluate`, `noise-sweep` and `report` read: the resolved options,
+    the checkpoint's model, its standardized `split` and the run's config
+    hash.  A 1-based `modality` option, where set, must be in [1, M]."""
+    cfg = _resolve(args, defaults)
+    model, stats, run_id = _load_checkpoint(args.checkpoint)
+    modality = cfg.get("modality")
+    if modality is not None and not 1 <= modality <= model.n_modalities:
+        raise CliError(f"--modality must be in [1, {model.n_modalities}]", EXIT_VALIDATION)
+    _, (ds,) = _load_splits(args.data, cfg["split"])
+    return cfg, model, stats.apply(ds), run_id
+
+
+def _write_table(path, run_id: str, header, rows) -> None:
+    """A CSV artifact: the `# config_hash=` line, the header, then the rows,
+    a float cell as its `repr` and any other cell as its `str`."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(f"# config_hash={run_id}\n" + ",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(repr(c) if isinstance(c, float) else str(c) for c in row) + "\n")
 
 
 def _write_meta(out: Path, run_id: str) -> None:
@@ -180,25 +235,17 @@ _GEN_DEFAULTS = {
 
 
 def cmd_generate_data(args) -> int:
-    cfg = _resolve(args, args.config, _GEN_DEFAULTS)
-    dims = _parse_tuple(str(cfg["dims"]), None, int, "dims")
-    sep = _parse_tuple(str(cfg["sep"]), None, float, "sep")
-    split = (
-        _parse_tuple(str(cfg["split"]), 3, int, "split")
-        if cfg["split"] is not None
-        else None
+    cfg = _resolve(args, _GEN_DEFAULTS)
+    spec = SyntheticSpec(
+        n_classes=cfg["classes"],
+        n_per_class=cfg["per_class"],
+        dims=_parse_tuple(cfg["dims"], None, int, "dims"),
+        separation=_parse_tuple(cfg["sep"], None, float, "sep"),
+        seed=cfg["seed"],
+        split_sizes=(
+            _parse_tuple(cfg["split"], 3, int, "split") if cfg["split"] is not None else None
+        ),
     )
-    try:
-        spec = SyntheticSpec(
-            n_classes=int(cfg["classes"]),
-            n_per_class=int(cfg["per_class"]),
-            dims=dims,
-            separation=sep,
-            seed=int(cfg["seed"]),
-            split_sizes=split,
-        )
-    except ValueError as e:
-        raise CliError(str(e), EXIT_VALIDATION) from None
     run_id = config_hash(
         {
             "command": "generate-data",
@@ -234,36 +281,27 @@ _TRAIN_DEFAULTS = {
 
 
 def cmd_train(args) -> int:
-    cfg = _resolve(args, args.config, _TRAIN_DEFAULTS)
-    hidden = _parse_tuple(str(cfg["hidden"]), None, int, "hidden")
-    try:
-        tc = TrainConfig(
-            learning_rate=float(cfg["lr"]),
-            max_epochs=int(cfg["epochs"]),
-            batch_size=int(cfg["batch_size"]),
-            lam=float(cfg["lam"]),
-            seed=int(cfg["seed"]),
-            freeze_encoders=bool(cfg["freeze_encoders"]),
-            keep_best=bool(cfg["keep_best"]),
-        )
-    except ValueError as e:
-        raise CliError(str(e), EXIT_VALIDATION) from None
+    cfg = _resolve(args, _TRAIN_DEFAULTS)
+    hidden = _parse_tuple(cfg["hidden"], None, int, "hidden")
+    tc = TrainConfig(
+        learning_rate=float(cfg["lr"]),
+        max_epochs=cfg["epochs"],
+        batch_size=cfg["batch_size"],
+        lam=float(cfg["lam"]),
+        seed=cfg["seed"],
+        freeze_encoders=cfg["freeze_encoders"],
+        keep_best=cfg["keep_best"],
+    )
 
-    train_raw, sidecar = _load_split(args.data, "train")
-    val_raw, _ = _load_split(args.data, "val")
+    sidecar, (train_raw, val_raw) = _load_splits(args.data, "train", "val")
     (train_ds, val_ds), stats = standardize(train_raw, val_raw)
 
-    try:
-        specs = [
-            EncoderSpec(d, hidden, str(cfg["activation"])) for d in sidecar["dims"]
-        ]
-        model = MultimodalClassifier(specs, sidecar["n_classes"], seed=tc.seed)
-    except ValueError as e:
-        raise CliError(str(e), EXIT_VALIDATION) from None
+    specs = [EncoderSpec(d, hidden, cfg["activation"]) for d in sidecar["dims"]]
+    model = MultimodalClassifier(specs, sidecar["n_classes"], seed=tc.seed)
 
     full_cfg = {
         "command": "train",
-        "data": {k: sidecar[k] for k in ("n_classes", "dims", "seed")},
+        "data": {k: sidecar.get(k) for k in ("n_classes", "dims", "seed")},
         "lr": tc.learning_rate,
         "epochs": tc.max_epochs,
         "batch_size": tc.batch_size,
@@ -311,24 +349,16 @@ _EVAL_DEFAULTS = {"split": "test", "bins": 10}
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _resolve(args, args.config, _EVAL_DEFAULTS)
-    model, stats, run_id = _load_checkpoint(args.checkpoint)
-    ds = stats.apply(_load_split(args.data, str(cfg["split"]))[0])
-    res = evaluate_model(model, ds, n_bins=int(cfg["bins"]))
+    cfg, model, ds, run_id = _scoring_inputs(args, _EVAL_DEFAULTS)
+    r = evaluate_model(model, ds, n_bins=cfg["bins"]).report
     out = _outdir(args.out)
-    doc = {
-        "config_hash": run_id,
-        "split": cfg["split"],
-        "metrics": res.report.to_dict(),
-    }
-    write_json(doc, out / "metrics.json")
-    with open(out / "reliability.csv", "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"# config_hash={run_id}\n")
-        f.write("bin,mean_confidence,accuracy,count\n")
-        for b, (mc, acc_b, count) in enumerate(res.report.per_bin):
-            f.write(f"{b},{mc!r},{acc_b!r},{count}\n")
+    write_json({"config_hash": run_id, "split": cfg["split"], "metrics": r.to_dict()},
+               out / "metrics.json")
+    _write_table(
+        out / "reliability.csv", run_id, ("bin", "mean_confidence", "accuracy", "count"),
+        ((b, *cells) for b, cells in enumerate(r.per_bin)),
+    )
     _write_meta(out, run_id)
-    r = res.report
     print(
         f"{cfg['split']}: acc={r.acc:.4f} kappa={r.kappa:.4f} ece={r.ece:.4f} "
         f"(n={r.n_samples}); metrics in {out}"
@@ -345,23 +375,17 @@ _SWEEP_DEFAULTS = {
 
 
 def cmd_noise_sweep(args) -> int:
-    cfg = _resolve(args, args.config, _SWEEP_DEFAULTS)
-    sigmas = _parse_tuple(str(cfg["sigmas"]), None, float, "sigmas")
-    seeds = _parse_tuple(str(cfg["noise_seeds"]), None, int, "noise-seeds")
-    modality = int(cfg["modality"])
-    model, stats, run_id = _load_checkpoint(args.checkpoint)
-    if not (1 <= modality <= model.n_modalities):
-        raise CliError(
-            f"--modality must be in [1, {model.n_modalities}]", EXIT_VALIDATION
-        )
-    ds = stats.apply(_load_split(args.data, str(cfg["split"]))[0])
-    sweep = noise_sweep(model, ds, sigmas, modality - 1, seeds)
+    cfg, model, ds, run_id = _scoring_inputs(args, _SWEEP_DEFAULTS)
+    sigmas = _parse_tuple(cfg["sigmas"], None, float, "sigmas")
+    seeds = _parse_tuple(cfg["noise_seeds"], None, int, "noise-seeds")
+    sweep = noise_sweep(model, ds, sigmas, cfg["modality"] - 1, seeds)
     out = _outdir(args.out)
     write_json({"config_hash": run_id, **sweep}, out / "sweep.json")
-    sweep_to_csv(sweep, out / "sweep.csv", comment=f"config_hash={run_id}")
+    cols = list(sweep["rows"][0])
+    _write_table(out / "sweep.csv", run_id, cols, ([r[c] for c in cols] for r in sweep["rows"]))
     _write_meta(out, run_id)
     print(
-        f"swept {len(sigmas)} sigmas x {len(seeds)} seeds on modality {modality}; "
+        f"swept {len(sigmas)} sigmas x {len(seeds)} seeds on modality {cfg['modality']}; "
         f"tables in {out}"
     )
     return EXIT_OK
@@ -377,30 +401,20 @@ _REPORT_DEFAULTS = {
 
 
 def cmd_report(args) -> int:
-    cfg = _resolve(args, args.config, _REPORT_DEFAULTS)
-    model, stats, run_id = _load_checkpoint(args.checkpoint)
-    ds = stats.apply(_load_split(args.data, str(cfg["split"]))[0])
+    cfg, model, ds, run_id = _scoring_inputs(args, _REPORT_DEFAULTS)
     noise = None
     if cfg["sigma"] is not None:
         if cfg["modality"] is None:
             raise CliError("--sigma requires --modality", EXIT_VALIDATION)
-        try:
-            noise = NoiseSpec(
-                int(cfg["modality"]) - 1, float(cfg["sigma"]), int(cfg["noise_seed"])
-            )
-        except ValueError as e:
-            raise CliError(str(e), EXIT_VALIDATION) from None
-    density = uncertainty_density(model, ds, noise, n_hist_bins=int(cfg["hist_bins"]))
+        noise = NoiseSpec(cfg["modality"] - 1, float(cfg["sigma"]), cfg["noise_seed"])
+    density = uncertainty_density(model, ds, noise, n_hist_bins=cfg["hist_bins"])
     out = _outdir(args.out)
     write_json({"config_hash": run_id, **density}, out / "density.json")
-    edges = density["bin_edges"]
-    names = sorted(density["histograms"])
-    with open(out / "density.csv", "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"# config_hash={run_id}\n")
-        f.write("bin_lo,bin_hi," + ",".join(names) + "\n")
-        for i in range(len(edges) - 1):
-            counts = ",".join(str(density["histograms"][n][i]) for n in names)
-            f.write(f"{edges[i]!r},{edges[i + 1]!r},{counts}\n")
+    edges, names = density["bin_edges"], sorted(density["histograms"])
+    _write_table(
+        out / "density.csv", run_id, ("bin_lo", "bin_hi", *names),
+        zip(edges[:-1], edges[1:], *(density["histograms"][n] for n in names)),
+    )
     _write_meta(out, run_id)
     print(f"uncertainty density tables in {out}")
     return EXIT_OK
@@ -412,14 +426,8 @@ FUSE_MAX_V = 1e150
 
 
 def cmd_fuse(args) -> int:
-    try:
-        with open(args.infile, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except OSError as e:
-        raise CliError(f"cannot read input: {e}", EXIT_IO) from None
-    except json.JSONDecodeError as e:
-        raise CliError(f"bad JSON input: {e}", EXIT_VALIDATION) from None
-    if not isinstance(doc, list) or not doc:
+    doc = _read_json(args.infile, "fuse input", list)
+    if not doc:
         raise CliError("input must be a non-empty JSON list", EXIT_VALIDATION)
     inputs = []
     for i, item in enumerate(doc):
@@ -435,7 +443,7 @@ def cmd_fuse(args) -> int:
             )
         try:
             inputs.append(StudentT(float(triple[0]), float(triple[1]), float(triple[2])))
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             raise CliError(f"entry {i}: {e}", EXIT_VALIDATION) from None
         if inputs[-1].v > FUSE_MAX_V:
             raise CliError(
@@ -468,23 +476,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config(p):
-        p.add_argument("--config", help="JSON file with option defaults")
+    def command(name, func, help, scores=False):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        if scores:  # reads a checkpoint and scores one split of a dataset
+            p.add_argument("--checkpoint", required=True)
+            p.add_argument("--data", required=True)
+            p.add_argument("--split", choices=["train", "val", "test"])
+        return p
 
-    p = sub.add_parser("generate-data", help="write synthetic CSVs with one or more modalities")
+    p = command("generate-data", cmd_generate_data, "write synthetic CSVs with one or more modalities")
     p.add_argument("--classes", type=int)
     p.add_argument("--per-class", dest="per_class", type=int)
     p.add_argument("--dims", help="feature dims, one per modality, e.g. 4,4")
     p.add_argument("--sep", help="class separations, one per modality, e.g. 3,3")
     p.add_argument("--seed", type=int)
     p.add_argument("--split", help="explicit train,val,test sizes, e.g. 500,100,100")
-    p.add_argument("--out", required=True)
-    add_config(p)
-    p.set_defaults(func=cmd_generate_data)
 
-    p = sub.add_parser("train", help="train a classifier on a dataset directory")
+    p = command("train", cmd_train, "train a classifier on a dataset directory")
     p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
     p.add_argument("--lr", type=float)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", dest="batch_size", type=int)
@@ -494,44 +504,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--activation", choices=["relu", "tanh"])
     p.add_argument("--freeze-encoders", dest="freeze_encoders", action="store_const", const=True)
     p.add_argument("--keep-best", dest="keep_best", action="store_const", const=True)
-    add_config(p)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="score a checkpoint on one split")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--split", choices=["train", "val", "test"])
+    p = command("evaluate", cmd_evaluate, "score a checkpoint on one split", scores=True)
     p.add_argument("--bins", type=int)
-    p.add_argument("--out", required=True)
-    add_config(p)
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("noise-sweep", help="evaluate under per-modality noise")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--split", choices=["train", "val", "test"])
+    p = command("noise-sweep", cmd_noise_sweep, "evaluate under per-modality noise", scores=True)
     p.add_argument("--sigmas", help="comma-separated noise levels")
     p.add_argument("--modality", type=int, help="1-based corrupted modality")
     p.add_argument("--noise-seeds", dest="noise_seeds", help="comma-separated seeds")
-    p.add_argument("--out", required=True)
-    add_config(p)
-    p.set_defaults(func=cmd_noise_sweep)
 
-    p = sub.add_parser("report", help="emit uncertainty-density tables")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--split", choices=["train", "val", "test"])
-    p.add_argument("--modality", type=int)
+    p = command("report", cmd_report, "emit uncertainty-density tables", scores=True)
+    p.add_argument("--modality", type=int, help="1-based noised modality")
     p.add_argument("--sigma", type=float)
     p.add_argument("--noise-seed", dest="noise_seed", type=int)
     p.add_argument("--hist-bins", dest="hist_bins", type=int)
-    p.add_argument("--out", required=True)
-    add_config(p)
-    p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("fuse", help="fuse Student's t parameters from a JSON file")
+    # every command but `fuse` writes a directory and takes option defaults,
+    # whose config values `_resolve` checks against these flags
+    for p in sub.choices.values():
+        p.add_argument("--out", required=True)
+        p.add_argument("--config", help="JSON file with option defaults")
+        p.set_defaults(flags={a.dest: a for a in p._actions})
+
+    p = command("fuse", cmd_fuse, "fuse Student's t parameters from a JSON file")
     p.add_argument("--in", dest="infile", required=True)
-    p.set_defaults(func=cmd_fuse)
 
     return parser
 
@@ -542,17 +538,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return e.code
+        err, code = e, e.code
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
+        err, code = e, EXIT_VALIDATION
     except (TrainingDivergedError, FloatingPointError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        err, code = e, EXIT_NUMERICAL
     except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
+        err, code = e, EXIT_IO
+    print(f"error: {err}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

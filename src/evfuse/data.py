@@ -299,8 +299,3 @@ def save_sidecar(path, spec: SyntheticSpec, config_hash: str) -> None:
         raise FloatingPointError(f"not writing {path}: {e}") from None
     with open(path, "w", encoding="utf-8") as f:
         f.write(text + "\n")
-
-
-def load_sidecar(path) -> dict:
-    with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)

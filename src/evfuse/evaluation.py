@@ -403,17 +403,6 @@ def uncertainty_density(
 # serialization helpers
 
 
-def sweep_to_csv(sweep: dict, path, comment: str | None = None) -> None:
-    rows = sweep["rows"]
-    cols = list(rows[0].keys())
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        if comment:
-            f.write(f"# {comment}\n")
-        f.write(",".join(cols) + "\n")
-        for r in rows:
-            f.write(",".join(repr(r[c]) if isinstance(r[c], float) else str(r[c]) for c in cols) + "\n")
-
-
 def write_json(doc: dict, path) -> None:
     """Write `doc` as sorted, indented JSON.  JSON holds no NaN or infinity,
     so one raises FloatingPointError before the file is opened."""

@@ -408,12 +408,15 @@ class MultimodalClassifier:
 
 
 def _copy_into(view: np.ndarray, saved, name: str) -> None:
-    """Copy a saved array into its weight view; the shapes must match exactly."""
+    """Copy a saved array into its weight view; the shapes must match exactly
+    and every value be finite (a JSON null reads as NaN)."""
     saved = np.asarray(saved, dtype=float)
     if saved.shape != view.shape:
         raise ValueError(
             f"checkpoint array {name} has shape {saved.shape}, expected {view.shape}"
         )
+    if not np.isfinite(saved).all():
+        raise ValueError(f"checkpoint array {name} must be finite")
     view[...] = saved
 
 

@@ -1,10 +1,16 @@
+import contextlib
+import copy
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import evfuse
 import evfuse.cli
@@ -222,6 +228,59 @@ class TestTrain:
         )
         assert code == 1 and "unknown config keys" in err
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ('{"freeze_encoders": "no"}', 'config freeze_encoders: expected true or false, got "no"'),
+            ('{"keep_best": 1}', "config keep_best: expected true or false, got 1"),
+            ('{"epochs": 1.7}', "config epochs: expected an integer, got 1.7"),
+            ('{"batch_size": true}', "config batch_size: expected an integer, got true"),
+            ('{"epochs": null}', "config epochs: expected an integer, got null"),
+            ('{"lr": "0.1"}', 'config lr: expected a finite number, got "0.1"'),
+            ('{"lr": NaN}', "config lr: expected a finite number, got NaN"),
+            ('{"lam": 1' + "0" * 400 + "}", "config lam: expected a finite number, got 1" + "0" * 400),
+            ('{"hidden": [8]}', "config hidden: expected a string, got [8]"),
+            ('{"activation": "sigmoid"}', 'config activation: expected one of relu, tanh, got "sigmoid"'),
+            ('["lr"]', "cfg.json: expected a JSON object, got list"),
+        ],
+        ids=["bool-str", "bool-int", "int-float", "int-bool", "int-null", "float-str", "float-nan",
+             "float-huge-int", "str-list", "choice", "list"],
+    )
+    def test_config_value_of_wrong_type_exit_1(self, pipeline, tmp_path, capsys, doc, message):
+        data, _ = pipeline
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(doc)
+        out = tmp_path / "o"
+        code, stdout, err = _run(
+            capsys, "train", "--data", str(data), "--out", str(out), "--config", str(cfg),
+            "--epochs", "1", "--hidden", "4",
+        )
+        assert code == 1 and stdout == ""
+        assert err.startswith("error:") and err.endswith(f"{message}\n") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_config_integer_for_float_option(self, pipeline, tmp_path):
+        data, _ = pipeline
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lam": 1, "freeze_encoders": True}))
+        out = tmp_path / "o"
+        assert main([
+            "train", "--data", str(data), "--out", str(out), "--config", str(cfg),
+            "--epochs", "1", "--hidden", "4",
+        ]) == 0
+        config = json.loads((out / "artifact.json").read_text())["config"]
+        assert config["lam"] == 1.0 and isinstance(config["lam"], float)
+        assert config["freeze_encoders"] is True
+
+    def test_null_config_value_where_the_default_is_null(self, pipeline, tmp_path):
+        data, run = pipeline
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"modality": None, "sigma": None, "split": "val"}))
+        assert main([
+            "report", "--checkpoint", str(run / "checkpoint.json"), "--data", str(data),
+            "--out", str(tmp_path / "rep"), "--config", str(cfg),
+        ]) == 0
+
 
 class TestEvaluate:
     def test_metrics_written(self, pipeline, tmp_path, capsys):
@@ -281,12 +340,14 @@ class TestEvaluate:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["evaluate", "noise-sweep", "report"])
-    @pytest.mark.parametrize("defect", ["bias_object", "no_standardization"])
+    @pytest.mark.parametrize("defect", ["bias_object", "no_standardization", "hash_list"])
     def test_malformed_checkpoint_exit_1(self, pipeline, tmp_path, capsys, command, defect):
         data, run = pipeline
         ckpt = json.loads((run / "checkpoint.json").read_text())
         if defect == "bias_object":
             ckpt["model"]["heads"][0]["bias"] = {"not": "an array"}
+        elif defect == "hash_list":
+            ckpt["config_hash"] = [1, 2]
         else:
             del ckpt["standardization"]
         bad = tmp_path / "bad.json"
@@ -351,6 +412,40 @@ class TestEvaluate:
         )
         assert code == 1
         assert err.startswith("error:") and "row 3, column 5: non-finite cell 'nan'" in err
+        assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize(
+        "target, doc, message",
+        [
+            ("sidecar", "{}", "bad dataset sidecar: dims must be a non-empty list of positive integers"),
+            ("sidecar", "[1, 2]", "dataset.json: expected a JSON object, got list"),
+            ("sidecar", '{"dims": "ab", "n_classes": 3}',
+             "bad dataset sidecar: dims must be a non-empty list of positive integers"),
+            ("sidecar", '{"dims": [3, 3], "n_classes": "3"}',
+             "bad dataset sidecar: n_classes must be an integer >= 2"),
+            ("checkpoint", '{"model": 5, "standardization": {}}',
+             "bad checkpoint contents: 'int' object has no attribute"),
+            ("config", "5", "cfg.json: expected a JSON object, got int"),
+            ("config", "[" * 100_000, "cfg.json: maximum recursion depth exceeded"),
+        ],
+        ids=["sidecar-empty", "sidecar-list", "sidecar-dims-str", "sidecar-classes-str",
+             "checkpoint-model-int", "config-int", "config-deep"],
+    )
+    def test_malformed_json_input_exit_1(self, pipeline, tmp_path, capsys, target, doc, message):
+        data, run = pipeline
+        shutil.copytree(data, tmp_path / "data")
+        files = {"sidecar": tmp_path / "data" / "dataset.json",
+                 "checkpoint": tmp_path / "checkpoint.json", "config": tmp_path / "cfg.json"}
+        shutil.copy(run / "checkpoint.json", files["checkpoint"])
+        files["config"].write_text("{}")
+        files[target].write_text(doc)
+        code, stdout, err = _run(
+            capsys, "evaluate", "--checkpoint", str(files["checkpoint"]),
+            "--data", str(tmp_path / "data"), "--config", str(files["config"]),
+            "--out", str(tmp_path / "eval"),
+        )
+        assert code == 1 and stdout == ""
+        assert err.startswith("error:") and message in err and err.count("\n") == 1
         assert not (tmp_path / "eval").exists()
 
 
@@ -424,6 +519,22 @@ class TestNoiseSweepAndReport:
             "--data", str(data), "--sigma", "1.0", "--out", str(tmp_path / "x"),
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "modality",
+        [["--modality", "9", "--sigma", "1"], ["--modality", "0", "--sigma", "1"], ["--modality", "5"]],
+        ids=["9-noised", "0-noised", "5-clean"],
+    )
+    def test_report_modality_range_checked(self, pipeline, tmp_path, capsys, modality):
+        data, run = pipeline
+        out = tmp_path / "rep"
+        code, stdout, err = _run(
+            capsys, "report", "--checkpoint", str(run / "checkpoint.json"),
+            "--data", str(data), *modality, "--out", str(out),
+        )
+        assert code == 1 and stdout == ""
+        assert err == "error: --modality must be in [1, 2]\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("sigmas", ["nan", "inf", "1e400", "0.1,-1"])
     def test_bad_sweep_sigma_exit_1_before_encoding(self, pipeline, tmp_path, capsys, monkeypatch, sigmas):
@@ -536,6 +647,13 @@ class TestFuse:
         assert stdout == ""
         assert err.startswith("error:") and message in err
 
+    def test_integer_beyond_float_range_exit_1(self, tmp_path, capsys):
+        f = tmp_path / "in.json"
+        f.write_text("[[0, 1, 1" + "0" * 400 + "]]")
+        code, stdout, err = _run(capsys, "fuse", "--in", str(f))
+        assert code == 1 and stdout == ""
+        assert err == "error: entry 0: int too large to convert to float\n"
+
     def test_overflow_prints_only_the_error_line(self, tmp_path):
         # in a fresh process, so that a numpy warning would reach stderr
         f = tmp_path / "in.json"
@@ -555,3 +673,97 @@ class TestFuse:
     def test_unknown_command_exit_1(self, capsys):
         code, _, _ = _run(capsys, "frobnicate")
         assert code == 1
+
+
+# ---------------------------------------------------------------------------
+# exit-code fuzz over the JSON inputs: config, sidecar, checkpoint, fuse input
+
+_OTHER_VALUES = ["x", 0, 0.5, True, None, [], {}]
+
+
+def _positions(doc, path=()):
+    """Every position in a JSON document; a long list contributes its ends."""
+    yield path
+    if isinstance(doc, dict):
+        items = list(doc.items())
+    elif isinstance(doc, list):
+        items = list(enumerate(doc))
+        items = items if len(items) <= 2 else [items[0], items[-1]]
+    else:
+        return
+    for key, value in items:
+        yield from _positions(value, path + (key,))
+
+
+@st.composite
+def _mutated(draw, doc):
+    """The text of `doc` with one key dropped, one value replaced by a value
+    of another JSON type or nested in a list, the text truncated, or the top
+    level replaced by a scalar or a list."""
+    kind = draw(st.sampled_from(["drop", "swap", "nest", "truncate", "top"]))
+    if kind == "truncate":
+        text = json.dumps(doc)
+        return text[: draw(st.integers(0, len(text) - 1))]
+    if kind == "top":
+        return json.dumps(draw(st.sampled_from([5, "x", None, False, [], [1, 2]])))
+    doc = copy.deepcopy(doc)
+    *path, key = draw(st.sampled_from(list(_positions(doc))[1:]))
+    parent = doc
+    for k in path:
+        parent = parent[k]
+    if kind == "drop":
+        del parent[key]
+    elif kind == "nest":
+        parent[key] = [parent[key]]
+    else:
+        parent[key] = draw(
+            st.sampled_from([v for v in _OTHER_VALUES if type(v) is not type(parent[key])])
+        )
+    return json.dumps(doc)
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(pipeline, tmp_path_factory):
+    """A valid document per JSON input, the file each is written to, and the
+    command that reads that file."""
+    data, run = pipeline
+    root = tmp_path_factory.mktemp("fuzz")
+    shutil.copytree(data, root / "data")
+    ckpt, out = str(run / "checkpoint.json"), str(root / "out")
+    train_config = {"lr": 0.001, "epochs": 1, "batch_size": 16, "lam": 0.5, "seed": 3,
+                    "hidden": "4", "activation": "tanh", "freeze_encoders": False,
+                    "keep_best": True}
+    report_config = {"split": "val", "modality": 2, "sigma": 0.5, "noise_seed": 1,
+                     "hist_bins": 8}
+    return {
+        "train-config": (train_config, root / "train.json",
+                         ["train", "--data", str(data), "--out", out, "--epochs", "1",
+                          "--config", str(root / "train.json")]),
+        "report-config": (report_config, root / "report.json",
+                          ["report", "--checkpoint", ckpt, "--data", str(data), "--out", out,
+                           "--config", str(root / "report.json")]),
+        "sidecar": (json.loads((data / "dataset.json").read_text()), root / "data" / "dataset.json",
+                    ["evaluate", "--checkpoint", ckpt, "--data", str(root / "data"), "--out", out]),
+        "checkpoint": (json.loads((run / "checkpoint.json").read_text()), root / "ckpt.json",
+                       ["evaluate", "--checkpoint", str(root / "ckpt.json"), "--data", str(data),
+                        "--out", out]),
+        "fuse": ([{"u": 0, "sigma": 1, "v": 4}, [1, 2, 6]], root / "fuse.json",
+                 ["fuse", "--in", str(root / "fuse.json")]),
+    }
+
+
+@pytest.mark.parametrize("target", ["train-config", "report-config", "sidecar", "checkpoint", "fuse"])
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_malformed_json_exits_with_one_error_line(fuzz_inputs, target, data):
+    doc, path, argv = fuzz_inputs[target]
+    path.write_text(data.draw(_mutated(doc)))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err.getvalue()
+    else:
+        assert err.getvalue() == ""

@@ -1,3 +1,4 @@
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,7 +15,6 @@ from evfuse.data import (
     SyntheticSpec,
     generate_synthetic,
     load_csv,
-    load_sidecar,
     save_csv,
     save_sidecar,
     standardize,
@@ -194,7 +194,7 @@ class TestCsv:
         spec = SyntheticSpec(seed=9, split_sizes=(400, 100, 100))
         path = tmp_path / "dataset.json"
         save_sidecar(path, spec, "0123456789abcdef")
-        doc = load_sidecar(path)
+        doc = json.loads(path.read_text())
         assert doc["config_hash"] == "0123456789abcdef"
         assert doc["n_classes"] == 3
         assert doc["dims"] == [4, 4]

@@ -276,8 +276,12 @@ class TestCheckpoint:
              r"encoders\[1\]\.weights holds 2 arrays, expected 1"),
             (lambda s: s["encoders"].pop(), "one encoder and one head per encoder spec"),
             (lambda s: s["heads"].pop(), "one encoder and one head per encoder spec"),
+            (lambda s: s["heads"][0]["bias"].__setitem__(2, None), r"heads\[0\]\.bias must be finite"),
+            (lambda s: s["encoders"][1]["weights"][0][0].__setitem__(0, float("inf")),
+             r"encoders\[1\]\.weights\[0\] must be finite"),
         ],
-        ids=["bias-shape", "head-shape", "weight-count", "encoder-count", "head-count"],
+        ids=["bias-shape", "head-shape", "weight-count", "encoder-count", "head-count",
+             "null-bias", "inf-weight"],
     )
     def test_rejects_malformed_weights(self, mutate, message):
         state = _tiny_model().state_dict()
