@@ -193,13 +193,20 @@ def _load_checkpoint(path) -> tuple[MultimodalClassifier, Standardization, str]:
 def _scoring_inputs(args, defaults: dict):
     """What `evaluate`, `noise-sweep` and `report` read: the resolved options,
     the checkpoint's model, its standardized `split` and the run's config
-    hash.  A 1-based `modality` option, where set, must be in [1, M]."""
+    hash.  A 1-based `modality` option, where set, must be in [1, M], and
+    the dataset's modality dims must be the model's."""
     cfg = _resolve(args, defaults)
     model, stats, run_id = _load_checkpoint(args.checkpoint)
     modality = cfg.get("modality")
     if modality is not None and not 1 <= modality <= model.n_modalities:
         raise CliError(f"--modality must be in [1, {model.n_modalities}]", EXIT_VALIDATION)
-    _, (ds,) = _load_splits(args.data, cfg["split"])
+    sidecar, (ds,) = _load_splits(args.data, cfg["split"])
+    dims = [spec.input_dim for spec in model.encoder_specs]
+    if sidecar["dims"] != dims:
+        raise CliError(
+            f"dataset dims {sidecar['dims']} do not match the checkpoint's input dims {dims}",
+            EXIT_VALIDATION,
+        )
     return cfg, model, stats.apply(ds), run_id
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .distributions import nig_moments_arrays, nig_to_st_arrays, st_variance_arrays
 from .fusion import fuse_stack
-from .losses import softmax
+from .losses import reduce_last_axis, softmax
 from .model import INFERENCE_CHUNK_ROWS, MultimodalClassifier, _constrain_arrays
 
 
@@ -42,7 +42,7 @@ def class_posterior(u: np.ndarray, sigma: np.ndarray, v: np.ndarray) -> np.ndarr
     """
     vs = v * sigma
     llr = 0.5 * (v + 1.0) * (np.log1p(u**2 / vs) - np.log1p((1.0 - u) ** 2 / vs))
-    return softmax(llr, axis=-1)
+    return softmax(llr)
 
 
 @dataclass(frozen=True)
@@ -137,19 +137,25 @@ def ece(
     # bin b covers (b/n, (b+1)/n]; confidence 0 joins the bottom bin
     idx = np.ceil(conf * n_bins).astype(int) - 1
     idx = np.clip(idx, 0, n_bins - 1)
+    # a stable sort keeps each bin's rows in input order, so a bin's mean is
+    # taken over the same values in the same order as over a mask; on
+    # integers of 16 bits or fewer numpy's stable sort is a radix sort
+    order = np.argsort(idx.astype(np.min_scalar_type(n_bins - 1)), kind="stable")
+    conf, corr = conf[order], corr[order]
+    counts = np.bincount(idx, minlength=n_bins).tolist()
     total = 0.0
     per_bin = []
     n = len(conf)
-    for b in range(n_bins):
-        mask = idx == b
-        count = int(mask.sum())
+    a = 0
+    for count in counts:
         if count == 0:
             per_bin.append((0.0, 0.0, 0))
             continue
-        mean_conf = float(conf[mask].mean())
-        acc_b = float(corr[mask].mean())
+        mean_conf = float(conf[a : a + count].mean())
+        acc_b = float(corr[a : a + count].mean())
         per_bin.append((mean_conf, acc_b, count))
         total += count / n * abs(acc_b - mean_conf)
+        a += count
     return float(total), per_bin
 
 
@@ -236,7 +242,7 @@ def _score_modality(model: MultimodalClassifier, scores: _Scores, m: int, x) -> 
         own = np.argmax(gamma, axis=-1)
         scores.pred[m, a:b] = own
         scores.unc[m, a:b] = np.take_along_axis(al + ep, own[:, None], axis=-1)[:, 0]
-        scores.ep[m, a:b] = ep.mean(axis=-1)
+        scores.ep[m, a:b] = reduce_last_axis(np.add, ep)[:, 0] / ep.shape[-1]  # channel mean
 
 
 def _score_modalities(model: MultimodalClassifier, features) -> _Scores:

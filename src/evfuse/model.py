@@ -98,7 +98,14 @@ class EvidentialOutput:
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, x)
+    """log(1 + e^x) in the stable form log1p(e^-|x|) + max(x, 0).
+
+    `abs` writes a contiguous temporary, so `exp` and `log1p` run numpy's
+    vector loops whatever the layout of `x` (`logaddexp` calls scalar libm
+    on every element); the result can differ from `logaddexp(0, x)` in the
+    last bits.
+    """
+    return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
 
 
 _DELTA_FLOOR = 1e-6
@@ -108,11 +115,11 @@ _BETA_FLOOR = 1e-6
 
 def _constrain_arrays(raw: np.ndarray):
     """raw (..., K, 4) -> (gamma, delta, alpha, beta), each (..., K)."""
-    gamma = raw[..., 0]
-    delta = softplus(raw[..., 1]) + _DELTA_FLOOR
-    alpha = 1.0 + softplus(raw[..., 2]) + _ALPHA_FLOOR
-    beta = softplus(raw[..., 3]) + _BETA_FLOOR
-    return gamma, delta, alpha, beta
+    evidence = softplus(raw[..., 1:])  # one call over the (..., K, 3) block
+    delta = evidence[..., 0] + _DELTA_FLOOR
+    alpha = 1.0 + evidence[..., 1] + _ALPHA_FLOOR
+    beta = evidence[..., 2] + _BETA_FLOOR
+    return raw[..., 0], delta, alpha, beta
 
 
 def _constrain_backward(raw: np.ndarray, g_params: np.ndarray) -> np.ndarray:
@@ -143,11 +150,10 @@ def readout(raw: np.ndarray) -> dict:
 
 def _check_finite(x: np.ndarray, m: int) -> None:
     """Raise ValueError naming modality `m` (0-based) and the first row of `x` that is not finite."""
+    if np.isfinite(x).all():  # one pass over the block; rows are looked at only on failure
+        return
     bad = ~np.isfinite(x).all(axis=1)
-    if bad.any():
-        raise ValueError(
-            f"modality {m + 1} has a non-finite feature in row {int(np.argmax(bad))}"
-        )
+    raise ValueError(f"modality {m + 1} has a non-finite feature in row {int(np.argmax(bad))}")
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:

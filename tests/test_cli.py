@@ -360,6 +360,27 @@ class TestEvaluate:
         assert err.startswith("error: bad checkpoint contents")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["evaluate", "noise-sweep", "report"])
+    def test_sidecar_dims_must_match_the_checkpoint(self, pipeline, tmp_path, capsys, command):
+        """The checkpoint's six columns split as 2 + 4 instead of 3 + 3."""
+        data, run = pipeline
+        copy = tmp_path / "data"
+        copy.mkdir()
+        sidecar = json.loads((data / "dataset.json").read_text())
+        sidecar["dims"] = [2, 4]
+        (copy / "dataset.json").write_text(json.dumps(sidecar))
+        for split in ("train", "val", "test"):
+            lines = (data / f"{split}.csv").read_text().splitlines()
+            lines[1] = "label,m1_0,m1_1,m2_0,m2_1,m2_2,m2_3"  # under the config_hash line
+            (copy / f"{split}.csv").write_text("\n".join(lines) + "\n")
+        code, stdout, err = _run(
+            capsys, command, "--checkpoint", str(run / "checkpoint.json"),
+            "--data", str(copy), "--out", str(tmp_path / "out"),
+        )
+        assert code == 1 and stdout == ""
+        assert err == "error: dataset dims [2, 4] do not match the checkpoint's input dims [3, 3]\n"
+        assert not (tmp_path / "out").exists()
+
     def test_weighted_kappa_config_key_exit_1(self, pipeline, tmp_path, capsys):
         data, run = pipeline
         cfg = tmp_path / "cfg.json"

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from evfuse.data import Dataset
 from evfuse.distributions import st_nll_arrays
@@ -94,7 +96,54 @@ def _kappa_loop(preds, labels, n_classes, weighted):
     return 0.0 if d_exp == 0.0 else float(1.0 - (w * cm).sum() / d_exp)
 
 
+def _mask_loop_ece(confidences, correct, n_bins):
+    """The ECE as one mask pass per bin: the oracle of the sorted-segment `ece`."""
+    conf = np.asarray(confidences, dtype=float)
+    corr = np.asarray(correct, dtype=float)
+    idx = np.clip(np.ceil(conf * n_bins).astype(int) - 1, 0, n_bins - 1)
+    total, per_bin = 0.0, []
+    for b in range(n_bins):
+        mask = idx == b
+        count = int(mask.sum())
+        if count == 0:
+            per_bin.append((0.0, 0.0, 0))
+            continue
+        mean_conf = float(conf[mask].mean())
+        acc_b = float(corr[mask].mean())
+        per_bin.append((mean_conf, acc_b, count))
+        total += count / len(conf) * abs(acc_b - mean_conf)
+    return float(total), per_bin
+
+
+@st.composite
+def _ece_inputs(draw):
+    """Confidences in [0, 1], often exactly on a bin edge, and their outcomes."""
+    n_bins = draw(st.integers(1, 20))
+    edges = st.sampled_from([0.0, 0.1, 1.0]) | st.integers(0, n_bins).map(lambda b: b / n_bins)
+    conf = draw(st.lists(st.floats(0.0, 1.0) | edges, min_size=1, max_size=60))
+    correct = draw(st.lists(st.booleans(), min_size=len(conf), max_size=len(conf)))
+    return conf, correct, n_bins
+
+
 class TestEce:
+    @given(_ece_inputs())
+    def test_equals_the_mask_loop(self, case):
+        conf, correct, n_bins = case
+        assert ece(conf, correct, n_bins) == _mask_loop_ece(conf, correct, n_bins)
+
+    @pytest.mark.parametrize("n_bins", [1, 7, 10, 20, 300])
+    def test_equals_the_mask_loop_on_many_rows(self, n_bins):
+        rng = np.random.default_rng(n_bins)
+        conf = rng.random(20_000) ** 0.25  # crowds the top bins, leaves low ones empty
+        conf[::97] = np.round(conf[::97] * n_bins) / n_bins  # exactly on an edge
+        correct = rng.random(20_000) < conf
+        assert ece(conf, correct, n_bins) == _mask_loop_ece(conf, correct, n_bins)
+
+    def test_edges_join_the_bin_below(self):
+        conf = np.arange(11) / 10  # 0, 0.1, ..., 1.0
+        _, per_bin = ece(conf, [True] * 11, n_bins=10)
+        assert [c for _, _, c in per_bin] == [2] + [1] * 9
+
     def test_perfectly_calibrated(self):
         val, _ = ece([1.0] * 5, [True] * 5)
         assert val == 0.0

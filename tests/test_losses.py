@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import digamma
 
 from evfuse.distributions import NIGParams, StudentT, nig_to_student_t, st_nll_arrays, student_t_logpdf
@@ -12,6 +13,8 @@ from evfuse.losses import (
     cross_entropy_arrays,
     nig_nll,
     nig_nll_arrays,
+    reduce_last_axis,
+    softmax,
     st_nll_and_grads_arrays,
     student_t_nll,
     total_loss_and_grads_arrays,
@@ -86,6 +89,39 @@ class TestCrossEntropy:
         # d CE / d logits = softmax - one-hot
         e = np.exp(logits)
         np.testing.assert_allclose(grad, e / e.sum() - [0.0, 0.0, 1.0], rtol=1e-12)
+
+
+class TestReduceLastAxis:
+    """The column-op reduction is numpy's own reduction, bit for bit."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize(
+        "lead", [(), (9,), (4096,), (2, 3, 5), (2, 50, 3)], ids=["1d", "2d", "2d-long", "4d", "4d-long"]
+    )
+    def test_equals_numpy_reduce(self, k, lead):
+        rng = np.random.default_rng(k)
+        # mixed magnitudes, so a different summation order would show in the last bits
+        x = rng.standard_normal(lead + (k,)) * 10.0 ** rng.integers(-8, 9, lead + (k,))
+        for ufunc, ref in ((np.maximum, x.max(axis=-1, keepdims=True)),
+                           (np.add, x.sum(axis=-1, keepdims=True))):
+            got = reduce_last_axis(ufunc, x)
+            assert got.shape == ref.shape and np.array_equal(got, ref)
+
+    @given(hnp.array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=12), st.integers(1, 7), st.data())
+    def test_equals_numpy_reduce_on_any_short_axis(self, lead, k, data):
+        x = data.draw(hnp.arrays(float, lead + (k,), elements=st.floats(-1e300, 1e300)))
+        assert np.array_equal(reduce_last_axis(np.maximum, x), x.max(axis=-1, keepdims=True))
+        assert np.array_equal(reduce_last_axis(np.add, x), x.sum(axis=-1, keepdims=True))
+
+    def test_leaves_the_input_alone(self):
+        x = np.arange(300.0).reshape(100, 3)  # enough rows for the column ops
+        reduce_last_axis(np.add, x)
+        assert np.array_equal(x, np.arange(300.0).reshape(100, 3))
+
+    def test_softmax_equals_the_axis_reduction_form(self):
+        x = np.random.default_rng(0).standard_normal((500, 3)) * 30.0
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        assert np.array_equal(softmax(x), e / e.sum(axis=-1, keepdims=True))
 
 
 def _parts(per_modality, y, lam):

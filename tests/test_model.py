@@ -23,6 +23,7 @@ from evfuse.model import (
     _dataset_loss,
     config_hash,
     readout,
+    softplus,
     train,
 )
 
@@ -48,6 +49,23 @@ class TestHeadConstrain:
     def test_softplus_linear_regime(self):
         alpha = _constrain([0.0, 0.0, 20.0, 0.0])[2]
         assert alpha == pytest.approx(21.0, abs=1e-3)
+
+    def test_softplus_within_4_ulp_of_logaddexp(self):
+        x = np.concatenate([np.linspace(-300.0, 300.0, 600_001), [-0.0, 1e-300, -1e-300]])
+        got, ref = softplus(x), np.logaddexp(0.0, x)
+        assert np.all(np.abs(got - ref) <= 4 * np.spacing(ref))
+
+    def test_softplus_zero_and_0d(self):
+        assert softplus(np.float64(0.0)) == LOG2
+        assert softplus(np.array(0.0)) == LOG2 and np.ndim(softplus(np.array(0.0))) == 0
+        assert softplus(np.array(-700.0)) > 0.0 and softplus(np.array(745.2)) == 745.2
+
+    def test_softplus_does_not_depend_on_the_layout(self):
+        raw = np.random.default_rng(3).standard_normal((37, 3, 4)) * 40.0
+        block = softplus(raw[..., 1:])
+        assert np.array_equal(block, softplus(np.ascontiguousarray(raw[..., 1:])))
+        assert np.array_equal(block, np.stack([softplus(raw[i, :, 1:]) for i in range(37)]))
+        assert np.array_equal(block, np.stack([softplus(raw[..., j]) for j in (1, 2, 3)], axis=-1))
 
     @given(st.lists(st.floats(-50, 50), min_size=4, max_size=4))
     def test_constraint_map_is_total(self, raw):
