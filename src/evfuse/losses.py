@@ -72,27 +72,22 @@ def st_nll_and_grads_arrays(u, sigma, v, y):
     return nll, d_u, t / sigma, d_v
 
 
-# Below this many rows numpy's own reduction of the last axis is as fast as
-# the column ops (a training batch's (M + 1, 16, K) stack is 48 rows).
-_COLUMN_OPS_MIN_ROWS = 64
-
-
 def reduce_last_axis(ufunc, x: np.ndarray) -> np.ndarray:
     """`ufunc.reduce(x, axis=-1, keepdims=True)` for `np.maximum` or `np.add`,
     as K - 1 column ops over the K entries of the last axis.
 
     Numpy reduces a short last axis row by row, which on an (N, 3) block is
     ten times slower than three column ops.  The values are the same bits: a
-    max is exact, and numpy adds an axis shorter than 8 from left to right
-    (a longer one it adds pairwise, so there the sum may differ in the last
-    bits).  Arrays of fewer than `_COLUMN_OPS_MIN_ROWS` rows take numpy's
-    reduction.
+    max is exact, and numpy adds an axis shorter than 8 from left to right.
+    An axis of 8 or more it adds with 8 accumulators, so there this takes
+    numpy's own reduction.
     """
-    if x.size < _COLUMN_OPS_MIN_ROWS * x.shape[-1]:
+    k = x.shape[-1]
+    if k >= 8:
         return ufunc.reduce(x, axis=-1, keepdims=True)
     out = x[..., :1].copy()
     col = out[..., 0]
-    for j in range(1, x.shape[-1]):
+    for j in range(1, k):
         ufunc(col, x[..., j], out=col)
     return out
 
@@ -105,10 +100,10 @@ def softmax(x: np.ndarray) -> np.ndarray:
 
 def cross_entropy_arrays(logits: np.ndarray, y_onehot: np.ndarray):
     """CE against one-hot targets along the last axis, with its gradient."""
-    z = logits - reduce_last_axis(np.maximum, logits)
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    s = reduce_last_axis(np.add, e)
-    ce = np.log(s[..., 0]) - reduce_last_axis(np.add, z * y_onehot)[..., 0]
+    s = e.sum(axis=-1, keepdims=True)
+    ce = np.log(s[..., 0]) - (z * y_onehot).sum(axis=-1)
     return ce, e / s - y_onehot
 
 

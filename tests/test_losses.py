@@ -94,10 +94,8 @@ class TestCrossEntropy:
 class TestReduceLastAxis:
     """The column-op reduction is numpy's own reduction, bit for bit."""
 
-    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7])
-    @pytest.mark.parametrize(
-        "lead", [(), (9,), (4096,), (2, 3, 5), (2, 50, 3)], ids=["1d", "2d", "2d-long", "4d", "4d-long"]
-    )
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8, 10])
+    @pytest.mark.parametrize("lead", [(), (9,), (2, 3, 5)], ids=["1d", "2d", "4d"])
     def test_equals_numpy_reduce(self, k, lead):
         rng = np.random.default_rng(k)
         # mixed magnitudes, so a different summation order would show in the last bits
@@ -107,14 +105,14 @@ class TestReduceLastAxis:
             got = reduce_last_axis(ufunc, x)
             assert got.shape == ref.shape and np.array_equal(got, ref)
 
-    @given(hnp.array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=12), st.integers(1, 7), st.data())
-    def test_equals_numpy_reduce_on_any_short_axis(self, lead, k, data):
+    @given(hnp.array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=12), st.integers(1, 12), st.data())
+    def test_equals_numpy_reduce_on_any_axis(self, lead, k, data):
         x = data.draw(hnp.arrays(float, lead + (k,), elements=st.floats(-1e300, 1e300)))
         assert np.array_equal(reduce_last_axis(np.maximum, x), x.max(axis=-1, keepdims=True))
         assert np.array_equal(reduce_last_axis(np.add, x), x.sum(axis=-1, keepdims=True))
 
     def test_leaves_the_input_alone(self):
-        x = np.arange(300.0).reshape(100, 3)  # enough rows for the column ops
+        x = np.arange(300.0).reshape(100, 3)
         reduce_last_axis(np.add, x)
         assert np.array_equal(x, np.arange(300.0).reshape(100, 3))
 
