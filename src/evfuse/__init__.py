@@ -10,12 +10,9 @@ __version__ = "0.1.0"
 
 from .distributions import (
     NIGParams,
-    QuadratureConvergenceError,
-    QuadratureSpec,
     StudentT,
     nig_aleatoric,
     nig_epistemic,
-    nig_marginal_pdf_quadrature,
     nig_to_student_t,
     student_t_logpdf,
     student_t_pdf,
@@ -55,15 +52,12 @@ from .evaluation import (
 __all__ = [
     "NIGParams",
     "StudentT",
-    "QuadratureSpec",
-    "QuadratureConvergenceError",
     "nig_aleatoric",
     "nig_epistemic",
     "nig_to_student_t",
     "student_t_pdf",
     "student_t_logpdf",
     "student_t_variance",
-    "nig_marginal_pdf_quadrature",
     "FusedStudentT",
     "fuse_pair",
     "fuse_many",

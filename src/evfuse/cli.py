@@ -27,7 +27,6 @@ from .data import (
     generate_synthetic,
     load_csv,
     save_csv,
-    save_sidecar,
     standardize,
 )
 from .distributions import StudentT
@@ -194,7 +193,7 @@ def _scoring_inputs(args, defaults: dict):
     """What `evaluate`, `noise-sweep` and `report` read: the resolved options,
     the checkpoint's model, its standardized `split` and the run's config
     hash.  A 1-based `modality` option, where set, must be in [1, M], and
-    the dataset's modality dims must be the model's."""
+    the dataset's modality dims and class count must be the model's."""
     cfg = _resolve(args, defaults)
     model, stats, run_id = _load_checkpoint(args.checkpoint)
     modality = cfg.get("modality")
@@ -205,6 +204,12 @@ def _scoring_inputs(args, defaults: dict):
     if sidecar["dims"] != dims:
         raise CliError(
             f"dataset dims {sidecar['dims']} do not match the checkpoint's input dims {dims}",
+            EXIT_VALIDATION,
+        )
+    if sidecar["n_classes"] != model.n_classes:
+        raise CliError(
+            f"dataset n_classes {sidecar['n_classes']} does not match the checkpoint's "
+            f"n_classes {model.n_classes}",
             EXIT_VALIDATION,
         )
     return cfg, model, stats.apply(ds), run_id
@@ -253,22 +258,26 @@ def cmd_generate_data(args) -> int:
             _parse_tuple(cfg["split"], 3, int, "split") if cfg["split"] is not None else None
         ),
     )
+    dims, sep = list(spec.dims), list(spec.separation)
+    split = list(spec.split_sizes) if spec.split_sizes else None
     run_id = config_hash(
         {
             "command": "generate-data",
             "classes": spec.n_classes,
             "per_class": spec.n_per_class,
-            "dims": list(spec.dims),
-            "sep": list(spec.separation),
+            "dims": dims,
+            "sep": sep,
             "seed": spec.seed,
-            "split": list(spec.split_sizes) if spec.split_sizes else None,
+            "split": split,
         }
     )
     out = _outdir(args.out)
     train_ds, val_ds, test_ds = generate_synthetic(spec)
     for name, ds in (("train", train_ds), ("val", val_ds), ("test", test_ds)):
         save_csv(ds, out / f"{name}.csv", comment=f"config_hash={run_id}")
-    save_sidecar(out / "dataset.json", spec, run_id)
+    sidecar = {"n_classes": spec.n_classes, "n_per_class": spec.n_per_class, "dims": dims,
+               "separation": sep, "seed": spec.seed, "split_sizes": split, "config_hash": run_id}
+    write_json(sidecar, out / "dataset.json")
     _write_meta(out, run_id)
     print(f"wrote train/val/test CSVs and sidecar to {out} (run {run_id})")
     return EXIT_OK

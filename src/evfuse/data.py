@@ -8,7 +8,6 @@ units of the within-class standard deviation).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -174,7 +173,7 @@ def standardize(train: Dataset, *others: Dataset) -> tuple[list[Dataset], Standa
 
 
 # ---------------------------------------------------------------------------
-# CSV + sidecar persistence
+# CSV persistence
 #
 # Schema: header `label,m1_0,...,m1_{d1-1},m2_0,...,m2_{d2-1}`, 0-based
 # integer labels, `repr` float serialization (shortest exact round trip).
@@ -280,22 +279,3 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
         )
     blocks = np.split(arr, np.cumsum(schema.dims)[:-1], axis=1)
     return Dataset(blocks, labels)
-
-
-def save_sidecar(path, spec: SyntheticSpec, config_hash: str) -> None:
-    doc = {
-        "n_classes": spec.n_classes,
-        "n_per_class": spec.n_per_class,
-        "dims": list(spec.dims),
-        "separation": list(spec.separation),
-        "seed": spec.seed,
-        "split_sizes": list(spec.split_sizes) if spec.split_sizes else None,
-        "config_hash": config_hash,
-    }
-    # JSON holds no NaN or infinity: refuse before the file is opened
-    try:
-        text = json.dumps(doc, indent=2, allow_nan=False)
-    except ValueError as e:
-        raise FloatingPointError(f"not writing {path}: {e}") from None
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text + "\n")

@@ -29,7 +29,7 @@ import numpy as np
 from .distributions import nig_moments_arrays, nig_to_st_arrays, st_variance_arrays
 from .fusion import fuse_stack
 from .losses import reduce_last_axis, softmax
-from .model import INFERENCE_CHUNK_ROWS, MultimodalClassifier, _constrain_arrays
+from .model import MultimodalClassifier, _constrain_arrays, row_chunks
 
 
 def class_posterior(u: np.ndarray, sigma: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -130,7 +130,7 @@ def ece(
     corr = np.asarray(correct, dtype=float)
     if len(conf) == 0 or len(conf) != len(corr):
         raise ValueError("confidences and correct must be equal-length, non-empty")
-    if np.any(conf < 0) or np.any(conf > 1):
+    if not ((conf >= 0) & (conf <= 1)).all():
         raise ValueError("confidences must lie in [0, 1]")
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
@@ -223,19 +223,13 @@ class _Scores:
     ep: np.ndarray  # (M, N): channel-mean epistemic
 
 
-def _row_chunks(n: int):
-    """Bounds of the readout's row chunks; the remainder joins the last chunk."""
-    bounds = [i * INFERENCE_CHUNK_ROWS for i in range(max(n // INFERENCE_CHUNK_ROWS, 1))] + [n]
-    return zip(bounds[:-1], bounds[1:])
-
-
 def _score_modality(model: MultimodalClassifier, scores: _Scores, m: int, x) -> None:
     """Encode modality `m` and read out its head outputs into slot `m` of
     `scores`, in row chunks; the (N, K, 4) raw head outputs do not outlive
     the call."""
     raw = model.head_outputs(m, x)
     u, sigma, v = scores.st[:, m]
-    for a, b in _row_chunks(len(raw)):
+    for a, b in row_chunks(len(raw)):
         gamma, delta, alpha, beta = _constrain_arrays(raw[a:b])
         u[a:b], sigma[a:b], v[a:b] = nig_to_st_arrays(gamma, delta, alpha, beta)
         al, ep = nig_moments_arrays(delta, alpha, beta)
@@ -269,7 +263,7 @@ def _score_fused(scores: _Scores, labels, n_classes: int, n_bins: int):
     """
     n = scores.pred.shape[1]
     preds, conf_pred, fused_unc = np.empty(n, dtype=np.intp), np.empty(n), np.empty(n)
-    for a, b in _row_chunks(n):
+    for a, b in row_chunks(n):
         trace = fuse_stack(*scores.st[:, :, a:b])
         rows = np.arange(b - a)
         pred = np.argmax(trace.u, axis=-1)

@@ -37,6 +37,13 @@ INFERENCE_CHUNK_ROWS = 4096
 INFERENCE_CHUNK_MACS = 2**20
 
 
+def row_chunks(n: int, rows: int = INFERENCE_CHUNK_ROWS):
+    """(start, stop) bounds of `n` rows in chunks of `rows`; the remainder
+    joins the last chunk, and zero rows make one empty chunk."""
+    bounds = [i * rows for i in range(max(n // rows, 1))] + [n]
+    return zip(bounds[:-1], bounds[1:])
+
+
 class TrainingDivergedError(RuntimeError):
     """Raised when the training loss becomes non-finite."""
 
@@ -301,22 +308,20 @@ class MultimodalClassifier:
     def head_outputs(self, m: int, x) -> np.ndarray:
         """Inference pass of modality `m`: features (N, d_m) -> raw head outputs (N, K, 4).
 
-        Keeps no caches and runs in row chunks, the remainder joining the
-        last chunk.  BLAS picks its kernel by matrix size (OpenBLAS on
-        AVX-512 switches at 10^6 multiply-adds); the chunk floors keep each
-        chunk on the kernel of the whole matrix, so the result equals the
-        unchunked training forward bit for bit, except after a layer one
-        unit wide, whose matrix-vector product BLAS splits by row count.
+        Keeps no caches and runs in `row_chunks`.  BLAS picks its kernel by
+        matrix size (OpenBLAS on AVX-512 switches at 10^6 multiply-adds); the
+        chunk floors keep each chunk on the kernel of the whole matrix, so
+        the result equals the unchunked training forward bit for bit, except
+        after a layer one unit wide, whose matrix-vector product BLAS splits
+        by row count.
         """
         x = self._feature_block(m, x)
         _check_finite(x, m)
         enc, head = self.encoders[m], self.heads[m]
         narrowest = min(w.size for w in enc.weights + [head.weight])
         rows = max(INFERENCE_CHUNK_ROWS, -(-INFERENCE_CHUNK_MACS // narrowest))
-        n = x.shape[0]
-        bounds = [i * rows for i in range(max(n // rows, 1))] + [n]
-        out = np.empty((n, self.n_classes, 4))
-        for a, b in zip(bounds[:-1], bounds[1:]):
+        out = np.empty((x.shape[0], self.n_classes, 4))
+        for a, b in row_chunks(x.shape[0], rows):
             out[a:b] = head.forward(enc.forward(x[a:b])[0])
         return out
 

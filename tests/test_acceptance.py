@@ -13,11 +13,9 @@ import pytest
 from evfuse.data import Dataset
 from evfuse.distributions import (
     NIGParams,
-    QuadratureSpec,
     StudentT,
     nig_aleatoric,
     nig_epistemic,
-    nig_marginal_pdf_quadrature_many,
     nig_to_student_t,
     student_t_pdf,
     student_t_variance,
@@ -31,6 +29,7 @@ from evfuse.losses import (
 )
 from evfuse.model import EncoderSpec, MultimodalClassifier, _batch_loss_and_param_grads
 from conftest import random_nig_params
+from quadrature_oracle import nig_marginal_pdf_quadrature
 
 SIGMAS = (0.0, 0.3, 1.0)
 NOISE_SEEDS = (1, 2, 3)
@@ -39,15 +38,14 @@ NOISE_SEEDS = (1, 2, 3)
 def test_criterion_01_quadrature_matches_closed_form_density():
     start = time.perf_counter()
     rng = np.random.default_rng(101)
-    # a refinement-free grid sized so the whole sweep stays inside the budget
-    spec = QuadratureSpec(mu_nodes=601, var_nodes=601, refinements=0)
+    nodes = 601  # grids sized so the whole sweep stays inside the budget
     worst = 0.0
     for row in random_nig_params(rng, 50):
         p = NIGParams(*row)
         stt = nig_to_student_t(p)
         width = 5.0 * math.sqrt(nig_aleatoric(p))
         ys = p.gamma + rng.uniform(-width, width, 20)
-        quad = nig_marginal_pdf_quadrature_many(p, ys, spec)
+        quad = nig_marginal_pdf_quadrature(p, ys, nodes)
         closed = np.array([student_t_pdf(stt, y) for y in ys])
         worst = max(worst, float(np.max(np.abs(quad - closed))))
     elapsed = time.perf_counter() - start

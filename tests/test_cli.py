@@ -46,13 +46,18 @@ class TestGenerateData:
     def test_writes_expected_files(self, tmp_path, capsys):
         out = tmp_path / "d"
         code, stdout, _ = _run(
-            capsys, "generate-data", "--per-class", "10", "--out", str(out)
+            capsys, "generate-data", "--per-class", "10", "--seed", "9", "--split", "20,5,5",
+            "--out", str(out),
         )
         assert code == 0
         for name in ("train.csv", "val.csv", "test.csv", "dataset.json"):
             assert (out / name).exists()
         sidecar = json.loads((out / "dataset.json").read_text())
         assert "config_hash" in sidecar and sidecar["config_hash"] in stdout
+        assert sidecar == {
+            "n_classes": 3, "n_per_class": 10, "dims": [4, 4], "separation": [3.0, 3.0],
+            "seed": 9, "split_sizes": [20, 5, 5], "config_hash": sidecar["config_hash"],
+        }
 
     def test_same_seed_identical_files(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -362,24 +367,35 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("command", ["evaluate", "noise-sweep", "report"])
     def test_sidecar_dims_must_match_the_checkpoint(self, pipeline, tmp_path, capsys, command):
-        """The checkpoint's six columns split as 2 + 4 instead of 3 + 3."""
+        """The checkpoint's six columns split as 2 + 4 instead of 3 + 3, and
+        its three classes against a generated two-class dataset."""
         data, run = pipeline
-        copy = tmp_path / "data"
-        copy.mkdir()
+        split_2_4 = tmp_path / "data"
+        split_2_4.mkdir()
         sidecar = json.loads((data / "dataset.json").read_text())
         sidecar["dims"] = [2, 4]
-        (copy / "dataset.json").write_text(json.dumps(sidecar))
+        (split_2_4 / "dataset.json").write_text(json.dumps(sidecar))
         for split in ("train", "val", "test"):
             lines = (data / f"{split}.csv").read_text().splitlines()
             lines[1] = "label,m1_0,m1_1,m2_0,m2_1,m2_2,m2_3"  # under the config_hash line
-            (copy / f"{split}.csv").write_text("\n".join(lines) + "\n")
-        code, stdout, err = _run(
-            capsys, command, "--checkpoint", str(run / "checkpoint.json"),
-            "--data", str(copy), "--out", str(tmp_path / "out"),
-        )
-        assert code == 1 and stdout == ""
-        assert err == "error: dataset dims [2, 4] do not match the checkpoint's input dims [3, 3]\n"
-        assert not (tmp_path / "out").exists()
+            (split_2_4 / f"{split}.csv").write_text("\n".join(lines) + "\n")
+        two_classes = tmp_path / "data-2"
+        assert main([
+            "generate-data", "--classes", "2", "--per-class", "20", "--dims", "3,3",
+            "--out", str(two_classes),
+        ]) == 0
+        capsys.readouterr()
+        for bad, message in [
+            (split_2_4, "dataset dims [2, 4] do not match the checkpoint's input dims [3, 3]"),
+            (two_classes, "dataset n_classes 2 does not match the checkpoint's n_classes 3"),
+        ]:
+            code, stdout, err = _run(
+                capsys, command, "--checkpoint", str(run / "checkpoint.json"),
+                "--data", str(bad), "--out", str(tmp_path / "out"),
+            )
+            assert code == 1 and stdout == ""
+            assert err == f"error: {message}\n"
+            assert not (tmp_path / "out").exists()
 
     def test_weighted_kappa_config_key_exit_1(self, pipeline, tmp_path, capsys):
         data, run = pipeline

@@ -1,5 +1,4 @@
 import json
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csv_oracle import load_csv_rows, save_csv_rows
+from evfuse.cli import main
 from evfuse.data import (
     _ROW_BLOCK,
     CsvFormatError,
@@ -16,7 +16,6 @@ from evfuse.data import (
     generate_synthetic,
     load_csv,
     save_csv,
-    save_sidecar,
     standardize,
 )
 
@@ -191,22 +190,20 @@ class TestCsv:
             load_csv(path, CsvSchema((1, 1), 2))
 
     def test_sidecar_round_trip(self, tmp_path):
-        spec = SyntheticSpec(seed=9, split_sizes=(400, 100, 100))
-        path = tmp_path / "dataset.json"
-        save_sidecar(path, spec, "0123456789abcdef")
-        doc = json.loads(path.read_text())
-        assert doc["config_hash"] == "0123456789abcdef"
+        # generate-data writes the sidecar; the splits must load back under the schema it names
+        out = tmp_path / "d"
+        args = ["generate-data", "--per-class", "200", "--seed", "9", "--split", "400,100,100"]
+        assert main(args + ["--out", str(out)]) == 0
+        doc = json.loads((out / "dataset.json").read_text())
+        assert len(doc["config_hash"]) == 16
         assert doc["n_classes"] == 3
         assert doc["dims"] == [4, 4]
         assert doc["split_sizes"] == [400, 100, 100]
-
-    def test_sidecar_refuses_non_finite_values_before_opening(self, tmp_path):
-        # SyntheticSpec rejects a NaN separation, so hand save_sidecar a look-alike
-        spec = SimpleNamespace(**{**vars(SyntheticSpec()), "separation": (float("nan"), 3.0)})
-        path = tmp_path / "dataset.json"
-        with pytest.raises(FloatingPointError, match="not writing .*dataset.json"):
-            save_sidecar(path, spec, "0123456789abcdef")
-        assert not path.exists()
+        schema = CsvSchema(tuple(doc["dims"]), doc["n_classes"])
+        for name, size in zip(("train", "val", "test"), doc["split_sizes"]):
+            ds = load_csv(out / f"{name}.csv", schema)
+            assert len(ds.labels) == size
+            assert [f.shape[1] for f in ds.features] == doc["dims"]
 
     @pytest.mark.parametrize("sep", [float("nan"), float("inf")])
     def test_spec_rejects_non_finite_separation(self, sep):

@@ -8,18 +8,16 @@ from scipy.integrate import trapezoid
 
 from evfuse.distributions import (
     NIGParams,
-    QuadratureSpec,
     StudentT,
     nig_aleatoric,
     nig_epistemic,
-    nig_marginal_pdf_quadrature,
-    nig_marginal_pdf_quadrature_many,
     nig_to_student_t,
     student_t_logpdf,
     student_t_pdf,
     student_t_variance,
 )
 from conftest import random_nig_params
+from quadrature_oracle import nig_marginal_pdf_quadrature
 
 valid_nig = st.builds(
     NIGParams,
@@ -29,8 +27,8 @@ valid_nig = st.builds(
     beta=st.floats(0.05, 10),
 )
 
-# a coarse grid is plenty for unit tests; acceptance uses its own spec
-FAST_QUAD = QuadratureSpec(mu_nodes=401, var_nodes=401, refinements=0)
+# a coarse grid is plenty for unit tests; acceptance uses a finer one
+FAST_NODES = 401
 
 
 class TestValidation:
@@ -172,21 +170,20 @@ class TestVariance:
 class TestQuadratureOracle:
     def test_anchor_unit(self):
         p = NIGParams(0, 1, 2, 1)
-        val = nig_marginal_pdf_quadrature(p, 0.0, FAST_QUAD)
+        (val,) = nig_marginal_pdf_quadrature(p, 0.0, FAST_NODES)
         assert val == pytest.approx(0.375, abs=1e-5)
 
     def test_anchor_scaled(self):
         p = NIGParams(2, 2, 3, 6)
         expected = student_t_pdf(nig_to_student_t(p), 3.0)
-        assert nig_marginal_pdf_quadrature(p, 3.0, FAST_QUAD) == pytest.approx(
-            expected, abs=1e-5
-        )
+        (val,) = nig_marginal_pdf_quadrature(p, 3.0, FAST_NODES)
+        assert val == pytest.approx(expected, abs=1e-5)
 
     def test_symmetry_in_y_minus_gamma(self):
         p = NIGParams(1.0, 0.8, 2.5, 1.2)
         for c in (0.5, 1.7, 4.0):
-            lhs = nig_marginal_pdf_quadrature(p, 1.0 + c, FAST_QUAD)
-            rhs = nig_marginal_pdf_quadrature(p, 1.0 - c, FAST_QUAD)
+            (lhs,) = nig_marginal_pdf_quadrature(p, 1.0 + c, FAST_NODES)
+            (rhs,) = nig_marginal_pdf_quadrature(p, 1.0 - c, FAST_NODES)
             assert lhs == pytest.approx(rhs, abs=1e-8)
 
     def test_matches_closed_form_at_random_points(self):
@@ -196,10 +193,10 @@ class TestQuadratureOracle:
             stt = nig_to_student_t(p)
             width = 5.0 * math.sqrt(nig_aleatoric(p))
             ys = p.gamma + rng.uniform(-width, width, 4)
-            quad = nig_marginal_pdf_quadrature_many(p, ys, FAST_QUAD)
+            quad = nig_marginal_pdf_quadrature(p, ys, FAST_NODES)
             closed = np.array([student_t_pdf(stt, y) for y in ys])
             np.testing.assert_allclose(quad, closed, atol=1e-5)
 
     def test_rejects_even_node_counts(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(mu_nodes=400)
+        with pytest.raises(ValueError, match="odd integer >= 3, got 400"):
+            nig_marginal_pdf_quadrature(NIGParams(0, 1, 2, 1), 0.0, 400)

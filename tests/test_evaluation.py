@@ -175,6 +175,10 @@ class TestEce:
         with pytest.raises(ValueError):
             ece([], [])
 
+    def test_rejects_nan_confidences(self):
+        with pytest.raises(ValueError, match=r"confidences must lie in \[0, 1\]"):
+            ece([np.nan, 0.5], [True, False])
+
 
 class TestInjectNoise:
     def _feats(self):

@@ -23,6 +23,7 @@ from evfuse.model import (
     _dataset_loss,
     config_hash,
     readout,
+    row_chunks,
     softplus,
     train,
 )
@@ -205,6 +206,13 @@ class TestForward:
         enc.forward = forward
         model.head_outputs(0, np.zeros((n, d)))
         assert rows == chunks
+
+    def test_row_chunks_remainder_joins_the_last_chunk(self):
+        assert list(row_chunks(0)) == [(0, 0)]
+        assert list(row_chunks(4095)) == [(0, 4095)]
+        assert list(row_chunks(8193)) == [(0, 4096), (4096, 8193)]
+        assert list(row_chunks(11, rows=4)) == [(0, 4), (4, 11)]
+        assert list(row_chunks(12, rows=4)) == [(0, 4), (4, 8), (8, 12)]
 
     def test_head_outputs_reject_non_finite_rows(self):
         model = _tiny_model()
