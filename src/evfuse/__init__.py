@@ -3,7 +3,7 @@
 Per-modality Normal-Inverse-Gamma evidence heads, closed-form conversion to
 Student's t predictive distributions, minimum-degrees-of-freedom fusion,
 evidential losses with analytic gradients, and a small numpy training and
-evaluation harness for two-modality tabular data.
+evaluation harness for tabular data with any number of modalities.
 """
 
 __version__ = "0.1.0"

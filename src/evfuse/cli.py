@@ -1,11 +1,13 @@
 """Command-line front end: data generation, training, evaluation, sweeps.
 
 Every command is deterministic given its flags (seeds are always explicit
-flags).  Option values resolve as: command-line flag > `--config` JSON file
-> built-in default.  All output files embed the run's config hash so
-artifacts can be traced back to the exact configuration that produced them;
-wall-clock timestamps live in a separate meta file and never enter the
-deterministic outputs.
+flags).  Each option's built-in default is on its flag, read from
+`SyntheticSpec`, `TrainConfig` or `EncoderSpec` where the library holds it;
+a `--config` JSON file's values become the command's defaults, which flags
+given on the command line override.  All output files embed the run's
+config hash so artifacts can be traced back to the exact configuration that
+produced them; wall-clock timestamps live in a separate meta file and never
+enter the deterministic outputs.
 
 Exit codes: 0 success, 1 validation error, 2 I/O error, 3 numerical failure.
 """
@@ -16,12 +18,12 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
 from .data import (
     CsvSchema,
-    Dataset,
     Standardization,
     SyntheticSpec,
     generate_synthetic,
@@ -108,35 +110,45 @@ _CONFIG_TYPES = {
 }
 
 
-def _resolve(args, defaults: dict) -> dict:
-    """Merge flag values over the `--config` JSON object over built-in
-    defaults.  A config value must have its flag's type (and be one of the
-    flag's choices, if it has them); it may be null where the default is."""
-    merged = dict(defaults)
-    if args.config is not None:
-        file_cfg = _read_json(args.config, "config file", dict)
-        unknown = set(file_cfg) - set(defaults)
-        if unknown:
-            raise CliError(f"unknown config keys: {sorted(unknown)}", EXIT_VALIDATION)
-        for key, val in file_cfg.items():
-            if val is None and defaults[key] is None:
-                continue
-            flag = args.flags[key]
-            types, want = _CONFIG_TYPES[bool if flag.const is True else flag.type or str]
-            if flag.choices:
-                want = f"one of {', '.join(flag.choices)}"
-            # `not <=` also rejects NaN, and an integer too large for a float
-            if (type(val) not in types or flag.choices and val not in flag.choices
-                    or flag.type is float and not abs(val) <= sys.float_info.max):
-                raise CliError(
-                    f"config {key}: expected {want}, got {json.dumps(val)}", EXIT_VALIDATION
-                )
-        merged.update(file_cfg)
-    for key in defaults:
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
-    return merged
+def _options(subparser) -> dict:
+    """A command's options, its flags by dest: all but the required ones,
+    --help and --config.  A `--config` file may set any of them."""
+    return {a.dest: a for a in subparser._actions
+            if not a.required and a.dest not in ("help", "config")}
+
+
+def _config_defaults(path, options: dict) -> dict:
+    """The `--config` JSON object at `path`, checked against the command's
+    `options`.  A value must have its flag's type (and be one of the flag's
+    choices, if it has them); it may be null where the flag's default is.
+    A float flag's value is read as a float."""
+    file_cfg = _read_json(path, "config file", dict)
+    unknown = set(file_cfg) - set(options)
+    if unknown:
+        raise CliError(f"unknown config keys: {sorted(unknown)}", EXIT_VALIDATION)
+    for key, val in file_cfg.items():
+        flag = options[key]
+        if val is None and flag.default is None:
+            continue
+        types, want = _CONFIG_TYPES[bool if flag.const is True else flag.type or str]
+        if flag.choices:
+            want = f"one of {', '.join(flag.choices)}"
+        # `not <=` also rejects NaN, and an integer too large for a float
+        if (type(val) not in types or flag.choices and val not in flag.choices
+                or flag.type is float and not abs(val) <= sys.float_info.max):
+            raise CliError(
+                f"config {key}: expected {want}, got {json.dumps(val)}", EXIT_VALIDATION
+            )
+        if flag.type is float:
+            file_cfg[key] = float(val)
+    return file_cfg
+
+
+def _run_config(args, **parsed) -> dict:
+    """What a run's config hash covers: the command, its option values, and
+    `parsed`, which holds the list options as parsed and any other input."""
+    return {"command": args.command,
+            **{dest: getattr(args, dest) for dest in _options(args.subparser)}, **parsed}
 
 
 def _outdir(path) -> Path:
@@ -149,10 +161,9 @@ def _outdir(path) -> Path:
 # dataset directory layout: train/val/test.csv plus a dataset.json sidecar
 
 
-def _load_splits(data_dir, *splits: str) -> tuple[dict, list[Dataset]]:
-    """The dataset directory's sidecar and the named splits."""
-    data_dir = Path(data_dir)
-    sidecar = _read_json(data_dir / "dataset.json", "dataset sidecar", dict)
+def _read_sidecar(data_dir) -> dict:
+    """The dataset directory's sidecar, with its dims and n_classes checked."""
+    sidecar = _read_json(Path(data_dir) / "dataset.json", "dataset sidecar", dict)
     dims, n_classes = sidecar.get("dims"), sidecar.get("n_classes")
     if not (isinstance(dims, list) and dims and all(type(d) is int and d >= 1 for d in dims)):
         raise CliError(
@@ -161,13 +172,13 @@ def _load_splits(data_dir, *splits: str) -> tuple[dict, list[Dataset]]:
         )
     if not (type(n_classes) is int and n_classes >= 2):
         raise CliError("bad dataset sidecar: n_classes must be an integer >= 2", EXIT_VALIDATION)
-    schema = CsvSchema(tuple(dims), n_classes)
-    datasets = []
-    for split in splits:
-        ds = load_csv(data_dir / f"{split}.csv", schema)
-        ds.split = split
-        datasets.append(ds)
-    return sidecar, datasets
+    return sidecar
+
+
+def _load_split(data_dir, sidecar: dict, split: str):
+    """The named split's CSV, read under the columns the sidecar declares."""
+    schema = CsvSchema(tuple(sidecar["dims"]), sidecar["n_classes"])
+    return load_csv(Path(data_dir) / f"{split}.csv", schema)
 
 
 def _load_checkpoint(path) -> tuple[MultimodalClassifier, Standardization, str]:
@@ -189,17 +200,17 @@ def _load_checkpoint(path) -> tuple[MultimodalClassifier, Standardization, str]:
     return model, stats, run_id
 
 
-def _scoring_inputs(args, defaults: dict):
-    """What `evaluate`, `noise-sweep` and `report` read: the resolved options,
-    the checkpoint's model, its standardized `split` and the run's config
+def _scoring_inputs(args):
+    """What `evaluate`, `noise-sweep` and `report` read: the checkpoint's
+    model, its standardized `--split` of the dataset and the run's config
     hash.  A 1-based `modality` option, where set, must be in [1, M], and
-    the dataset's modality dims and class count must be the model's."""
-    cfg = _resolve(args, defaults)
+    the dataset's modality dims and class count must be the model's; both
+    are checked before the split's CSV is opened."""
     model, stats, run_id = _load_checkpoint(args.checkpoint)
-    modality = cfg.get("modality")
+    modality = getattr(args, "modality", None)
     if modality is not None and not 1 <= modality <= model.n_modalities:
         raise CliError(f"--modality must be in [1, {model.n_modalities}]", EXIT_VALIDATION)
-    sidecar, (ds,) = _load_splits(args.data, cfg["split"])
+    sidecar = _read_sidecar(args.data)
     dims = [spec.input_dim for spec in model.encoder_specs]
     if sidecar["dims"] != dims:
         raise CliError(
@@ -212,7 +223,7 @@ def _scoring_inputs(args, defaults: dict):
             f"n_classes {model.n_classes}",
             EXIT_VALIDATION,
         )
-    return cfg, model, stats.apply(ds), run_id
+    return model, stats.apply(_load_split(args.data, sidecar, args.split)), run_id
 
 
 def _write_table(path, run_id: str, header, rows) -> None:
@@ -236,98 +247,53 @@ def _write_meta(out: Path, run_id: str) -> None:
 # commands
 
 
-_GEN_DEFAULTS = {
-    "classes": 3,
-    "per_class": 200,
-    "dims": "4,4",
-    "sep": "3,3",
-    "seed": 0,
-    "split": None,
-}
-
-
 def cmd_generate_data(args) -> int:
-    cfg = _resolve(args, _GEN_DEFAULTS)
     spec = SyntheticSpec(
-        n_classes=cfg["classes"],
-        n_per_class=cfg["per_class"],
-        dims=_parse_tuple(cfg["dims"], None, int, "dims"),
-        separation=_parse_tuple(cfg["sep"], None, float, "sep"),
-        seed=cfg["seed"],
+        n_classes=args.classes,
+        n_per_class=args.per_class,
+        dims=_parse_tuple(args.dims, None, int, "dims"),
+        separation=_parse_tuple(args.sep, None, float, "sep"),
+        seed=args.seed,
         split_sizes=(
-            _parse_tuple(cfg["split"], 3, int, "split") if cfg["split"] is not None else None
+            _parse_tuple(args.split, 3, int, "split") if args.split is not None else None
         ),
     )
-    dims, sep = list(spec.dims), list(spec.separation)
-    split = list(spec.split_sizes) if spec.split_sizes else None
     run_id = config_hash(
-        {
-            "command": "generate-data",
-            "classes": spec.n_classes,
-            "per_class": spec.n_per_class,
-            "dims": dims,
-            "sep": sep,
-            "seed": spec.seed,
-            "split": split,
-        }
+        _run_config(args, dims=spec.dims, sep=spec.separation, split=spec.split_sizes)
     )
     out = _outdir(args.out)
     train_ds, val_ds, test_ds = generate_synthetic(spec)
     for name, ds in (("train", train_ds), ("val", val_ds), ("test", test_ds)):
         save_csv(ds, out / f"{name}.csv", comment=f"config_hash={run_id}")
-    sidecar = {"n_classes": spec.n_classes, "n_per_class": spec.n_per_class, "dims": dims,
-               "separation": sep, "seed": spec.seed, "split_sizes": split, "config_hash": run_id}
-    write_json(sidecar, out / "dataset.json")
+    write_json({**asdict(spec), "config_hash": run_id}, out / "dataset.json")
     _write_meta(out, run_id)
     print(f"wrote train/val/test CSVs and sidecar to {out} (run {run_id})")
     return EXIT_OK
 
 
-_TRAIN_DEFAULTS = {
-    "lr": 1e-4,
-    "epochs": 100,
-    "batch_size": 16,
-    "lam": 0.5,
-    "seed": 0,
-    "hidden": "64",
-    "activation": "tanh",
-    "freeze_encoders": False,
-    "keep_best": False,
-}
-
-
 def cmd_train(args) -> int:
-    cfg = _resolve(args, _TRAIN_DEFAULTS)
-    hidden = _parse_tuple(cfg["hidden"], None, int, "hidden")
+    hidden = _parse_tuple(args.hidden, None, int, "hidden")
     tc = TrainConfig(
-        learning_rate=float(cfg["lr"]),
-        max_epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"],
-        lam=float(cfg["lam"]),
-        seed=cfg["seed"],
-        freeze_encoders=cfg["freeze_encoders"],
-        keep_best=cfg["keep_best"],
+        learning_rate=args.lr,
+        max_epochs=args.epochs,
+        batch_size=args.batch_size,
+        lam=args.lam,
+        seed=args.seed,
+        freeze_encoders=args.freeze_encoders,
+        keep_best=args.keep_best,
     )
 
-    sidecar, (train_raw, val_raw) = _load_splits(args.data, "train", "val")
-    (train_ds, val_ds), stats = standardize(train_raw, val_raw)
+    sidecar = _read_sidecar(args.data)
+    (train_ds, val_ds), stats = standardize(
+        *(_load_split(args.data, sidecar, split) for split in ("train", "val"))
+    )
 
-    specs = [EncoderSpec(d, hidden, cfg["activation"]) for d in sidecar["dims"]]
+    specs = [EncoderSpec(d, hidden, args.activation) for d in sidecar["dims"]]
     model = MultimodalClassifier(specs, sidecar["n_classes"], seed=tc.seed)
 
-    full_cfg = {
-        "command": "train",
-        "data": {k: sidecar.get(k) for k in ("n_classes", "dims", "seed")},
-        "lr": tc.learning_rate,
-        "epochs": tc.max_epochs,
-        "batch_size": tc.batch_size,
-        "lam": tc.lam,
-        "seed": tc.seed,
-        "hidden": list(hidden),
-        "activation": cfg["activation"],
-        "freeze_encoders": tc.freeze_encoders,
-        "keep_best": tc.keep_best,
-    }
+    full_cfg = _run_config(
+        args, data={k: sidecar.get(k) for k in ("n_classes", "dims", "seed")}, hidden=hidden
+    )
     run_id = config_hash(full_cfg)
     out = _outdir(args.out)
 
@@ -339,7 +305,7 @@ def cmd_train(args) -> int:
             "config_hash": run_id,
             "model": model.state_dict(),
             "standardization": stats.to_dict(),
-            "train_config": record.to_dict()["config"],
+            "train_config": asdict(tc),
         },
         ckpt_path,
     )
@@ -361,14 +327,11 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-_EVAL_DEFAULTS = {"split": "test", "bins": 10}
-
-
 def cmd_evaluate(args) -> int:
-    cfg, model, ds, run_id = _scoring_inputs(args, _EVAL_DEFAULTS)
-    r = evaluate_model(model, ds, n_bins=cfg["bins"]).report
+    model, ds, run_id = _scoring_inputs(args)
+    r = evaluate_model(model, ds, n_bins=args.bins).report
     out = _outdir(args.out)
-    write_json({"config_hash": run_id, "split": cfg["split"], "metrics": r.to_dict()},
+    write_json({"config_hash": run_id, "split": args.split, "metrics": r.to_dict()},
                out / "metrics.json")
     _write_table(
         out / "reliability.csv", run_id, ("bin", "mean_confidence", "accuracy", "count"),
@@ -376,54 +339,37 @@ def cmd_evaluate(args) -> int:
     )
     _write_meta(out, run_id)
     print(
-        f"{cfg['split']}: acc={r.acc:.4f} kappa={r.kappa:.4f} ece={r.ece:.4f} "
+        f"{args.split}: acc={r.acc:.4f} kappa={r.kappa:.4f} ece={r.ece:.4f} "
         f"(n={r.n_samples}); metrics in {out}"
     )
     return EXIT_OK
 
 
-_SWEEP_DEFAULTS = {
-    "split": "test",
-    "sigmas": "0,0.1,0.3,0.5,1.0",
-    "modality": 1,
-    "noise_seeds": "0,1,2",
-}
-
-
 def cmd_noise_sweep(args) -> int:
-    cfg, model, ds, run_id = _scoring_inputs(args, _SWEEP_DEFAULTS)
-    sigmas = _parse_tuple(cfg["sigmas"], None, float, "sigmas")
-    seeds = _parse_tuple(cfg["noise_seeds"], None, int, "noise-seeds")
-    sweep = noise_sweep(model, ds, sigmas, cfg["modality"] - 1, seeds)
+    model, ds, run_id = _scoring_inputs(args)
+    sigmas = _parse_tuple(args.sigmas, None, float, "sigmas")
+    seeds = _parse_tuple(args.noise_seeds, None, int, "noise-seeds")
+    sweep = noise_sweep(model, ds, sigmas, args.modality - 1, seeds)
     out = _outdir(args.out)
     write_json({"config_hash": run_id, **sweep}, out / "sweep.json")
     cols = list(sweep["rows"][0])
     _write_table(out / "sweep.csv", run_id, cols, ([r[c] for c in cols] for r in sweep["rows"]))
     _write_meta(out, run_id)
     print(
-        f"swept {len(sigmas)} sigmas x {len(seeds)} seeds on modality {cfg['modality']}; "
+        f"swept {len(sigmas)} sigmas x {len(seeds)} seeds on modality {args.modality}; "
         f"tables in {out}"
     )
     return EXIT_OK
 
 
-_REPORT_DEFAULTS = {
-    "split": "test",
-    "modality": None,
-    "sigma": None,
-    "noise_seed": 0,
-    "hist_bins": 64,
-}
-
-
 def cmd_report(args) -> int:
-    cfg, model, ds, run_id = _scoring_inputs(args, _REPORT_DEFAULTS)
+    model, ds, run_id = _scoring_inputs(args)
     noise = None
-    if cfg["sigma"] is not None:
-        if cfg["modality"] is None:
+    if args.sigma is not None:
+        if args.modality is None:
             raise CliError("--sigma requires --modality", EXIT_VALIDATION)
-        noise = NoiseSpec(cfg["modality"] - 1, float(cfg["sigma"]), cfg["noise_seed"])
-    density = uncertainty_density(model, ds, noise, n_hist_bins=cfg["hist_bins"])
+        noise = NoiseSpec(args.modality - 1, args.sigma, args.noise_seed)
+    density = uncertainty_density(model, ds, noise, n_hist_bins=args.hist_bins)
     out = _outdir(args.out)
     write_json({"config_hash": run_id, **density}, out / "density.json")
     edges, names = density["bin_edges"], sorted(density["histograms"])
@@ -498,49 +444,55 @@ def build_parser() -> argparse.ArgumentParser:
         if scores:  # reads a checkpoint and scores one split of a dataset
             p.add_argument("--checkpoint", required=True)
             p.add_argument("--data", required=True)
-            p.add_argument("--split", choices=["train", "val", "test"])
+            p.add_argument("--split", choices=["train", "val", "test"], default="test")
         return p
 
+    def joined(values) -> str:  # a list flag's default
+        return ",".join(map(str, values))
+
     p = command("generate-data", cmd_generate_data, "write synthetic CSVs with one or more modalities")
-    p.add_argument("--classes", type=int)
-    p.add_argument("--per-class", dest="per_class", type=int)
-    p.add_argument("--dims", help="feature dims, one per modality, e.g. 4,4")
-    p.add_argument("--sep", help="class separations, one per modality, e.g. 3,3")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--classes", type=int, default=SyntheticSpec.n_classes)
+    p.add_argument("--per-class", type=int, default=SyntheticSpec.n_per_class)
+    p.add_argument("--dims", default=joined(SyntheticSpec.dims),
+                   help="feature dims, one per modality, e.g. 4,4")
+    p.add_argument("--sep", default=joined(SyntheticSpec.separation),
+                   help="class separations, one per modality, e.g. 3,3")
+    p.add_argument("--seed", type=int, default=SyntheticSpec.seed)
     p.add_argument("--split", help="explicit train,val,test sizes, e.g. 500,100,100")
 
     p = command("train", cmd_train, "train a classifier on a dataset directory")
     p.add_argument("--data", required=True)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--hidden", help="encoder hidden dims, e.g. 64 or 128,64")
-    p.add_argument("--activation", choices=["relu", "tanh"])
-    p.add_argument("--freeze-encoders", dest="freeze_encoders", action="store_const", const=True)
-    p.add_argument("--keep-best", dest="keep_best", action="store_const", const=True)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--epochs", type=int, default=TrainConfig.max_epochs)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--lambda", dest="lam", type=float, default=TrainConfig.lam)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--hidden", default=joined(EncoderSpec.hidden_dims),
+                   help="encoder hidden dims, e.g. 64 or 128,64")
+    p.add_argument("--activation", choices=["relu", "tanh"], default=EncoderSpec.activation)
+    p.add_argument("--freeze-encoders", action="store_true", default=TrainConfig.freeze_encoders)
+    p.add_argument("--keep-best", action="store_true", default=TrainConfig.keep_best)
 
     p = command("evaluate", cmd_evaluate, "score a checkpoint on one split", scores=True)
-    p.add_argument("--bins", type=int)
+    p.add_argument("--bins", type=int, default=10)
 
     p = command("noise-sweep", cmd_noise_sweep, "evaluate under per-modality noise", scores=True)
-    p.add_argument("--sigmas", help="comma-separated noise levels")
-    p.add_argument("--modality", type=int, help="1-based corrupted modality")
-    p.add_argument("--noise-seeds", dest="noise_seeds", help="comma-separated seeds")
+    p.add_argument("--sigmas", default="0,0.1,0.3,0.5,1.0", help="comma-separated noise levels")
+    p.add_argument("--modality", type=int, default=1, help="1-based corrupted modality")
+    p.add_argument("--noise-seeds", default="0,1,2", help="comma-separated seeds")
 
     p = command("report", cmd_report, "emit uncertainty-density tables", scores=True)
     p.add_argument("--modality", type=int, help="1-based noised modality")
     p.add_argument("--sigma", type=float)
-    p.add_argument("--noise-seed", dest="noise_seed", type=int)
-    p.add_argument("--hist-bins", dest="hist_bins", type=int)
+    p.add_argument("--noise-seed", type=int, default=0)
+    p.add_argument("--hist-bins", type=int, default=64)
 
-    # every command but `fuse` writes a directory and takes option defaults,
-    # whose config values `_resolve` checks against these flags
+    # every command but `fuse` writes a directory and takes its option
+    # defaults from a `--config` file, which `main` checks against the flags
     for p in sub.choices.values():
         p.add_argument("--out", required=True)
         p.add_argument("--config", help="JSON file with option defaults")
-        p.set_defaults(flags={a.dest: a for a in p._actions})
+        p.set_defaults(subparser=p)
 
     p = command("fuse", cmd_fuse, "fuse Student's t parameters from a JSON file")
     p.add_argument("--in", dest="infile", required=True)
@@ -552,6 +504,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "config", None) is not None:
+            # the file's values become the command's defaults; flags still win
+            args.subparser.set_defaults(**_config_defaults(args.config, _options(args.subparser)))
+            args = parser.parse_args(argv)
         return args.func(args)
     except CliError as e:
         err, code = e, e.code

@@ -84,14 +84,13 @@ class Standardization:
     def apply(self, ds: "Dataset") -> "Dataset":
         """Z-score every modality of `ds` with these statistics."""
         feats = [(x - mu) / sd for x, mu, sd in zip(ds.features, self.mean, self.std)]
-        return Dataset(feats, ds.labels.copy(), split=ds.split)
+        return Dataset(feats, ds.labels.copy())
 
 
 @dataclass
 class Dataset:
     features: list[np.ndarray]  # one (N, d_m) array per modality
     labels: np.ndarray
-    split: str = ""
 
     def __post_init__(self):
         n = len(self.labels)
@@ -108,11 +107,9 @@ class Dataset:
     def n_modalities(self) -> int:
         return len(self.features)
 
-    def subset(self, idx: np.ndarray, split: str = "") -> "Dataset":
+    def subset(self, idx: np.ndarray) -> "Dataset":
         return Dataset(
-            [x[idx].copy() for x in self.features],
-            np.asarray(self.labels)[idx].copy(),
-            split=split or self.split,
+            [x[idx].copy() for x in self.features], np.asarray(self.labels)[idx].copy()
         )
 
 
@@ -148,9 +145,9 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset, Dataset]:
         n_val = int(round(0.15 * n_total))
         n_test = n_total - n_train - n_val
     full = Dataset(features, labels)
-    train = full.subset(order[:n_train], "train")
-    val = full.subset(order[n_train : n_train + n_val], "val")
-    test = full.subset(order[n_train + n_val : n_train + n_val + n_test], "test")
+    train = full.subset(order[:n_train])
+    val = full.subset(order[n_train : n_train + n_val])
+    test = full.subset(order[n_train + n_val : n_train + n_val + n_test])
     return train, val, test
 
 

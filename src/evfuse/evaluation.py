@@ -374,9 +374,7 @@ def uncertainty_density(
         raise ValueError("n_hist_bins must be >= 1")
     if spec is not None:
         feats = inject_noise(dataset.features, spec)
-        dataset = type(dataset)(
-            feats, np.asarray(dataset.labels).copy(), split=dataset.split
-        )
+        dataset = type(dataset)(feats, np.asarray(dataset.labels).copy())
     res = evaluate_model(model, dataset)
     series = {
         f"modality_{m + 1}": res.modality_uncertainty[m]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -443,11 +443,6 @@ class TrainRecord:
     epoch_losses: list[float] = field(default_factory=list)
     val_losses: list[float] = field(default_factory=list)
     best_epoch: int | None = None
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["config"] = asdict(self.config)
-        return d
 
 
 def config_hash(payload: dict) -> str:

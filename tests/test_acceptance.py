@@ -243,9 +243,7 @@ def test_criterion_10_metric_examples_and_byte_identical_outputs(
     model, _, _, _, test_ds, _ = reference_run
     paths = []
     for name in ("a.json", "b.json"):
-        ds = Dataset(
-            [x.copy() for x in test_ds.features], test_ds.labels.copy(), split="test"
-        )
+        ds = Dataset([x.copy() for x in test_ds.features], test_ds.labels.copy())
         res = evaluate_model(model, ds)
         path = tmp_path / name
         write_json({"metrics": res.report.to_dict()}, path)

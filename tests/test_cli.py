@@ -59,6 +59,19 @@ class TestGenerateData:
             "seed": 9, "split_sizes": [20, 5, 5], "config_hash": sidecar["config_hash"],
         }
 
+    @pytest.mark.parametrize(
+        "flags, run_id",
+        [(["--per-class", "60", "--seed", "3"], "54461e9c2efc0820"),
+         (["--dims", "3,2,4", "--sep", "2,3,1", "--split", "50,20,30", "--per-class", "40"],
+          "9bea917c98deb403")],
+        ids=["defaults", "three-modalities"],
+    )
+    def test_config_hash_pinned(self, tmp_path, capsys, flags, run_id):
+        out = tmp_path / "d"
+        code, stdout, _ = _run(capsys, "generate-data", *flags, "--out", str(out))
+        assert code == 0 and stdout.endswith(f"(run {run_id})\n")
+        assert json.loads((out / "dataset.json").read_text())["config_hash"] == run_id
+
     def test_same_seed_identical_files(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         args = ["generate-data", "--per-class", "10", "--seed", "7"]
@@ -277,6 +290,32 @@ class TestTrain:
         assert config["lam"] == 1.0 and isinstance(config["lam"], float)
         assert config["freeze_encoders"] is True
 
+    @pytest.fixture(scope="class")
+    def pinned_data(self, tmp_path_factory):
+        data = tmp_path_factory.mktemp("pinned") / "data"
+        assert main(["generate-data", "--per-class", "60", "--seed", "3", "--out", str(data)]) == 0
+        return data
+
+    def test_config_hash_pinned(self, pinned_data, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"lam": 1, "epochs": 3, "hidden": "8,4", "freeze_encoders": True, "lr": 0.001}
+        ))
+        runs = {"config": ["--config", str(cfg), "--epochs", "4"], "defaults": ["--epochs", "1"]}
+        for name, flags in runs.items():
+            assert main(["train", "--data", str(pinned_data), "--out", str(tmp_path / name),
+                         *flags]) == 0
+        artifacts = {name: json.loads((tmp_path / name / "artifact.json").read_text())
+                     for name in runs}
+        assert artifacts["config"]["run_id"] == "fcdace8c2e7ec34d"
+        assert artifacts["defaults"]["run_id"] == "3aeb2bfe078c70db"
+        assert artifacts["config"]["config"] == {
+            "command": "train", "data": {"n_classes": 3, "dims": [4, 4], "seed": 3},
+            "lr": 0.001, "epochs": 4, "batch_size": 16, "lam": 1.0, "seed": 0, "hidden": [8, 4],
+            "activation": "tanh", "freeze_encoders": True, "keep_best": False,
+        }
+        assert isinstance(artifacts["config"]["config"]["lam"], float)
+
     def test_null_config_value_where_the_default_is_null(self, pipeline, tmp_path):
         data, run = pipeline
         cfg = tmp_path / "cfg.json"
@@ -396,6 +435,25 @@ class TestEvaluate:
             assert code == 1 and stdout == ""
             assert err == f"error: {message}\n"
             assert not (tmp_path / "out").exists()
+
+    def test_class_count_checked_before_the_csv_is_parsed(self, pipeline, tmp_path, capsys):
+        """A 2-class dataset whose test split ends in a malformed row: the
+        class-count mismatch is refused before any CSV is read."""
+        _, run = pipeline
+        data = tmp_path / "data-2"
+        assert main([
+            "generate-data", "--classes", "2", "--per-class", "20", "--dims", "3,3",
+            "--out", str(data),
+        ]) == 0
+        with open(data / "test.csv", "a") as f:
+            f.write("0,not-a-number\n")
+        capsys.readouterr()
+        code, stdout, err = _run(
+            capsys, "evaluate", "--checkpoint", str(run / "checkpoint.json"),
+            "--data", str(data), "--out", str(tmp_path / "out"),
+        )
+        assert code == 1 and stdout == ""
+        assert err == "error: dataset n_classes 2 does not match the checkpoint's n_classes 3\n"
 
     def test_weighted_kappa_config_key_exit_1(self, pipeline, tmp_path, capsys):
         data, run = pipeline

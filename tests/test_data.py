@@ -59,7 +59,6 @@ class TestGeneration:
     def test_default_split_ratios(self):
         tr, va, te = generate_synthetic(SyntheticSpec(n_classes=2, n_per_class=100))
         assert (len(tr), len(va), len(te)) == (140, 30, 30)
-        assert tr.split == "train" and va.split == "val" and te.split == "test"
 
     def test_zero_separation_centers_classes_together(self):
         tr, _, _ = generate_synthetic(
