@@ -130,7 +130,7 @@ def _config_defaults(path, options: dict) -> dict:
         flag = options[key]
         if val is None and flag.default is None:
             continue
-        types, want = _CONFIG_TYPES[bool if flag.const is True else flag.type or str]
+        types, want = _CONFIG_TYPES[bool if flag.nargs == 0 else flag.type or str]
         if flag.choices:
             want = f"one of {', '.join(flag.choices)}"
         # `not <=` also rejects NaN, and an integer too large for a float
@@ -470,8 +470,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hidden", default=joined(EncoderSpec.hidden_dims),
                    help="encoder hidden dims, e.g. 64 or 128,64")
     p.add_argument("--activation", choices=["relu", "tanh"], default=EncoderSpec.activation)
-    p.add_argument("--freeze-encoders", action="store_true", default=TrainConfig.freeze_encoders)
-    p.add_argument("--keep-best", action="store_true", default=TrainConfig.keep_best)
+    p.add_argument("--freeze-encoders", action=argparse.BooleanOptionalAction,
+                   default=TrainConfig.freeze_encoders)
+    p.add_argument("--keep-best", action=argparse.BooleanOptionalAction,
+                   default=TrainConfig.keep_best)
 
     p = command("evaluate", cmd_evaluate, "score a checkpoint on one split", scores=True)
     p.add_argument("--bins", type=int, default=10)

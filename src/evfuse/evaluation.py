@@ -14,7 +14,9 @@ uncertainty readouts:
   uncertainty used for noise-trend analysis.
 
 Gaussian noise is sampled with the Box-Muller transform on a seeded
-generator's uniforms so fixtures are reproducible across platforms.
+generator's uniforms so fixtures are reproducible across platforms.  A
+noise sweep draws each seed's unit noise once and scales it per sigma; its
+rows equal those of per-pair `inject_noise` bit for bit.
 """
 
 from __future__ import annotations
@@ -184,6 +186,12 @@ def _check_noise_target(features: Sequence[np.ndarray], spec: NoiseSpec) -> None
         raise ValueError(f"modality_index {spec.modality_index} out of range")
 
 
+def _add_noise(x: np.ndarray, z: np.ndarray, sigma: float) -> np.ndarray:
+    """x + sigma z in a new array: the noise step of `inject_noise` and `noise_sweep`."""
+    noisy = z * sigma
+    return np.add(x, noisy, out=noisy)
+
+
 def inject_noise(features: Sequence[np.ndarray], spec: NoiseSpec) -> list[np.ndarray]:
     """Additive i.i.d. Gaussian noise on one modality, in a new array; every
     other entry (and at sigma = 0 every entry) is the input array itself."""
@@ -193,8 +201,7 @@ def inject_noise(features: Sequence[np.ndarray], spec: NoiseSpec) -> list[np.nda
         return out
     x = out[spec.modality_index]
     z = _box_muller(np.random.default_rng(spec.seed), np.shape(x))
-    z *= spec.sigma
-    out[spec.modality_index] = np.add(x, z, out=z)
+    out[spec.modality_index] = _add_noise(x, z, spec.sigma)
     return out
 
 
@@ -321,9 +328,10 @@ def noise_sweep(
     metrics and mean uncertainties for one (sigma, seed) pair and aggregates
     hold mean/std over seeds per sigma.  Every modality is scored once on
     the clean data, and the sigma = 0 pairs share that clean evaluation.
-    A pair with sigma > 0 re-scores only the corrupted modality, in place.
-    Every sigma and the modality index are checked before anything is
-    encoded.
+    Each seed's unit noise is drawn once and scaled for each sigma > 0,
+    whose pair re-scores only the corrupted modality, in place; the rows
+    equal those of per-pair `inject_noise` bit for bit.  Every sigma and
+    the modality index are checked before anything is encoded.
     """
     if len(sigmas) == 0 or len(seeds) == 0:
         raise ValueError("noise sweep needs at least one sigma and one seed")
@@ -333,16 +341,17 @@ def noise_sweep(
     clean = None
     if any(spec.sigma == 0.0 for spec in specs):
         clean = _sweep_metrics(scores, dataset.labels, model.n_classes, n_bins)
-    rows = []
-    for spec in specs:
-        if spec.sigma == 0.0:
-            metrics = clean
-        else:
+    x = dataset.features[modality_index]
+    noisy_sigmas = [sigma for sigma in sigmas if sigma != 0.0]
+    noisy = {}  # (sigma, seed) -> metrics, scored seed by seed
+    for seed in seeds if noisy_sigmas else ():
+        z = _box_muller(np.random.default_rng(seed), np.shape(x))
+        for sigma in noisy_sigmas:
             # the noisy features live only for the call that scores them
-            _score_modality(model, scores, modality_index,
-                            inject_noise(dataset.features, spec)[modality_index])
-            metrics = _sweep_metrics(scores, dataset.labels, model.n_classes, n_bins)
-        rows.append({"sigma": spec.sigma, "modality": modality_index, "seed": spec.seed, **metrics})
+            _score_modality(model, scores, modality_index, _add_noise(x, z, sigma))
+            noisy[sigma, seed] = _sweep_metrics(scores, dataset.labels, model.n_classes, n_bins)
+    rows = [{"sigma": s.sigma, "modality": modality_index, "seed": s.seed,
+             **(noisy[s.sigma, s.seed] if s.sigma != 0.0 else clean)} for s in specs]
 
     aggregates = []
     for sigma in sigmas:

@@ -107,12 +107,17 @@ class EvidentialOutput:
 def softplus(x: np.ndarray) -> np.ndarray:
     """log(1 + e^x) in the stable form log1p(e^-|x|) + max(x, 0).
 
-    `abs` writes a contiguous temporary, so `exp` and `log1p` run numpy's
-    vector loops whatever the layout of `x` (`logaddexp` calls scalar libm
-    on every element); the result can differ from `logaddexp(0, x)` in the
-    last bits.
+    `abs` writes a new contiguous array, in which `exp` and `log1p` run in
+    place on numpy's vector loops whatever the layout of `x` (`logaddexp`
+    calls scalar libm on every element); the result can differ from
+    `logaddexp(0, x)` in the last bits.
     """
-    return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
+    out = np.abs(x, out=np.empty(np.shape(x)))  # an array even for 0-d `x`
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(x, 0.0)
+    return out
 
 
 _DELTA_FLOOR = 1e-6
@@ -188,11 +193,12 @@ class _MLP:
         """Output features, and the activations of every layer as the backward cache."""
         acts = [x]
         for w, b in zip(self.weights, self.biases):
-            z = acts[-1] @ w + b
+            z = acts[-1] @ w
+            z += b
             if self.spec.activation == "relu":
-                acts.append(np.maximum(z, 0.0))
+                acts.append(np.maximum(z, 0.0, out=z))
             else:
-                acts.append(np.tanh(z))
+                acts.append(np.tanh(z, out=z))
         return acts[-1], acts
 
     def backward(self, acts, g_out: np.ndarray) -> list[np.ndarray]:
@@ -223,7 +229,8 @@ class _Head:
     bias = property(lambda self: self.arrays[1])
 
     def forward(self, h: np.ndarray) -> np.ndarray:
-        raw = h @ self.weight + self.bias
+        raw = h @ self.weight
+        raw += self.bias
         return raw.reshape(h.shape[0], self.n_classes, 4)
 
     def backward(self, h: np.ndarray, g_raw: np.ndarray):
@@ -439,7 +446,6 @@ def _copy_into(view: np.ndarray, saved, name: str) -> None:
 class TrainRecord:
     """Per-run training log returned by `train`."""
 
-    config: TrainConfig
     epoch_losses: list[float] = field(default_factory=list)
     val_losses: list[float] = field(default_factory=list)
     best_epoch: int | None = None
@@ -521,7 +527,7 @@ def train(model: MultimodalClassifier, dataset, config: TrainConfig, val_dataset
     opt = _Adam(model.params.size - first, config)
 
     rng = np.random.default_rng(config.seed)
-    record = TrainRecord(config=config)
+    record = TrainRecord()
     best_val = np.inf
     best_params = None
 

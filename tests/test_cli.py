@@ -290,6 +290,23 @@ class TestTrain:
         assert config["lam"] == 1.0 and isinstance(config["lam"], float)
         assert config["freeze_encoders"] is True
 
+    def test_no_switch_overrides_a_config_true(self, pipeline, tmp_path):
+        data, _ = pipeline
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"freeze_encoders": True, "keep_best": True}))
+        common = ["train", "--data", str(data), "--epochs", "2", "--hidden", "4"]
+        assert main([*common, "--out", str(tmp_path / "off"), "--config", str(cfg),
+                     "--no-freeze-encoders", "--no-keep-best"]) == 0
+        assert main([*common, "--out", str(tmp_path / "plain")]) == 0
+        off, plain = (json.loads((tmp_path / name / "artifact.json").read_text())
+                      for name in ("off", "plain"))
+        assert off["config"]["freeze_encoders"] is False and off["config"]["keep_best"] is False
+        assert off["best_epoch"] is None
+        # the same options as a run without the file: the same run and checkpoint
+        assert off["run_id"] == plain["run_id"]
+        assert ((tmp_path / "off" / "checkpoint.json").read_bytes()
+                == (tmp_path / "plain" / "checkpoint.json").read_bytes())
+
     @pytest.fixture(scope="class")
     def pinned_data(self, tmp_path_factory):
         data = tmp_path_factory.mktemp("pinned") / "data"

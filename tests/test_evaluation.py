@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from evfuse import evaluation
 from evfuse.data import Dataset
 from evfuse.distributions import st_nll_arrays
 from evfuse.evaluation import (
@@ -357,6 +358,20 @@ class TestInferencePass:
         sweep = noise_sweep(model, ds, sigmas, noisy, seeds)
         assert sweep["rows"] == rows
         assert [r["acc_m1"] for r in rows] == [rows[0]["acc_m1"]] * len(rows)
+
+    @pytest.mark.parametrize("sigmas, draws", [((0.0, 0.4, 1.5), 2), ((0.0,), 0)])
+    def test_noise_sweep_draws_each_seeds_noise_once(self, monkeypatch, sigmas, draws):
+        model, ds = _wide_model_and_data(500, (3, 4), (8,))
+        drawn = []
+        box_muller = evaluation._box_muller
+
+        def counted(rng, shape):
+            drawn.append(shape)
+            return box_muller(rng, shape)
+
+        monkeypatch.setattr(evaluation, "_box_muller", counted)
+        noise_sweep(model, ds, sigmas, 1, (3, 8))
+        assert drawn == [(500, 4)] * draws
 
     def test_noise_sweep_memory(self):
         # the sweep keeps one set of per-modality scores and re-scores the

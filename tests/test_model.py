@@ -68,6 +68,12 @@ class TestHeadConstrain:
         assert np.array_equal(block, np.stack([softplus(raw[i, :, 1:]) for i in range(37)]))
         assert np.array_equal(block, np.stack([softplus(raw[..., j]) for j in (1, 2, 3)], axis=-1))
 
+    def test_softplus_leaves_its_input_alone(self):
+        raw = np.random.default_rng(4).standard_normal((9, 3, 4)) * 40.0
+        before = raw.copy()
+        softplus(raw[..., 1:])
+        assert np.array_equal(raw, before)
+
     @given(st.lists(st.floats(-50, 50), min_size=4, max_size=4))
     def test_constraint_map_is_total(self, raw):
         _, delta, alpha, beta = _constrain(raw)
@@ -174,6 +180,21 @@ class TestForward:
         feats = [rng.normal(size=(n, d)), rng.normal(size=(n, d))]
         raw = np.stack([model.head_outputs(m, x) for m, x in enumerate(feats)])
         assert np.array_equal(raw, model.forward_batch(feats)["raw"])
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_forward_passes_leave_their_features_alone(self, activation):
+        # the layers write into arrays of their own, never into the input
+        model = MultimodalClassifier([EncoderSpec(3, (8, 5), activation)] * 2, n_classes=3, seed=2)
+        rng = np.random.default_rng(8)
+        feats = [rng.normal(size=(50, 3)), rng.normal(size=(50, 3))]
+        before = [x.copy() for x in feats]
+        first = model.head_outputs(0, feats[0]), model.forward_batch(feats)
+        second = model.head_outputs(0, feats[0]), model.forward_batch(feats)
+        assert all(np.array_equal(x, b) for x, b in zip(feats, before))
+        assert np.array_equal(first[0], second[0])
+        for key in ("raw", "gamma", "delta", "alpha", "beta"):
+            assert np.array_equal(first[1][key], second[1][key])
+        assert all(np.array_equal(a, b) for a, b in zip(first[1]["hidden"], second[1]["hidden"]))
 
     def test_head_outputs_one_unit_layer_matches_to_rounding(self):
         # BLAS splits a matrix-vector product by row count, so a layer one
