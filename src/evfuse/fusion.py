@@ -118,7 +118,7 @@ def fuse_stack_backward(
     # sigma_F = w * sum_m c(v_m, v_F) * s_m; the winner's c is identically 1
     dc_dv = (fv - 2.0) / fv * (-2.0 / (v - 2.0) ** 2)
     dc_dvf = np.where(wins, 0.0, v * 2.0 / (fv**2 * (v - 2.0)))
-    gv_f = g_v + (w * s * dc_dvf * g_sigma).sum(axis=0)
+    gv_f = g_v + np.add.reduce(w * s * dc_dvf * g_sigma, axis=0)
     return (
         np.where(wins, g_u, 0.0),
         w * trace.c * g_sigma,

@@ -100,10 +100,10 @@ def softmax(x: np.ndarray) -> np.ndarray:
 
 def cross_entropy_arrays(logits: np.ndarray, y_onehot: np.ndarray):
     """CE against one-hot targets along the last axis, with its gradient."""
-    z = logits - logits.max(axis=-1, keepdims=True)
+    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     e = np.exp(z)
-    s = e.sum(axis=-1, keepdims=True)
-    ce = np.log(s[..., 0]) - (z * y_onehot).sum(axis=-1)
+    s = np.add.reduce(e, axis=-1, keepdims=True)
+    ce = np.log(s[..., 0]) - np.add.reduce(z * y_onehot, axis=-1)
     return ce, e / s - y_onehot
 
 
@@ -125,8 +125,9 @@ def total_loss_and_grads_arrays(gamma, delta, alpha, beta, y_onehot, lam):
     )
     nll, g_u, g_sigma, g_v = st_nll_and_grads_arrays(us, ss, vs, y_onehot)
     ce, g_ce = cross_entropy_arrays(us, y_onehot)
-    terms = nll.sum(axis=-1) + lam * ce  # (M + 1, ...)
-    parts = {"per_modality_nig": terms[:m], "fused_st": terms[m], "total": terms.sum(axis=0)}
+    terms = np.add.reduce(nll, axis=-1) + lam * ce  # (M + 1, ...)
+    total = np.add.reduce(terms, axis=0)
+    parts = {"per_modality_nig": terms[:m], "fused_st": terms[m], "total": total}
 
     # the fused adjoints back through the fusion, joined with the modality ones
     g_u += lam * g_ce
@@ -134,13 +135,11 @@ def total_loss_and_grads_arrays(gamma, delta, alpha, beta, y_onehot, lam):
     # then through the NIG -> t map: log sigma = log beta + log(1 + delta)
     # - log delta - log alpha, and v = 2 alpha
     g_log_sigma = (g_sigma[:m] + gs_f) * sigma
-    grads = np.stack(
-        [
-            g_u[:m] + gu_f,
-            g_log_sigma / (delta * (-1.0 - delta)),
-            2.0 * (g_v[:m] + gv_f) - g_log_sigma / alpha,
-            g_log_sigma / beta,
-        ],
-        axis=-1,
-    )
+    grads = np.empty(sigma.shape + (4,))  # columns (gamma, delta, alpha, beta)
+    np.add(g_u[:m], gu_f, out=grads[..., 0])
+    np.divide(g_log_sigma, delta * (-1.0 - delta), out=grads[..., 1])
+    g_alpha = g_v[:m] + gv_f
+    g_alpha *= 2.0
+    np.subtract(g_alpha, g_log_sigma / alpha, out=grads[..., 2])
+    np.divide(g_log_sigma, beta, out=grads[..., 3])
     return parts, grads

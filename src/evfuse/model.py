@@ -137,7 +137,11 @@ def _constrain_arrays(raw: np.ndarray):
 def _constrain_backward(raw: np.ndarray, g_params: np.ndarray) -> np.ndarray:
     """Chain (..., K, 4) parameter adjoints back to the raw head outputs."""
     g_raw = g_params.copy()
-    g_raw[..., 1:] *= 0.5 * (1.0 + np.tanh(0.5 * raw[..., 1:]))  # softplus' = sigmoid
+    sigmoid = raw[..., 1:] * 0.5  # softplus' = sigmoid = (1 + tanh(x / 2)) / 2
+    np.tanh(sigmoid, out=sigmoid)
+    sigmoid += 1.0
+    sigmoid *= 0.5
+    g_raw[..., 1:] *= sigmoid
     return g_raw
 
 
@@ -201,21 +205,20 @@ class _MLP:
                 acts.append(np.tanh(z, out=z))
         return acts[-1], acts
 
-    def backward(self, acts, g_out: np.ndarray) -> list[np.ndarray]:
-        """Gradients of every array in `arrays`, in the same order."""
-        grads_w, grads_b = [], []
+    def backward(self, acts, g_out: np.ndarray) -> None:
+        """Write the gradients of `arrays` into `grads`, the views laid out like them."""
+        n = len(self.spec.hidden_dims)
         g = g_out
-        for i in range(len(self.weights) - 1, -1, -1):
+        for i in range(n - 1, -1, -1):
             # both derivatives read off the layer's output a: relu' = [a > 0], tanh' = 1 - a^2
             if self.spec.activation == "relu":
                 g = g * (acts[i + 1] > 0.0)
             else:
                 g = g * (1.0 - acts[i + 1] ** 2)
-            grads_w.append(acts[i].T @ g)
-            grads_b.append(g.sum(axis=0))
+            np.matmul(acts[i].T, g, out=self.grads[i])
+            np.add.reduce(g, axis=0, out=self.grads[n + i])
             if i:  # the input features need no gradient
                 g = g @ self.weights[i].T
-        return grads_w[::-1] + grads_b[::-1]
 
 
 class _Head:
@@ -228,15 +231,18 @@ class _Head:
     weight = property(lambda self: self.arrays[0])
     bias = property(lambda self: self.arrays[1])
 
-    def forward(self, h: np.ndarray) -> np.ndarray:
-        raw = h @ self.weight
+    def forward(self, h: np.ndarray, out: np.ndarray) -> None:
+        """Write the raw outputs (B, K, 4) into `out`, a contiguous block."""
+        raw = out.reshape(h.shape[0], 4 * self.n_classes)
+        np.matmul(h, self.weight, out=raw)
         raw += self.bias
-        return raw.reshape(h.shape[0], self.n_classes, 4)
 
-    def backward(self, h: np.ndarray, g_raw: np.ndarray):
-        """Gradients of `arrays` (same order), and of the input features."""
+    def backward(self, h: np.ndarray, g_raw: np.ndarray) -> np.ndarray:
+        """Write the gradients of `arrays` into `grads`; return the input features' gradient."""
         g_flat = g_raw.reshape(h.shape[0], 4 * self.n_classes)
-        return [h.T @ g_flat, g_flat.sum(axis=0)], g_flat @ self.weight.T
+        np.matmul(h.T, g_flat, out=self.grads[0])
+        np.add.reduce(g_flat, axis=0, out=self.grads[1])
+        return g_flat @ self.weight.T
 
 
 class MultimodalClassifier:
@@ -244,7 +250,8 @@ class MultimodalClassifier:
 
     All weights live in one float64 vector, `params`; each layer's `arrays`
     are views into it.  Write weights in place (`[...] =`): a rebound array
-    is no longer part of `params`.
+    is no longer part of `params`.  `grad` is laid out like `params`; each
+    layer's `grads` view it, and the training step writes into them.
     """
 
     def __init__(self, encoder_specs: Sequence[EncoderSpec], n_classes: int, seed: int = 0):
@@ -260,11 +267,11 @@ class MultimodalClassifier:
         self.heads = [
             _Head(enc.output_dim, n_classes, rng) for enc in self.encoders
         ]
-        arrays = [a for layer in self._layers() for a in layer.arrays]
-        self.params = np.concatenate([a.ravel() for a in arrays])
-        views = iter(np.split(self.params, np.cumsum([a.size for a in arrays])[:-1]))
-        for layer in self._layers():
-            layer.arrays = [next(views).reshape(a.shape) for a in layer.arrays]
+        self.params = np.concatenate([a.ravel() for layer in self._layers() for a in layer.arrays])
+        self.grad = np.zeros_like(self.params)
+        weights, grads = self._layer_views(self.params), self._layer_views(self.grad)
+        for layer, arrays, layer_grads in zip(self._layers(), weights, grads):
+            layer.arrays, layer.grads = arrays, layer_grads
 
     def __reduce__(self):
         # copy and pickle through the checkpoint: a copy's arrays must view its own `params`
@@ -274,6 +281,12 @@ class MultimodalClassifier:
         """Every layer in checkpoint order, encoders then heads: the only
         definition of how `params` and its gradient vector are laid out."""
         return self.encoders + self.heads
+
+    def _layer_views(self, flat: np.ndarray) -> list[list[np.ndarray]]:
+        """Split `flat` into views shaped like each layer's `arrays`, in `_layers()` order."""
+        arrays = [a for layer in self._layers() for a in layer.arrays]
+        views = iter(np.split(flat, np.cumsum([a.size for a in arrays])[:-1]))
+        return [[next(views).reshape(a.shape) for a in layer.arrays] for layer in self._layers()]
 
     @property
     def n_modalities(self) -> int:
@@ -302,13 +315,17 @@ class MultimodalClassifier:
         outputs (`hidden`) and caches that backpropagation needs.
         """
         self._check_count(features)
-        hs, caches, raws = [], [], []
-        for m, (enc, head, x) in enumerate(zip(self.encoders, self.heads, features)):
-            h, cache = enc.forward(self._feature_block(m, x))
+        xs = [self._feature_block(m, x) for m, x in enumerate(features)]
+        if any(len(x) != len(xs[0]) for x in xs):
+            raise ValueError(f"feature blocks have {[len(x) for x in xs]} rows; they must match")
+        hs, caches = [], []
+        raw = np.empty((len(xs), len(xs[0]), self.n_classes, 4))
+        for enc, head, x, head_raw in zip(self.encoders, self.heads, xs, raw):
+            h, cache = enc.forward(x)
             hs.append(h)
             caches.append(cache)
-            raws.append(head.forward(h))
-        out = readout(np.stack(raws))
+            head.forward(h, out=head_raw)
+        out = readout(raw)
         out.update(hidden=hs, caches=caches)
         return out
 
@@ -329,7 +346,7 @@ class MultimodalClassifier:
         rows = max(INFERENCE_CHUNK_ROWS, -(-INFERENCE_CHUNK_MACS // narrowest))
         out = np.empty((x.shape[0], self.n_classes, 4))
         for a, b in row_chunks(x.shape[0], rows):
-            out[a:b] = head.forward(enc.forward(x[a:b])[0])
+            head.forward(enc.forward(x[a:b])[0], out=out[a:b])
         return out
 
     def all_head_outputs(self, features: Sequence[np.ndarray]) -> np.ndarray:
@@ -457,21 +474,20 @@ def config_hash(payload: dict) -> str:
 
 
 def _batch_loss_and_param_grads(model, features, y_onehot, lam):
-    """Mean batch loss and its gradient, laid out like `model.params`."""
+    """Mean batch loss and its gradient, `model.grad`, laid out like `model.params`.
+
+    The gradient is the model's own buffer: the next call overwrites it.
+    """
     out = model.forward_batch(features)
     parts, grads = total_loss_and_grads_arrays(
         out["gamma"], out["delta"], out["alpha"], out["beta"], y_onehot, lam
     )
     b = y_onehot.shape[0]
-    g_raw = _constrain_backward(out["raw"], grads) / b
-    layer_grads = {}
+    g_raw = _constrain_backward(out["raw"], grads)
+    g_raw /= b
     for m, (enc, head) in enumerate(zip(model.encoders, model.heads)):
-        layer_grads[head], g_h = head.backward(out["hidden"][m], g_raw[m])
-        layer_grads[enc] = enc.backward(out["caches"][m], g_h)
-    grad = np.concatenate(
-        [g.ravel() for layer in model._layers() for g in layer_grads[layer]]
-    )
-    return float(parts["total"].mean()), grad
+        enc.backward(out["caches"][m], head.backward(out["hidden"][m], g_raw[m]))
+    return float(np.add.reduce(parts["total"])) / b, model.grad
 
 
 class _Adam:
@@ -480,18 +496,25 @@ class _Adam:
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
+        self._scratch = np.empty(size), np.empty(size)
 
     def step(self, params: np.ndarray, grad: np.ndarray):
-        """Update `params` in place."""
+        """Update `params` in place: the textbook expressions, evaluated in
+        their order into two scratch vectors, so no step allocates."""
         c = self.cfg
         self.t += 1
+        s, d = self._scratch
         self.m *= c.beta1
-        self.m += (1.0 - c.beta1) * grad
+        self.m += np.multiply(grad, 1.0 - c.beta1, out=s)
         self.v *= c.beta2
-        self.v += (1.0 - c.beta2) * grad * grad
-        mhat = self.m / (1.0 - c.beta1**self.t)
-        vhat = self.v / (1.0 - c.beta2**self.t)
-        params -= c.learning_rate * mhat / (np.sqrt(vhat) + c.eps)
+        np.multiply(grad, 1.0 - c.beta2, out=s)
+        self.v += np.multiply(s, grad, out=s)
+        np.divide(self.m, 1.0 - c.beta1**self.t, out=s)  # mhat
+        s *= c.learning_rate
+        np.divide(self.v, 1.0 - c.beta2**self.t, out=d)  # vhat
+        np.sqrt(d, out=d)
+        d += c.eps
+        params -= np.divide(s, d, out=s)
 
 
 def _dataset_loss(model, dataset, lam: float) -> float:
@@ -500,7 +523,7 @@ def _dataset_loss(model, dataset, lam: float) -> float:
     parts, _ = total_loss_and_grads_arrays(
         out["gamma"], out["delta"], out["alpha"], out["beta"], y, lam
     )
-    return float(parts["total"].mean())
+    return float(parts["total"].mean())  # an empty validation set reads NaN
 
 
 def train(model: MultimodalClassifier, dataset, config: TrainConfig, val_dataset=None):
@@ -513,12 +536,15 @@ def train(model: MultimodalClassifier, dataset, config: TrainConfig, val_dataset
     n = len(dataset.labels)
     if n == 0:
         raise ValueError("dataset is empty")
-    labels = np.asarray(dataset.labels)
-    if labels.min() < 0 or labels.max() >= model.n_classes:
-        raise ValueError("labels out of range")
-    for ds in [dataset] + ([val_dataset] if val_dataset is not None else []):
+    for split, ds in (("training", dataset), ("validation", val_dataset)):
+        if ds is None:
+            continue
         for m, x in enumerate(ds.features):
             _check_finite(np.asarray(x, dtype=float), m)
+        y = np.asarray(ds.labels)
+        if len(y) and (y.dtype.kind not in "iu" or y.min() < 0 or y.max() >= model.n_classes):
+            raise ValueError(f"{split} labels must be integers in [0, {model.n_classes})")
+    labels = np.asarray(dataset.labels)
     eye = np.eye(model.n_classes)
 
     # the encoders lead `params`, so freezing them trains a suffix
