@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 validation error, 2 I/O error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -45,7 +46,6 @@ from .model import (
     MultimodalClassifier,
     TrainConfig,
     TrainingDivergedError,
-    config_hash,
     train,
 )
 
@@ -68,18 +68,21 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message, EXIT_VALIDATION)
 
 
-def _parse_tuple(text: str, n: int, kind, name: str):
-    """Comma-separated values; text without any value ("" or ",") is the
-    empty tuple, which the caller's own checks reject."""
-    parts = text.split(",") if text.strip(",") else []
-    if "" in parts:
-        raise CliError(f"--{name}: empty item in {text!r}", EXIT_VALIDATION)
-    if n is not None and len(parts) != n:
-        raise CliError(f"--{name} expects {n} comma-separated values", EXIT_VALIDATION)
-    try:
-        return tuple(kind(p) for p in parts)
-    except ValueError:
-        raise CliError(f"--{name}: could not parse {text!r}", EXIT_VALIDATION) from None
+def _parse_tuple(flag: str, kind, n: int | None = None):
+    """A list flag's `type`: comma-separated values of `kind` (`n` of them if
+    given); "" or "," is the empty tuple, which the command rejects.  argparse
+    also parses a `--config` string through it and does not catch CliError."""
+    def parse(text: str) -> tuple:
+        parts = text.split(",") if text.strip(",") else []
+        if "" in parts:
+            raise CliError(f"{flag}: empty item in {text!r}", EXIT_VALIDATION)
+        if n is not None and len(parts) != n:
+            raise CliError(f"{flag} expects {n} comma-separated values", EXIT_VALIDATION)
+        try:
+            return tuple(kind(p) for p in parts)
+        except ValueError:
+            raise CliError(f"{flag}: could not parse {text!r}", EXIT_VALIDATION) from None
+    return parse
 
 
 def _read_json(path, what: str, kind: type):
@@ -101,7 +104,8 @@ def _read_json(path, what: str, kind: type):
 
 
 # The JSON values a config key takes, by the type of its flag (a switch is a
-# bool): an integer flag takes only an integer, a float flag any finite number.
+# bool): an integer flag takes only an integer, a float flag any finite number,
+# and a list flag, like a flag without a type, a string.
 _CONFIG_TYPES = {
     bool: ((bool,), "true or false"),
     int: ((int,), "an integer"),
@@ -130,7 +134,7 @@ def _config_defaults(path, options: dict) -> dict:
         flag = options[key]
         if val is None and flag.default is None:
             continue
-        types, want = _CONFIG_TYPES[bool if flag.nargs == 0 else flag.type or str]
+        types, want = _CONFIG_TYPES.get(bool if flag.nargs == 0 else flag.type, _CONFIG_TYPES[str])
         if flag.choices:
             want = f"one of {', '.join(flag.choices)}"
         # `not <=` also rejects NaN, and an integer too large for a float
@@ -144,11 +148,16 @@ def _config_defaults(path, options: dict) -> dict:
     return file_cfg
 
 
-def _run_config(args, **parsed) -> dict:
+def _run_config(args, **inputs) -> dict:
     """What a run's config hash covers: the command, its option values, and
-    `parsed`, which holds the list options as parsed and any other input."""
+    any other `inputs`."""
     return {"command": args.command,
-            **{dest: getattr(args, dest) for dest in _options(args.subparser)}, **parsed}
+            **{dest: getattr(args, dest) for dest in _options(args.subparser)}, **inputs}
+
+
+def config_hash(payload: dict) -> str:
+    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
 def _outdir(path) -> Path:
@@ -251,16 +260,12 @@ def cmd_generate_data(args) -> int:
     spec = SyntheticSpec(
         n_classes=args.classes,
         n_per_class=args.per_class,
-        dims=_parse_tuple(args.dims, None, int, "dims"),
-        separation=_parse_tuple(args.sep, None, float, "sep"),
+        dims=args.dims,
+        separation=args.sep,
         seed=args.seed,
-        split_sizes=(
-            _parse_tuple(args.split, 3, int, "split") if args.split is not None else None
-        ),
+        split_sizes=args.split,
     )
-    run_id = config_hash(
-        _run_config(args, dims=spec.dims, sep=spec.separation, split=spec.split_sizes)
-    )
+    run_id = config_hash(_run_config(args))
     out = _outdir(args.out)
     train_ds, val_ds, test_ds = generate_synthetic(spec)
     for name, ds in (("train", train_ds), ("val", val_ds), ("test", test_ds)):
@@ -272,7 +277,6 @@ def cmd_generate_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    hidden = _parse_tuple(args.hidden, None, int, "hidden")
     tc = TrainConfig(
         learning_rate=args.lr,
         max_epochs=args.epochs,
@@ -288,17 +292,15 @@ def cmd_train(args) -> int:
         *(_load_split(args.data, sidecar, split) for split in ("train", "val"))
     )
 
-    specs = [EncoderSpec(d, hidden, args.activation) for d in sidecar["dims"]]
+    specs = [EncoderSpec(d, args.hidden, args.activation) for d in sidecar["dims"]]
     model = MultimodalClassifier(specs, sidecar["n_classes"], seed=tc.seed)
 
-    full_cfg = _run_config(
-        args, data={k: sidecar.get(k) for k in ("n_classes", "dims", "seed")}, hidden=hidden
-    )
+    full_cfg = _run_config(args, data={k: sidecar.get(k) for k in ("n_classes", "dims", "seed")})
     run_id = config_hash(full_cfg)
-    out = _outdir(args.out)
 
     model, record = train(model, train_ds, tc, val_dataset=val_ds)
 
+    out = _outdir(args.out)
     ckpt_path = out / "checkpoint.json"
     write_json(
         {
@@ -347,17 +349,15 @@ def cmd_evaluate(args) -> int:
 
 def cmd_noise_sweep(args) -> int:
     model, ds, run_id = _scoring_inputs(args)
-    sigmas = _parse_tuple(args.sigmas, None, float, "sigmas")
-    seeds = _parse_tuple(args.noise_seeds, None, int, "noise-seeds")
-    sweep = noise_sweep(model, ds, sigmas, args.modality - 1, seeds)
+    sweep = noise_sweep(model, ds, args.sigmas, args.modality - 1, args.noise_seeds)
     out = _outdir(args.out)
     write_json({"config_hash": run_id, **sweep}, out / "sweep.json")
     cols = list(sweep["rows"][0])
     _write_table(out / "sweep.csv", run_id, cols, ([r[c] for c in cols] for r in sweep["rows"]))
     _write_meta(out, run_id)
     print(
-        f"swept {len(sigmas)} sigmas x {len(seeds)} seeds on modality {args.modality}; "
-        f"tables in {out}"
+        f"swept {len(args.sigmas)} sigmas x {len(args.noise_seeds)} seeds "
+        f"on modality {args.modality}; tables in {out}"
     )
     return EXIT_OK
 
@@ -447,18 +447,18 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--split", choices=["train", "val", "test"], default="test")
         return p
 
-    def joined(values) -> str:  # a list flag's default
-        return ",".join(map(str, values))
+    def list_option(p, flag, kind, n=None, **kwargs):  # comma-separated values
+        p.add_argument(flag, type=_parse_tuple(flag, kind, n), **kwargs)
 
     p = command("generate-data", cmd_generate_data, "write synthetic CSVs with one or more modalities")
     p.add_argument("--classes", type=int, default=SyntheticSpec.n_classes)
     p.add_argument("--per-class", type=int, default=SyntheticSpec.n_per_class)
-    p.add_argument("--dims", default=joined(SyntheticSpec.dims),
-                   help="feature dims, one per modality, e.g. 4,4")
-    p.add_argument("--sep", default=joined(SyntheticSpec.separation),
-                   help="class separations, one per modality, e.g. 3,3")
+    list_option(p, "--dims", int, default=SyntheticSpec.dims,
+                help="feature dims, one per modality, e.g. 4,4")
+    list_option(p, "--sep", float, default=SyntheticSpec.separation,
+                help="class separations, one per modality, e.g. 3,3")
     p.add_argument("--seed", type=int, default=SyntheticSpec.seed)
-    p.add_argument("--split", help="explicit train,val,test sizes, e.g. 500,100,100")
+    list_option(p, "--split", int, 3, help="explicit train,val,test sizes, e.g. 500,100,100")
 
     p = command("train", cmd_train, "train a classifier on a dataset directory")
     p.add_argument("--data", required=True)
@@ -467,8 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     p.add_argument("--lambda", dest="lam", type=float, default=TrainConfig.lam)
     p.add_argument("--seed", type=int, default=TrainConfig.seed)
-    p.add_argument("--hidden", default=joined(EncoderSpec.hidden_dims),
-                   help="encoder hidden dims, e.g. 64 or 128,64")
+    list_option(p, "--hidden", int, default=EncoderSpec.hidden_dims,
+                help="encoder hidden dims, e.g. 64 or 128,64")
     p.add_argument("--activation", choices=["relu", "tanh"], default=EncoderSpec.activation)
     p.add_argument("--freeze-encoders", action=argparse.BooleanOptionalAction,
                    default=TrainConfig.freeze_encoders)
@@ -479,9 +479,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int, default=10)
 
     p = command("noise-sweep", cmd_noise_sweep, "evaluate under per-modality noise", scores=True)
-    p.add_argument("--sigmas", default="0,0.1,0.3,0.5,1.0", help="comma-separated noise levels")
+    list_option(p, "--sigmas", float, default=(0.0, 0.1, 0.3, 0.5, 1.0), help="noise levels")
     p.add_argument("--modality", type=int, default=1, help="1-based corrupted modality")
-    p.add_argument("--noise-seeds", default="0,1,2", help="comma-separated seeds")
+    list_option(p, "--noise-seeds", int, default=(0, 1, 2), help="noise seeds")
 
     p = command("report", cmd_report, "emit uncertainty-density tables", scores=True)
     p.add_argument("--modality", type=int, help="1-based noised modality")

@@ -94,18 +94,12 @@ class Dataset:
 
     def __post_init__(self):
         n = len(self.labels)
-        for m, x in enumerate(self.features):
+        for m, x in enumerate(self.features, start=1):
             if x.shape[0] != n:
-                raise ValueError(
-                    f"modality {m} has {x.shape[0]} rows but {n} labels"
-                )
+                raise ValueError(f"modality {m} has {x.shape[0]} rows but {n} labels")
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    @property
-    def n_modalities(self) -> int:
-        return len(self.features)
 
     def subset(self, idx: np.ndarray) -> "Dataset":
         return Dataset(

@@ -81,17 +81,34 @@ def nig_to_st_arrays(gamma, delta, alpha, beta):
     return gamma, sigma, 2.0 * alpha
 
 
-def st_nll_arrays(u, sigma, v, y):
-    """Negative log-density of the Student's t at y, via log-gamma."""
-    from scipy.special import gammaln
+def st_nll_and_grads_arrays(u, sigma, v, y):
+    """Student's t NLL at y and its partials in (u, sigma, v), sharing every intermediate.
 
-    q = 1.0 + (y - u) ** 2 / (v * sigma)
-    return (
-        gammaln(0.5 * v)
-        - gammaln(0.5 * (v + 1.0))
-        + 0.5 * np.log(v * math.pi * sigma)
-        + 0.5 * (v + 1.0) * np.log(q)
-    )
+    With z = y - u, w = z^2 / (v sigma), q = 1 + w, h = v / 2, k = (h + 1/2) / q
+    and t = 1/2 - k w:  NLL = log G(h) - log G(h + 1/2) + log(v pi sigma) / 2
+    + (h + 1/2) log q,  d/du = -2 k z / (v sigma),  d/dsigma = t / sigma,
+    d/dv = (psi(h) - psi(h + 1/2) + log q) / 2 + t / v.
+    """
+    from scipy.special import digamma, gammaln
+
+    z = y - u
+    vs = v * sigma
+    w = z**2 / vs
+    q = 1.0 + w
+    log_q = np.log(q)
+    h = 0.5 * v
+    h1 = h + 0.5
+    nll = gammaln(h) - gammaln(h1) + 0.5 * np.log(v * math.pi * sigma) + h1 * log_q
+    k = h1 / q
+    t = 0.5 - k * w
+    d_u = -2.0 * k * z / vs
+    d_v = 0.5 * (digamma(h) - digamma(h1) + log_q) + t / v
+    return nll, d_u, t / sigma, d_v
+
+
+def st_nll_arrays(u, sigma, v, y):
+    """Negative log-density of the Student's t at y."""
+    return st_nll_and_grads_arrays(u, sigma, v, y)[0]
 
 
 def st_variance_arrays(sigma, v):

@@ -5,9 +5,10 @@ the t negative log-likelihood of a one-hot target summed over class
 channels plus a weighted cross-entropy over the locations.  A modality's
 term is its NIG NLL: the NIG marginal is the t with u = gamma,
 sigma = beta (1 + delta) / (delta alpha) and v = 2 alpha (Amini et al.,
-2020), so one kernel, `st_nll_and_grads_arrays`, evaluates all M + 1 terms
-and their adjoints at once.  The fused adjoints go back through the fusion
-rule, and then all of them through the NIG -> t map to the NIG parameters.
+2020), so one kernel, `distributions.st_nll_and_grads_arrays`, evaluates
+all M + 1 terms and their adjoints at once.  The fused adjoints go back
+through the fusion rule, and then all of them through the NIG -> t map to
+the NIG parameters.
 `nig_nll_arrays` is the NIG-form NLL, with the scalar wrapper `nig_nll`;
 `student_t_nll` wraps the t form.
 """
@@ -18,7 +19,13 @@ import math
 
 import numpy as np
 
-from .distributions import NIGParams, StudentT, nig_to_st_arrays, st_nll_arrays
+from .distributions import (
+    NIGParams,
+    StudentT,
+    nig_to_st_arrays,
+    st_nll_and_grads_arrays,
+    st_nll_arrays,
+)
 from .fusion import fuse_stack, fuse_stack_backward
 
 _LOG_PI = math.log(math.pi)
@@ -45,31 +52,6 @@ def nig_nll_arrays(gamma, delta, alpha, beta, y):
         - alpha * np.log(2.0 * beta * (1.0 + delta))
         + (alpha + 0.5) * np.log(r)
     )
-
-
-def st_nll_and_grads_arrays(u, sigma, v, y):
-    """Student's t NLL at y and its partials in (u, sigma, v), sharing every intermediate.
-
-    With z = y - u, w = z^2 / (v sigma), q = 1 + w, h = v / 2, k = (h + 1/2) / q
-    and t = 1/2 - k w:  d/du = -2 k z / (v sigma),  d/dsigma = t / sigma,
-    d/dv = (psi(h) - psi(h + 1/2) + log q) / 2 + t / v.  The NLL is computed
-    exactly as `st_nll_arrays` computes it.
-    """
-    from scipy.special import digamma, gammaln
-
-    z = y - u
-    vs = v * sigma
-    w = z**2 / vs
-    q = 1.0 + w
-    log_q = np.log(q)
-    h = 0.5 * v
-    h1 = h + 0.5
-    nll = gammaln(h) - gammaln(h1) + 0.5 * np.log(v * math.pi * sigma) + h1 * log_q
-    k = h1 / q
-    t = 0.5 - k * w
-    d_u = -2.0 * k * z / vs
-    d_v = 0.5 * (digamma(h) - digamma(h1) + log_q) + t / v
-    return nll, d_u, t / sigma, d_v
 
 
 def reduce_last_axis(ufunc, x: np.ndarray) -> np.ndarray:

@@ -12,8 +12,6 @@ the seed: weight initialization, batch shuffling, and summation order.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -294,11 +292,16 @@ class MultimodalClassifier:
 
     # ---- forward -----------------------------------------------------
 
-    def _check_count(self, features) -> None:
+    def _check_blocks(self, features) -> None:
+        """One feature block per modality, all with the same number of rows."""
         if len(features) != self.n_modalities:
             raise ValueError(
                 f"expected {self.n_modalities} feature blocks, got {len(features)}"
             )
+        n = len(features[0])
+        for m, x in enumerate(features):
+            if len(x) != n:
+                raise ValueError(f"modality {m + 1} has {len(x)} rows, modality 1 has {n}")
 
     def _feature_block(self, m: int, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -314,10 +317,8 @@ class MultimodalClassifier:
         holds the `readout` of the raw head outputs plus the encoder
         outputs (`hidden`) and caches that backpropagation needs.
         """
-        self._check_count(features)
+        self._check_blocks(features)  # before `_feature_block` indexes the specs
         xs = [self._feature_block(m, x) for m, x in enumerate(features)]
-        if any(len(x) != len(xs[0]) for x in xs):
-            raise ValueError(f"feature blocks have {[len(x) for x in xs]} rows; they must match")
         hs, caches = [], []
         raw = np.empty((len(xs), len(xs[0]), self.n_classes, 4))
         for enc, head, x, head_raw in zip(self.encoders, self.heads, xs, raw):
@@ -349,14 +350,11 @@ class MultimodalClassifier:
             head.forward(enc.forward(x[a:b])[0], out=out[a:b])
         return out
 
-    def all_head_outputs(self, features: Sequence[np.ndarray]) -> np.ndarray:
-        """`head_outputs` of every modality, stacked: (M, N, K, 4)."""
-        self._check_count(features)
-        return np.stack([self.head_outputs(m, x) for m, x in enumerate(features)])
-
     def forward(self, sample: Sequence[np.ndarray]) -> EvidentialOutput:
         """Full evidential readout for a single sample: one row of the inference pass."""
-        out = readout(self.all_head_outputs([np.reshape(x, (1, -1)) for x in sample]))
+        xs = [np.reshape(x, (1, -1)) for x in sample]
+        self._check_blocks(xs)
+        out = readout(np.stack([self.head_outputs(m, x) for m, x in enumerate(xs)]))
         gamma, delta, alpha, beta = (out[k][:, 0] for k in ("gamma", "delta", "alpha", "beta"))
         u, sigma, v = (a[:, 0] for a in out["st"])
         t = out["trace"]
@@ -405,10 +403,6 @@ class MultimodalClassifier:
             ],
         }
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.state_dict(), f)
-
     @classmethod
     def from_state_dict(cls, state: dict) -> "MultimodalClassifier":
         if state.get("format_version") != CHECKPOINT_FORMAT_VERSION:
@@ -436,11 +430,6 @@ class MultimodalClassifier:
                 _copy_into(getattr(head, kind), state["heads"][m][kind], f"heads[{m}].{kind}")
         return model
 
-    @classmethod
-    def load(cls, path) -> "MultimodalClassifier":
-        with open(path, "r", encoding="utf-8") as f:
-            return cls.from_state_dict(json.load(f))
-
 
 def _copy_into(view: np.ndarray, saved, name: str) -> None:
     """Copy a saved array into its weight view; the shapes must match exactly
@@ -466,11 +455,6 @@ class TrainRecord:
     epoch_losses: list[float] = field(default_factory=list)
     val_losses: list[float] = field(default_factory=list)
     best_epoch: int | None = None
-
-
-def config_hash(payload: dict) -> str:
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
 def _batch_loss_and_param_grads(model, features, y_onehot, lam):
@@ -523,7 +507,7 @@ def _dataset_loss(model, dataset, lam: float) -> float:
     parts, _ = total_loss_and_grads_arrays(
         out["gamma"], out["delta"], out["alpha"], out["beta"], y, lam
     )
-    return float(parts["total"].mean())  # an empty validation set reads NaN
+    return float(parts["total"].mean())
 
 
 def train(model: MultimodalClassifier, dataset, config: TrainConfig, val_dataset=None):
@@ -533,18 +517,18 @@ def train(model: MultimodalClassifier, dataset, config: TrainConfig, val_dataset
     (ints in [0, K)).  Returns (model, TrainRecord); the model is trained in
     place.  Deterministic given the seed.
     """
-    n = len(dataset.labels)
-    if n == 0:
-        raise ValueError("dataset is empty")
     for split, ds in (("training", dataset), ("validation", val_dataset)):
         if ds is None:
             continue
+        if len(ds.labels) == 0:
+            raise ValueError(f"{split} dataset is empty")
         for m, x in enumerate(ds.features):
             _check_finite(np.asarray(x, dtype=float), m)
         y = np.asarray(ds.labels)
-        if len(y) and (y.dtype.kind not in "iu" or y.min() < 0 or y.max() >= model.n_classes):
+        if y.dtype.kind not in "iu" or y.min() < 0 or y.max() >= model.n_classes:
             raise ValueError(f"{split} labels must be integers in [0, {model.n_classes})")
     labels = np.asarray(dataset.labels)
+    n = len(labels)
     eye = np.eye(model.n_classes)
 
     # the encoders lead `params`, so freezing them trains a suffix

@@ -72,6 +72,18 @@ class TestGenerateData:
         assert code == 0 and stdout.endswith(f"(run {run_id})\n")
         assert json.loads((out / "dataset.json").read_text())["config_hash"] == run_id
 
+    def test_config_strings_write_the_flags_dataset(self, tmp_path, capsys):
+        # a list option read from a --config string is parsed as the flag is
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dims": "4,5,3", "sep": "2,3,1.5"}))
+        by_flags, by_config = tmp_path / "flags", tmp_path / "config"
+        assert main(["generate-data", "--per-class", "10", "--dims", "4,5,3", "--sep", "2,3,1.5",
+                     "--out", str(by_flags)]) == 0
+        assert main(["generate-data", "--per-class", "10", "--config", str(cfg),
+                     "--out", str(by_config)]) == 0
+        for name in ("train.csv", "dataset.json"):
+            assert (by_flags / name).read_bytes() == (by_config / name).read_bytes()
+
     def test_same_seed_identical_files(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         args = ["generate-data", "--per-class", "10", "--seed", "7"]
@@ -215,6 +227,17 @@ class TestTrain:
         assert code == 1 and stdout == ""
         assert err.startswith("error:") and "max_epochs must be >= 0" in err
         assert not (tmp_path / "neg").exists()
+
+    def test_empty_validation_split_exit_1(self, tmp_path, capsys):
+        data, out = tmp_path / "data", tmp_path / "run"
+        assert _run(capsys, "generate-data", "--per-class", "20", "--seed", "1",
+                    "--split", "40,0,20", "--out", str(data))[0] == 0
+        code, stdout, err = _run(
+            capsys, "train", "--data", str(data), "--out", str(out), "--epochs", "2", "--hidden", "8"
+        )
+        assert code == 1 and stdout == ""
+        assert err == "error: validation dataset is empty\n"
+        assert not out.exists()
 
     def test_missing_data_exit_2(self, tmp_path, capsys):
         code, _, err = _run(
@@ -673,26 +696,37 @@ class TestNoiseSweepAndReport:
         assert not out.exists()
 
 
+_EMPTY_ITEMS = [
+    ("generate-data", "--dims", "4,,4"),
+    ("generate-data", "--sep", "3,3,"),
+    ("generate-data", "--split", "10,,10"),
+    ("train", "--hidden", "8,"),
+    ("noise-sweep", "--sigmas", "0,,1"),
+    ("noise-sweep", "--noise-seeds", ",1"),
+]
+
+
 @pytest.mark.parametrize(
-    "command, flag, value",
-    [
-        ("generate-data", "--dims", "4,,4"),
-        ("generate-data", "--sep", "3,3,"),
-        ("generate-data", "--split", "10,,10"),
-        ("train", "--hidden", "8,"),
-        ("noise-sweep", "--sigmas", "0,,1"),
-        ("noise-sweep", "--noise-seeds", ",1"),
-    ],
+    "source, command, flag, value",
+    [pytest.param("flag", *case, id="-".join(case)) for case in _EMPTY_ITEMS]
+    + [pytest.param("config", *case, id="-".join(("config",) + case)) for case in _EMPTY_ITEMS],
 )
-def test_empty_list_item_exit_1(pipeline, tmp_path, capsys, command, flag, value):
+def test_empty_list_item_exit_1(pipeline, tmp_path, capsys, source, command, flag, value):
+    # a --config string is parsed by the flag's own type, so it fails the same way
     data, run = pipeline
     inputs = {
         "generate-data": [],
         "train": ["--data", str(data)],
         "noise-sweep": ["--checkpoint", str(run / "checkpoint.json"), "--data", str(data)],
     }[command]
+    if source == "flag":
+        inputs += [flag, value]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({flag[2:].replace("-", "_"): value}))
+        inputs += ["--config", str(cfg)]
     out = tmp_path / "out"
-    code, stdout, err = _run(capsys, command, *inputs, flag, value, "--out", str(out))
+    code, stdout, err = _run(capsys, command, *inputs, "--out", str(out))
     assert code == 1 and stdout == ""
     assert err == f"error: {flag}: empty item in {value!r}\n"
     assert not out.exists()

@@ -83,7 +83,8 @@ class TestGeneration:
         assert accs[0] < 0.6 and accs[1] > 0.95
 
     def test_row_counts_agree(self):
-        with pytest.raises(ValueError):
+        # modalities are numbered from 1, as in every other message
+        with pytest.raises(ValueError, match="^modality 2 has 4 rows but 3 labels$"):
             Dataset([np.zeros((3, 2)), np.zeros((4, 2))], np.zeros(3, dtype=int))
 
 

@@ -234,16 +234,6 @@ class TestGradients:
                 fd = _central_diff(f, args[i])
                 assert grads[i] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
-    def test_st_kernel_nll_matches_st_nll_arrays(self):
-        rng = np.random.default_rng(10)
-        shape = (3, 64, 5)
-        u, y = rng.normal(0, 3, shape), rng.integers(0, 2, shape).astype(float)
-        s = np.exp(rng.uniform(-10, 10, shape))
-        v = 2.0 + np.exp(rng.uniform(-9, 6, shape))
-        np.testing.assert_allclose(
-            st_nll_and_grads_arrays(u, s, v, y)[0], st_nll_arrays(u, s, v, y), rtol=1e-14, atol=0
-        )
-
     def test_gamma_gradient_zero_at_target(self):
         p = NIGParams(0.7, 1.0, 2.0, 1.0)
         g = _single_modality_grads(p.gamma, p.delta, p.alpha, p.beta, p.gamma)[0]

@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 import evfuse.losses
 import evfuse.model
 import step_oracle
+from evfuse.cli import config_hash
 from evfuse.data import Dataset, SyntheticSpec, generate_synthetic, standardize
 from evfuse.evaluation import class_posterior
 from evfuse.losses import total_loss_and_grads_arrays
@@ -26,7 +27,6 @@ from evfuse.model import (
     _constrain_arrays,
     _constrain_backward,
     _dataset_loss,
-    config_hash,
     readout,
     row_chunks,
     softplus,
@@ -175,7 +175,14 @@ class TestForward:
     @pytest.mark.parametrize("rows", [(5, 4), (4, 5)])
     def test_forward_batch_rejects_unequal_row_counts(self, rows):
         feats = [np.zeros((rows[0], 3)), np.zeros((rows[1], 2))]
-        with pytest.raises(ValueError, match=rf"feature blocks have \[{rows[0]}, {rows[1]}\] rows"):
+        message = rf"^modality 2 has {rows[1]} rows, modality 1 has {rows[0]}$"
+        with pytest.raises(ValueError, match=message):
+            _tiny_model().forward_batch(feats)
+
+    def test_forward_batch_rejects_a_surplus_block(self):
+        # counted before `_feature_block` looks up a block's encoder spec
+        feats = [np.zeros((4, 3)), np.zeros((4, 2)), np.zeros((4, 2))]
+        with pytest.raises(ValueError, match="^expected 2 feature blocks, got 3$"):
             _tiny_model().forward_batch(feats)
 
     @pytest.mark.parametrize(
@@ -267,7 +274,7 @@ class TestForward:
         model = _tiny_model()
         rng = np.random.default_rng(6)
         feats = [rng.normal(size=(7, 3)), rng.normal(size=(7, 2))]
-        batch = readout(model.all_head_outputs(feats))
+        batch = readout(np.stack([model.head_outputs(m, x) for m, x in enumerate(feats)]))
         t = batch["trace"]
         for i in range(7):
             out = model.forward([x[i] for x in feats])
@@ -300,20 +307,18 @@ class TestPredict:
 
 
 class TestCheckpoint:
-    def test_round_trip_bit_exact(self, tmp_path):
+    def test_round_trip_bit_exact(self):
+        # the in-memory form through JSON text, as the CLI's checkpoint file holds it
         model = _tiny_model(seed=11)
-        path = tmp_path / "ckpt.json"
-        model.save(path)
-        loaded = MultimodalClassifier.load(path)
+        text = json.dumps(model.state_dict())
+        loaded = MultimodalClassifier.from_state_dict(json.loads(text))
         for a, b in zip(model.encoders, loaded.encoders):
             for w1, w2 in zip(a.weights, b.weights):
                 np.testing.assert_array_equal(w1, w2)
         for a, b in zip(model.heads, loaded.heads):
             np.testing.assert_array_equal(a.weight, b.weight)
             np.testing.assert_array_equal(a.bias, b.bias)
-        path2 = tmp_path / "ckpt2.json"
-        loaded.save(path2)
-        assert path.read_bytes() == path2.read_bytes()
+        assert json.dumps(loaded.state_dict()) == text
 
     def test_every_weight_is_a_view_into_params(self):
         model = _tiny_model()
@@ -457,11 +462,13 @@ class TestTrain:
             train(model, ds, TrainConfig(max_epochs=1), val_dataset=val)
         assert np.array_equal(model.params, before)  # rejected before any step
 
-    def test_empty_validation_set_reads_nan(self):
+    def test_empty_validation_set_rejected(self):
         val = Dataset([np.zeros((0, 3)), np.zeros((0, 2))], np.zeros(0, dtype=np.int64))
-        with pytest.warns(RuntimeWarning):  # numpy: the mean of an empty slice
-            _, record = train(_tiny_model(), _toy_dataset(), TrainConfig(max_epochs=2), val)
-        assert len(record.val_losses) == 2 and all(math.isnan(x) for x in record.val_losses)
+        model = _tiny_model()
+        before = model.params.copy()
+        with pytest.raises(ValueError, match="^validation dataset is empty$"):
+            train(model, _toy_dataset(), TrainConfig(max_epochs=2), val)
+        assert np.array_equal(model.params, before)  # rejected before any step
 
     def test_keep_best_restores_best_val_epoch(self):
         ds = _toy_dataset(seed=3)
