@@ -248,7 +248,7 @@ def _score_modality(model: MultimodalClassifier, scores: _Scores, m: int, x) -> 
 
 def _score_modalities(model: MultimodalClassifier, features) -> _Scores:
     """Score every modality into freshly allocated arrays."""
-    model._check_blocks(features)
+    features = model._check_blocks(features)
     n_mod, n, k = len(features), len(features[0]), model.n_classes
     scores = _Scores(np.empty((3, n_mod, n, k)), np.empty((n_mod, n), dtype=np.intp),
                      np.empty((n_mod, n)), np.empty((n_mod, n)))

@@ -292,16 +292,19 @@ class MultimodalClassifier:
 
     # ---- forward -----------------------------------------------------
 
-    def _check_blocks(self, features) -> None:
-        """One feature block per modality, all with the same number of rows."""
+    def _check_blocks(self, features) -> list[np.ndarray]:
+        """The float (B, d_m) block of each modality, all with the same B; counted
+        before `_feature_block` looks up each block's encoder spec."""
         if len(features) != self.n_modalities:
             raise ValueError(
                 f"expected {self.n_modalities} feature blocks, got {len(features)}"
             )
-        n = len(features[0])
-        for m, x in enumerate(features):
+        xs = [self._feature_block(m, x) for m, x in enumerate(features)]
+        n = len(xs[0])
+        for m, x in enumerate(xs):
             if len(x) != n:
                 raise ValueError(f"modality {m + 1} has {len(x)} rows, modality 1 has {n}")
+        return xs
 
     def _feature_block(self, m: int, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -317,8 +320,7 @@ class MultimodalClassifier:
         holds the `readout` of the raw head outputs plus the encoder
         outputs (`hidden`) and caches that backpropagation needs.
         """
-        self._check_blocks(features)  # before `_feature_block` indexes the specs
-        xs = [self._feature_block(m, x) for m, x in enumerate(features)]
+        xs = self._check_blocks(features)
         hs, caches = [], []
         raw = np.empty((len(xs), len(xs[0]), self.n_classes, 4))
         for enc, head, x, head_raw in zip(self.encoders, self.heads, xs, raw):
@@ -352,8 +354,7 @@ class MultimodalClassifier:
 
     def forward(self, sample: Sequence[np.ndarray]) -> EvidentialOutput:
         """Full evidential readout for a single sample: one row of the inference pass."""
-        xs = [np.reshape(x, (1, -1)) for x in sample]
-        self._check_blocks(xs)
+        xs = self._check_blocks([np.reshape(x, (1, -1)) for x in sample])
         out = readout(np.stack([self.head_outputs(m, x) for m, x in enumerate(xs)]))
         gamma, delta, alpha, beta = (out[k][:, 0] for k in ("gamma", "delta", "alpha", "beta"))
         u, sigma, v = (a[:, 0] for a in out["st"])

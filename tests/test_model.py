@@ -172,6 +172,11 @@ class TestForward:
         with pytest.raises(ValueError):
             model.forward([np.zeros(4), np.zeros(2)])
 
+    @pytest.mark.parametrize("feats", [[np.zeros(3), np.zeros(2)], [1.0, 2.0]], ids=["1-d", "0-d"])
+    def test_forward_batch_checks_shapes_before_rows(self, feats):
+        with pytest.raises(ValueError, match=r"^feature block has shape \(\d?,?\), expected \(B, 3\)$"):
+            _tiny_model().forward_batch(feats)
+
     @pytest.mark.parametrize("rows", [(5, 4), (4, 5)])
     def test_forward_batch_rejects_unequal_row_counts(self, rows):
         feats = [np.zeros((rows[0], 3)), np.zeros((rows[1], 2))]
