@@ -103,9 +103,8 @@ def _read_json(path, what: str, kind: type):
     return doc
 
 
-# The JSON values a config key takes, by the type of its flag (a switch is a
-# bool): an integer flag takes only an integer, a float flag any finite number,
-# and a list flag, like a flag without a type, a string.
+# The JSON values a config key takes, by its flag's type (a switch is a bool, a list
+# flag a str): an integer flag takes only an integer, a float flag any finite number.
 _CONFIG_TYPES = {
     bool: ((bool,), "true or false"),
     int: ((int,), "an integer"),
@@ -479,9 +478,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int, default=10)
 
     p = command("noise-sweep", cmd_noise_sweep, "evaluate under per-modality noise", scores=True)
-    list_option(p, "--sigmas", float, default=(0.0, 0.1, 0.3, 0.5, 1.0), help="noise levels")
+    list_option(p, "--sigmas", float, default=(0.0, 0.1, 0.3, 0.5, 1.0),
+                help="comma-separated noise levels")
     p.add_argument("--modality", type=int, default=1, help="1-based corrupted modality")
-    list_option(p, "--noise-seeds", int, default=(0, 1, 2), help="noise seeds")
+    list_option(p, "--noise-seeds", int, default=(0, 1, 2), help="comma-separated seeds")
 
     p = command("report", cmd_report, "emit uncertainty-density tables", scores=True)
     p.add_argument("--modality", type=int, help="1-based noised modality")
