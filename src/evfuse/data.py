@@ -47,6 +47,17 @@ class SyntheticSpec:
                 raise ValueError("split_sizes must not exceed the total sample count")
 
 
+def saved_array(saved, shape, name: str, positive: bool = False) -> np.ndarray:
+    """`saved`, read from a file, as a float array of exactly `shape`; a ValueError names
+    it on another shape, a non-finite value (JSON null reads as NaN) or, if `positive`, one <= 0."""
+    a = np.asarray(saved, dtype=float)
+    if a.shape != tuple(shape):
+        raise ValueError(f"{name} has shape {a.shape}, expected {tuple(shape)}")
+    if not np.isfinite(a).all() or (positive and not (a > 0).all()):
+        raise ValueError(f"{name} must be {'finite and > 0' if positive else 'finite'}")
+    return a
+
+
 @dataclass
 class Standardization:
     mean: list[np.ndarray]  # per modality, per feature
@@ -62,24 +73,17 @@ class Standardization:
     def from_dict(cls, doc: dict, dims: Sequence[int]) -> "Standardization":
         """Load statistics for modalities of widths `dims`; a ValueError names any
         array of the wrong count or shape, a non-finite value, or a std <= 0."""
-        stats = cls(
-            [np.array(m, dtype=float) for m in doc["mean"]],
-            [np.array(s, dtype=float) for s in doc["std"]],
-        )
-        for name, arrays in (("mean", stats.mean), ("std", stats.std)):
-            if len(arrays) != len(dims):
+        stats = []
+        for name in ("mean", "std"):
+            if len(doc[name]) != len(dims):
                 raise ValueError(
-                    f"standardization {name} holds {len(arrays)} arrays, expected {len(dims)}"
+                    f"standardization {name} holds {len(doc[name])} arrays, expected {len(dims)}"
                 )
-            for m, (a, d) in enumerate(zip(arrays, dims)):
-                if a.shape != (d,):
-                    raise ValueError(
-                        f"standardization {name}[{m}] has shape {a.shape}, expected ({d},)"
-                    )
-                if not np.isfinite(a).all() or (name == "std" and not (a > 0).all()):
-                    need = "finite and > 0" if name == "std" else "finite"
-                    raise ValueError(f"standardization {name}[{m}] must be {need}")
-        return stats
+            stats.append([
+                saved_array(a, (d,), f"standardization {name}[{m}]", positive=name == "std")
+                for m, (a, d) in enumerate(zip(doc[name], dims))
+            ])
+        return cls(*stats)
 
     def apply(self, ds: "Dataset") -> "Dataset":
         """Z-score every modality of `ds` with these statistics."""

@@ -247,8 +247,8 @@ def _score_modality(model: MultimodalClassifier, scores: _Scores, m: int, x) -> 
 
 
 def _score_modalities(model: MultimodalClassifier, features) -> _Scores:
-    """Score every modality into freshly allocated arrays."""
-    features = model._check_blocks(features)
+    """Score every modality of a split's checked feature blocks
+    (`MultimodalClassifier._check_split`) into freshly allocated arrays."""
     n_mod, n, k = len(features), len(features[0]), model.n_classes
     scores = _Scores(np.empty((3, n_mod, n, k)), np.empty((n_mod, n), dtype=np.intp),
                      np.empty((n_mod, n)), np.empty((n_mod, n)))
@@ -290,8 +290,10 @@ def _score_fused(scores: _Scores, labels, n_classes: int, n_bins: int):
 def evaluate_model(
     model: MultimodalClassifier, dataset, n_bins: int = 10
 ) -> EvalResult:
-    scores = _score_modalities(model, dataset.features)
-    fused = _score_fused(scores, dataset.labels, model.n_classes, n_bins)
+    """Score `dataset`, checked by `MultimodalClassifier._check_split` before any encoding."""
+    features, labels = model._check_split(dataset, "evaluation")
+    scores = _score_modalities(model, features)
+    fused = _score_fused(scores, labels, model.n_classes, n_bins)
     return EvalResult(*fused, scores.unc, scores.ep, scores.pred)
 
 
@@ -327,18 +329,20 @@ def noise_sweep(
     the clean data, and the sigma = 0 pairs share that clean evaluation.
     Each seed's unit noise is drawn once and scaled for each sigma > 0,
     whose pair re-scores only the corrupted modality, in place; the rows
-    equal those of per-pair `inject_noise` bit for bit.  Every sigma and
-    the modality index are checked before anything is encoded.
+    equal those of per-pair `inject_noise` bit for bit.  Every sigma, the
+    modality index and the split (`MultimodalClassifier._check_split`) are
+    checked before anything is encoded.
     """
     if len(sigmas) == 0 or len(seeds) == 0:
         raise ValueError("noise sweep needs at least one sigma and one seed")
     specs = [NoiseSpec(modality_index, sigma, seed) for sigma in sigmas for seed in seeds]
     _check_noise_target(dataset.features, specs[0])
-    scores = _score_modalities(model, dataset.features)
+    features, labels = model._check_split(dataset, "evaluation")
+    scores = _score_modalities(model, features)
     clean = None
     if any(spec.sigma == 0.0 for spec in specs):
-        clean = _sweep_metrics(scores, dataset.labels, model.n_classes, n_bins)
-    x = dataset.features[modality_index]
+        clean = _sweep_metrics(scores, labels, model.n_classes, n_bins)
+    x = features[modality_index]
     noisy_sigmas = [sigma for sigma in sigmas if sigma != 0.0]
     noisy = {}  # (sigma, seed) -> metrics, scored seed by seed
     for seed in seeds if noisy_sigmas else ():
@@ -346,7 +350,7 @@ def noise_sweep(
         for sigma in noisy_sigmas:
             # the noisy features live only for the call that scores them
             _score_modality(model, scores, modality_index, _add_noise(x, z, sigma))
-            noisy[sigma, seed] = _sweep_metrics(scores, dataset.labels, model.n_classes, n_bins)
+            noisy[sigma, seed] = _sweep_metrics(scores, labels, model.n_classes, n_bins)
     rows = [{"sigma": s.sigma, "modality": modality_index, "seed": s.seed,
              **(noisy[s.sigma, s.seed] if s.sigma != 0.0 else clean)} for s in specs]
 

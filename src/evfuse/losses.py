@@ -9,13 +9,11 @@ sigma = beta (1 + delta) / (delta alpha) and v = 2 alpha (Amini et al.,
 all M + 1 terms and their adjoints at once.  The fused adjoints go back
 through the fusion rule, and then all of them through the NIG -> t map to
 the NIG parameters.
-`nig_nll_arrays` is the NIG-form NLL, with the scalar wrapper `nig_nll`;
-`student_t_nll` wraps the t form.
+`nig_nll` (the NIG form, through that map) and `student_t_nll` (the t
+form) are scalar wrappers over the same kernel.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -28,30 +26,16 @@ from .distributions import (
 )
 from .fusion import fuse_stack, fuse_stack_backward
 
-_LOG_PI = math.log(math.pi)
-
 
 def nig_nll(p: NIGParams, y: float) -> float:
-    """Negative log marginal likelihood of an NIG prior at observation y."""
-    return float(nig_nll_arrays(p.gamma, p.delta, p.alpha, p.beta, y))
+    """Negative log marginal likelihood of an NIG prior at observation y: the
+    t NLL of its converted parameters."""
+    return float(st_nll_arrays(*nig_to_st_arrays(p.gamma, p.delta, p.alpha, p.beta), y))
 
 
 def student_t_nll(st: StudentT, y: float) -> float:
     """Negative log-likelihood of a Student's t at observation y."""
     return float(st_nll_arrays(st.u, st.sigma, st.v, y))
-
-
-def nig_nll_arrays(gamma, delta, alpha, beta, y):
-    from scipy.special import gammaln
-
-    r = (y - gamma) ** 2 * delta + 2.0 * beta * (1.0 + delta)
-    return (
-        gammaln(alpha)
-        - gammaln(alpha + 0.5)
-        + 0.5 * (_LOG_PI - np.log(delta))
-        - alpha * np.log(2.0 * beta * (1.0 + delta))
-        + (alpha + 0.5) * np.log(r)
-    )
 
 
 def reduce_last_axis(ufunc, x: np.ndarray) -> np.ndarray:

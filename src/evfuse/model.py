@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .data import saved_array
 from .distributions import (
     NIGParams,
     StudentT,
@@ -313,6 +314,21 @@ class MultimodalClassifier:
             raise ValueError(f"feature block has shape {x.shape}, expected (B, {d})")
         return x
 
+    def _check_split(self, ds, split: str) -> tuple[list[np.ndarray], np.ndarray]:
+        """The feature blocks and labels of dataset `ds`, named `split` in messages: the
+        blocks of `_check_blocks`, finite, at least one row, one label in [0, K) per row."""
+        xs = self._check_blocks(ds.features)
+        y, n = np.asarray(ds.labels), len(xs[0])
+        if y.shape != (n,):
+            raise ValueError(f"{split} labels have shape {y.shape}, expected ({n},)")
+        if n == 0:
+            raise ValueError(f"{split} dataset is empty")
+        for m, x in enumerate(xs):
+            _check_finite(x, m)
+        if y.dtype.kind not in "iu" or y.min() < 0 or y.max() >= self.n_classes:
+            raise ValueError(f"{split} labels must be integers in [0, {self.n_classes})")
+        return xs, y
+
     def forward_batch(self, features: Sequence[np.ndarray]):
         """Training forward; returns constrained parameter arrays and caches.
 
@@ -426,23 +442,12 @@ class MultimodalClassifier:
                         f"expected {len(views)}"
                     )
                 for i, (view, w) in enumerate(zip(views, saved)):
-                    _copy_into(view, w, f"encoders[{m}].{kind}[{i}]")
+                    name = f"checkpoint array encoders[{m}].{kind}[{i}]"
+                    view[...] = saved_array(w, view.shape, name)
             for kind in ("weight", "bias"):
-                _copy_into(getattr(head, kind), state["heads"][m][kind], f"heads[{m}].{kind}")
+                view, name = getattr(head, kind), f"checkpoint array heads[{m}].{kind}"
+                view[...] = saved_array(state["heads"][m][kind], view.shape, name)
         return model
-
-
-def _copy_into(view: np.ndarray, saved, name: str) -> None:
-    """Copy a saved array into its weight view; the shapes must match exactly
-    and every value be finite (a JSON null reads as NaN)."""
-    saved = np.asarray(saved, dtype=float)
-    if saved.shape != view.shape:
-        raise ValueError(
-            f"checkpoint array {name} has shape {saved.shape}, expected {view.shape}"
-        )
-    if not np.isfinite(saved).all():
-        raise ValueError(f"checkpoint array {name} must be finite")
-    view[...] = saved
 
 
 # ---------------------------------------------------------------------------
@@ -514,21 +519,15 @@ def _dataset_loss(model, dataset, lam: float) -> float:
 def train(model: MultimodalClassifier, dataset, config: TrainConfig, val_dataset=None):
     """Mini-batch Adam training of the total evidential objective.
 
-    `dataset` needs `.features` (list of (N, d_m) arrays) and `.labels`
-    (ints in [0, K)).  Returns (model, TrainRecord); the model is trained in
-    place.  Deterministic given the seed.
+    `dataset` and `val_dataset` need `.features` (list of (N, d_m) arrays)
+    and `.labels` (ints in [0, K)); `MultimodalClassifier._check_split`
+    checks both splits before the first step, so a rejected split leaves the
+    weights as they were.  Returns (model, TrainRecord); the model is trained
+    in place.  Deterministic given the seed.
     """
-    for split, ds in (("training", dataset), ("validation", val_dataset)):
-        if ds is None:
-            continue
-        if len(ds.labels) == 0:
-            raise ValueError(f"{split} dataset is empty")
-        for m, x in enumerate(ds.features):
-            _check_finite(np.asarray(x, dtype=float), m)
-        y = np.asarray(ds.labels)
-        if y.dtype.kind not in "iu" or y.min() < 0 or y.max() >= model.n_classes:
-            raise ValueError(f"{split} labels must be integers in [0, {model.n_classes})")
-    labels = np.asarray(dataset.labels)
+    features, labels = model._check_split(dataset, "training")
+    if val_dataset is not None:
+        model._check_split(val_dataset, "validation")
     n = len(labels)
     eye = np.eye(model.n_classes)
 
@@ -547,7 +546,7 @@ def train(model: MultimodalClassifier, dataset, config: TrainConfig, val_dataset
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            feats = [x[idx] for x in dataset.features]
+            feats = [x[idx] for x in features]
             y = eye[labels[idx]]
             loss, grad = _batch_loss_and_param_grads(model, feats, y, config.lam)
             if not np.isfinite(loss):

@@ -1,14 +1,17 @@
-"""Brute-force double quadrature of the NIG marginal likelihood, kept as a test oracle.
+"""Test oracles of the NIG marginal likelihood: a brute-force double quadrature,
+and the NIG form of its negative log.
 
 Marginalising N(y | mu, s2) over an NIG prior on (mu, s2) gives a Student's
 t in closed form (Deep Evidential Regression, Amini et al., NeurIPS 2020);
 `evfuse.distributions.nig_to_student_t` and `student_t_pdf` must match this
-numerical integral of the same marginal.
+numerical integral of the same marginal, and `evfuse.losses.nig_nll`, which
+takes the t NLL of the converted parameters, must match the NIG form.
 """
 
 import math
 
 import numpy as np
+from scipy.special import gammaln
 
 from evfuse.distributions import NIGParams, nig_epistemic
 
@@ -59,3 +62,16 @@ def nig_marginal_pdf_quadrature(p: NIGParams, ys, nodes: int) -> np.ndarray:
         )
         out += np.einsum("m,ymj->yj", w_mu, np.exp(log_f)) @ w_t[j]
     return out
+
+
+def nig_nll_closed_form(gamma, delta, alpha, beta, y):
+    """-log of the NIG marginal at y, written in the NIG parameters (Amini et
+    al., 2020, eq. 8) rather than through the NIG -> t map; broadcasts."""
+    r = (y - gamma) ** 2 * delta + 2.0 * beta * (1.0 + delta)
+    return (
+        gammaln(alpha)
+        - gammaln(alpha + 0.5)
+        + 0.5 * (math.log(math.pi) - np.log(delta))
+        - alpha * np.log(2.0 * beta * (1.0 + delta))
+        + (alpha + 0.5) * np.log(r)
+    )

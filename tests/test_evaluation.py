@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -425,6 +426,24 @@ class TestInferencePass:
         monkeypatch.setattr(MultimodalClassifier, "head_outputs", lambda self, m, x: encoded.append(m))
         with pytest.raises(ValueError, match=message):
             noise_sweep(model, ds, sigmas, modality, (1,))
+        assert encoded == []
+
+    @pytest.mark.parametrize("split, message", [
+        (lambda x, y: (x, y + 0.5), r"^evaluation labels must be integers in \[0, 3\)$"),
+        (lambda x, y: (x, np.where(y == 2, 3, y)), r"^evaluation labels must be integers in \[0, 3\)$"),
+        (lambda x, y: (x, y[:-1]), r"^evaluation labels have shape \(59,\), expected \(60,\)$"),
+        (lambda x, y: ([a[:0] for a in x], y[:0]), "^evaluation dataset is empty$"),
+    ], ids=["float-labels", "label-K", "fewer-labels", "empty"])
+    @pytest.mark.parametrize("run", [
+        evaluate_model, lambda model, ds: noise_sweep(model, ds, (0.0, 0.5), 0, (1,)),
+    ], ids=["evaluate_model", "noise_sweep"])
+    def test_split_checked_before_encoding(self, monkeypatch, run, split, message):
+        model, ds = _model_and_data()
+        features, labels = split(ds.features, ds.labels)
+        encoded = []
+        monkeypatch.setattr(MultimodalClassifier, "head_outputs", lambda self, m, x: encoded.append(m))
+        with pytest.raises(ValueError, match=message):
+            run(model, SimpleNamespace(features=features, labels=labels))  # a duck-typed dataset
         assert encoded == []
 
     def test_feature_blocks_of_unequal_rows_rejected(self):

@@ -475,6 +475,24 @@ class TestTrain:
             train(model, _toy_dataset(), TrainConfig(max_epochs=2), val)
         assert np.array_equal(model.params, before)  # rejected before any step
 
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda feats: feats.__setitem__(0, np.zeros((32, 4))),
+             r"^feature block has shape \(32, 4\), expected \(B, 3\)$"),
+            (lambda feats: feats.pop(), "^expected 2 feature blocks, got 1$"),
+        ],
+        ids=["4-wide-block", "missing-modality"],
+    )
+    def test_validation_blocks_checked_before_any_step(self, mutate, message):
+        val = _toy_dataset(n=32, seed=1)
+        mutate(val.features)  # past Dataset's own check
+        model = _tiny_model()
+        before = model.params.copy()
+        with pytest.raises(ValueError, match=message):
+            train(model, _toy_dataset(), TrainConfig(max_epochs=1), val_dataset=val)
+        assert np.array_equal(model.params, before)  # rejected before any step
+
     def test_keep_best_restores_best_val_epoch(self):
         ds = _toy_dataset(seed=3)
         val = _toy_dataset(n=32, seed=4)
