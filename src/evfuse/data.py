@@ -8,6 +8,9 @@ units of the within-class standard deviation).
 
 from __future__ import annotations
 
+import hashlib
+import re
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -186,17 +189,46 @@ def _header(dims: Sequence[int]) -> list[str]:
 _ROW_BLOCK = 4096
 
 
+def _copy_path(path: Path) -> Path:
+    return path.with_name(path.name + ".npz")
+
+
 def save_csv(dataset: Dataset, path, comment: str | None = None) -> None:
+    """Write `dataset` as a CSV, then its binary copy `<name>.csv.npz`, keyed
+    by the sha256 of the CSV's bytes.  Only this function (through
+    `generate-data`) writes copies.  A copy is derived and safe to delete.  Any
+    earlier copy is removed first; none is written when a value is not finite
+    or a label does not fit int64, as the copy must hold exactly what parsing
+    the CSV returns."""
+    path = Path(path)
+    copy = _copy_path(path)
+    copy.unlink(missing_ok=True)
     dims = [x.shape[1] for x in dataset.features]
     values = np.hstack(dataset.features, dtype=float)
     labels = np.asarray(dataset.labels)
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    written = []  # the labels as written
+    digest = hashlib.sha256()
+    with open(path, "wb") as f:
+
+        def put(text: str) -> None:
+            data = text.encode("utf-8")
+            digest.update(data)
+            f.write(data)
+
         if comment:
-            f.write(f"# {comment}\n")
-        f.write(",".join(_header(dims)) + "\n")
+            put(f"# {comment}\n")
+        put(",".join(_header(dims)) + "\n")
         for i in range(0, len(dataset), _ROW_BLOCK):
-            rows = zip(labels[i : i + _ROW_BLOCK].tolist(), values[i : i + _ROW_BLOCK].tolist())
-            f.write("".join(f"{int(lab)},{','.join(map(repr, row))}\n" for lab, row in rows))
+            ints = [int(lab) for lab in labels[i : i + _ROW_BLOCK].tolist()]
+            written.extend(ints)
+            rows = zip(ints, values[i : i + _ROW_BLOCK].tolist())
+            put("".join(f"{lab},{','.join(map(repr, row))}\n" for lab, row in rows))
+    try:
+        written = np.array(written, dtype=np.int64)
+    except OverflowError:  # a label beyond int64
+        return
+    if np.isfinite(values).all():
+        np.savez(copy, labels=written, values=values, csv_sha256=np.array(digest.hexdigest()))
 
 
 @dataclass(frozen=True)
@@ -236,29 +268,45 @@ def _raise_row_error(path, lines: list[str], first_row: int, n_cols: int, n_clas
                 raise CsvFormatError(f"{path}: row {r}: label {value} out of range [0, {n_classes})")
 
 
-def load_csv(path, schema: CsvSchema) -> Dataset:
-    """Parse a dataset CSV a block of rows at a time, validating header, shape, and label range."""
-    path = Path(path)
-    expected_header = _header(schema.dims)
-    n_cols = len(expected_header)
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    # leading `# ...` lines carry provenance comments
-    skipped = 0
-    while lines and lines[0].startswith("#"):
-        lines.pop(0)
-        skipped += 1
-    if not lines:
-        raise CsvFormatError(f"{path}: empty file, expected a header row")
-    header = lines[0].split(",")
-    if header != expected_header:
-        raise CsvFormatError(
-            f"{path}: bad header; expected {','.join(expected_header)!r}"
-        )
-    labels = np.empty(len(lines) - 1, dtype=np.int64)
-    arr = np.empty((len(lines) - 1, n_cols - 1))
+# the line boundaries of `str.splitlines`
+_LINE_BREAK = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
+def _read_copy(path: Path, data: bytes, schema: CsvSchema) -> tuple[np.ndarray, np.ndarray] | None:
+    """The labels and values of the binary copy beside `path`, or None unless it
+    reads, its `csv_sha256` is that of `data`, and its arrays fit `schema`:
+    int64 labels in [0, K) and finite float64 values of shape (N, sum(dims))."""
+    arrays = []
+    try:
+        with zipfile.ZipFile(_copy_path(path)) as z:
+            for name in ("labels", "values", "csv_sha256"):
+                with z.open(f"{name}.npy") as f:
+                    arrays.append(np.lib.format.read_array(f, allow_pickle=False))
+    # what a missing, truncated or corrupt zip or .npy member raises
+    except (OSError, EOFError, KeyError, ValueError, RuntimeError, zipfile.BadZipFile):
+        return None
+    labels, values, key = arrays
+    fits = (
+        key.tolist() == hashlib.sha256(data).hexdigest()
+        and labels.dtype == np.int64
+        and values.dtype == np.float64
+        and values.shape[1:] == (sum(schema.dims),)
+        and labels.shape == values.shape[:1]
+        and np.isfinite(values).all()
+        and ((labels >= 0) & (labels < schema.n_classes)).all()
+    )
+    return (labels, values) if fits else None
+
+
+def _parse_rows(path, lines: list[str], skipped: int, schema: CsvSchema) -> tuple[np.ndarray, np.ndarray]:
+    """The labels and values of the data `lines`, parsed a block of rows at a
+    time, below `skipped` comment lines and the header; the first malformed or
+    non-finite cell raises a CsvFormatError naming its row and column."""
+    n_cols = sum(schema.dims) + 1
+    labels = np.empty(len(lines), dtype=np.int64)
+    arr = np.empty((len(lines), n_cols - 1))
     for start in range(0, len(labels), _ROW_BLOCK):
-        block = lines[1 + start : 1 + start + _ROW_BLOCK]
+        block = lines[start : start + _ROW_BLOCK]
         rows = slice(start, start + len(block))
         try:
             _parse_block(block, labels[rows], arr[rows], schema.n_classes)
@@ -268,9 +316,43 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
     bad = np.argwhere(~np.isfinite(arr))
     if len(bad):
         i, j = bad[0]
-        cell = lines[i + 1].split(",")[j + 1]
+        cell = lines[i].split(",")[j + 1]
         raise CsvFormatError(
             f"{path}: row {i + 2 + skipped}, column {j + 2}: non-finite cell {cell!r}"
         )
+    return labels, arr
+
+
+def load_csv(path, schema: CsvSchema) -> Dataset:
+    """Read a dataset CSV, validating header, shape, and label range.
+
+    The comment lines and the header are checked first.  The rows then come
+    from the binary copy `save_csv` wrote beside the file when that copy is
+    keyed to these exact bytes and fits `schema`.  Otherwise (no copy, an
+    edited CSV, an unreadable or mismatched copy) the copy is ignored and the
+    rows are parsed a block at a time, with the same arrays and the same
+    diagnostics.  Reading never writes a copy."""
+    path = Path(path)
+    expected_header = _header(schema.dims)
+    data = path.read_bytes()
+    text = data.decode("utf-8")
+    # leading `# ...` lines carry provenance comments
+    skipped = pos = 0
+    while pos < len(text):
+        brk = _LINE_BREAK.search(text, pos)
+        end, after = (brk.start(), brk.end()) if brk else (len(text), len(text))
+        if not text.startswith("#", pos):
+            break
+        skipped, pos = skipped + 1, after
+    if pos == len(text):
+        raise CsvFormatError(f"{path}: empty file, expected a header row")
+    if text[pos:end].split(",") != expected_header:
+        raise CsvFormatError(
+            f"{path}: bad header; expected {','.join(expected_header)!r}"
+        )
+    rows = _read_copy(path, data, schema)
+    if rows is None:
+        rows = _parse_rows(path, text[after:].splitlines(), skipped, schema)
+    labels, arr = rows
     blocks = np.split(arr, np.cumsum(schema.dims)[:-1], axis=1)
     return Dataset(blocks, labels)

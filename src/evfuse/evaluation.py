@@ -90,17 +90,19 @@ def cohen_kappa(
     """Chance-corrected agreement; `weighted=True` uses quadratic weights.
 
     Returns 0 by convention in the degenerate case where expected agreement
-    is 1 (single class everywhere).
+    is 1 (single class everywhere).  `preds` and `labels` must be integer
+    arrays with values in [0, n_classes).
     """
     preds = np.asarray(preds)
     labels = np.asarray(labels)
     if len(preds) == 0 or len(preds) != len(labels):
         raise ValueError("preds and labels must be equal-length and non-empty")
-    preds = preds.astype(np.int64)
-    labels = labels.astype(np.int64)
     for name, a in (("preds", preds), ("labels", labels)):
+        if a.dtype.kind not in "iu":
+            raise ValueError(f"{name} must be integers, got dtype {a.dtype}")
         if a.min() < 0 or a.max() >= n_classes:
             raise ValueError(f"{name} must lie in [0, {n_classes})")
+    preds, labels = preds.astype(np.int64), labels.astype(np.int64)
     # cm[t, p] counts samples of true class t predicted as p
     cm = np.bincount(labels * n_classes + preds, minlength=n_classes * n_classes)
     cm = cm.reshape(n_classes, n_classes).astype(float)

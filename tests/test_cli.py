@@ -89,8 +89,26 @@ class TestGenerateData:
         args = ["generate-data", "--per-class", "10", "--seed", "7"]
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
-        for name in ("train.csv", "val.csv", "test.csv", "dataset.json"):
+        for name in ("train.csv", "val.csv", "test.csv", "dataset.json",
+                     "train.csv.npz", "val.csv.npz", "test.csv.npz"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_reading_commands_never_write_the_data_directory(self, tmp_path):
+        # without binary copies the splits are parsed, and no command writes new copies
+        data = tmp_path / "data"
+        assert main(["generate-data", "--per-class", "10", "--seed", "7", "--out", str(data)]) == 0
+        for copy in data.glob("*.csv.npz"):
+            copy.unlink()
+        snapshot = {p.name: p.read_bytes() for p in data.iterdir()}
+        ckpt = str(tmp_path / "run" / "checkpoint.json")
+        for argv in (
+            ["train", "--out", str(tmp_path / "run"), "--epochs", "2", "--hidden", "8"],
+            ["evaluate", "--checkpoint", ckpt, "--out", str(tmp_path / "eval")],
+            ["noise-sweep", "--checkpoint", ckpt, "--sigmas", "0,0.5", "--out", str(tmp_path / "sweep")],
+            ["report", "--checkpoint", ckpt, "--out", str(tmp_path / "report")],
+        ):
+            assert main(argv + ["--data", str(data)]) == 0, argv[0]
+        assert {p.name: p.read_bytes() for p in data.iterdir()} == snapshot
 
     def test_invalid_flags_exit_1(self, tmp_path, capsys):
         code, _, err = _run(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csv_oracle import load_csv_rows, save_csv_rows
+from evfuse import data
 from evfuse.cli import main
 from evfuse.data import (
     _ROW_BLOCK,
@@ -356,3 +358,160 @@ class TestCsvMatchesPerRowOracle:
         path = tmp_path / "ds.csv"
         path.write_text("label,m1_0,m2_0\n" + "\n".join(body) + "\n")
         self._assert_readers_agree(path, CsvSchema((1, 1), 2))
+
+
+def _bits(ds: Dataset) -> list[tuple]:
+    """Each array's dtype, shape and bytes: equal lists mean bit-equal datasets, -0.0 included."""
+    return [(a.dtype, a.shape, a.tobytes()) for a in [ds.labels, *ds.features]]
+
+
+def _copy(path):
+    return path.with_name(path.name + ".npz")
+
+
+def _load_via_copy(path, schema):
+    """`load_csv` with the copy in place, asserting the copy is the one used."""
+    assert data._read_copy(path, path.read_bytes(), schema) is not None
+    return load_csv(path, schema)
+
+
+def _dataset(dims, n, seed=0, n_classes=3, values=None):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, sum(dims))) if values is None else np.resize(values, (n, sum(dims)))
+    return Dataset(np.split(x, np.cumsum(dims)[:-1], axis=1), rng.integers(0, n_classes, n))
+
+
+class TestBinaryCopy:
+    """The `<name>.csv.npz` copy `save_csv` writes beside a CSV and `load_csv` reads."""
+
+    # the largest subnormal, the smallest normal, and +-1e308 besides EDGE_FLOATS
+    EDGES = EDGE_FLOATS + [2.225073858507201e-308, 2.2250738585072014e-308, 1e308, -1e308]
+
+    @pytest.mark.parametrize(
+        "ds",
+        [
+            _dataset((4, 4), 50),
+            _dataset((3,), 37, seed=1),
+            _dataset((2, 3, 4), _ROW_BLOCK + 1, seed=2),
+            _dataset((2, 3), 40, seed=3, values=EDGES),
+            _dataset((1, 2), 30, seed=4, values=-0.0),
+            _dataset((4, 4), 0),
+            _dataset((2,), 0),
+            Dataset([np.arange(12).reshape(6, 2), -np.arange(6).reshape(6, 1)], np.arange(6) % 3),
+        ],
+        ids=["M2", "M1", "M3-two-blocks", "edge-floats", "negative-zero", "empty-M2", "empty-M1",
+             "integer-valued"],
+    )
+    @pytest.mark.parametrize("comment", [None, "config_hash=abc"])
+    def test_copy_loads_what_parsing_returns(self, tmp_path, ds, comment):
+        path = tmp_path / "ds.csv"
+        save_csv(ds, path, comment=comment)
+        schema = CsvSchema(tuple(x.shape[1] for x in ds.features), 3)
+        via_copy = _load_via_copy(path, schema)
+        _copy(path).unlink()
+        parsed = load_csv(path, schema)
+        oracle = load_csv_rows(path, schema)
+        source = Dataset([x.astype(float) for x in ds.features], ds.labels.astype(np.int64))
+        assert _bits(via_copy) == _bits(parsed) == _bits(oracle) == _bits(source)
+        assert [x.flags.writeable for x in via_copy.features] == [True] * len(ds.features)
+
+    def test_header_checked_before_the_copy(self, tmp_path):
+        # the copy's 8 columns fit a 3 + 5 schema too; the header must still refuse it
+        path = tmp_path / "ds.csv"
+        save_csv(_dataset((4, 4), 20), path)
+        assert data._read_copy(path, path.read_bytes(), CsvSchema((3, 5), 3)) is not None
+        with pytest.raises(CsvFormatError, match="bad header"):
+            load_csv(path, CsvSchema((3, 5), 3))
+
+    CSV_EDITS = {
+        "edited cell": lambda text: text[: text.rindex(",")] + ",0.5\n",
+        "appended row": lambda text: text + "0,1.0,2.0,3.0,4.0\n",
+        "appended bad row": lambda text: text + "0,not-a-number,2.0,3.0,4.0\n",
+        "changed comment": lambda text: text.replace("config_hash=abc", "config_hash=abd"),
+        "CRLF": lambda text: text.replace("\n", "\r\n"),
+    }
+
+    @pytest.mark.parametrize("edit", CSV_EDITS, ids=str)
+    def test_edited_csv_ignores_the_copy(self, tmp_path, edit):
+        path = tmp_path / "ds.csv"
+        schema = CsvSchema((2, 2), 3)
+        save_csv(_dataset((2, 2), 30), path, comment="config_hash=abc")
+        path.write_bytes(self.CSV_EDITS[edit](path.read_text()).encode())
+        assert data._read_copy(path, path.read_bytes(), schema) is None
+        TestCsvMatchesPerRowOracle()._assert_readers_agree(path, schema)
+
+    @staticmethod
+    def _forge(path, **arrays):
+        """Rewrite the copy with some of its arrays replaced, keeping its key."""
+        with np.load(_copy(path)) as z:
+            doc = {**dict(z), **arrays}
+        np.savez(_copy(path), **doc)
+
+    @staticmethod
+    def _write_npy(path, array):
+        with open(path, "wb") as f:  # np.save(path) would append `.npy` to the name
+            np.save(f, array)
+
+    COPY_FAULTS = {
+        "truncated": lambda path: _copy(path).write_bytes(_copy(path).read_bytes()[:-100]),
+        "garbage": lambda path: _copy(path).write_bytes(b"not a zip file"),
+        "empty": lambda path: _copy(path).write_bytes(b""),
+        "npy not npz": lambda path: TestBinaryCopy._write_npy(_copy(path), np.zeros((30, 4))),
+        "directory": lambda path: (_copy(path).unlink(), _copy(path).mkdir()),
+        "missing key": lambda path: np.savez(_copy(path), labels=np.zeros(30, np.int64)),
+        "object labels": lambda path: TestBinaryCopy._forge(
+            path, labels=np.array([0] * 29 + ["x"], dtype=object)),
+        "float labels": lambda path: TestBinaryCopy._forge(path, labels=np.zeros(30)),
+        "wrong shape": lambda path: TestBinaryCopy._forge(path, values=np.zeros((30, 5))),
+        "too few rows": lambda path: TestBinaryCopy._forge(path, values=np.zeros((29, 4))),
+        "float32 values": lambda path: TestBinaryCopy._forge(path, values=np.zeros((30, 4), np.float32)),
+        "NaN value": lambda path: TestBinaryCopy._forge(path, values=np.full((30, 4), np.nan)),
+        "label K": lambda path: TestBinaryCopy._forge(path, labels=np.full(30, 3)),
+        "negative label": lambda path: TestBinaryCopy._forge(path, labels=np.full(30, -1)),
+        "other key": lambda path: TestBinaryCopy._forge(path, csv_sha256=np.array("0" * 64)),
+        "key as bytes": lambda path: TestBinaryCopy._forge(
+            path, csv_sha256=np.array(hashlib.sha256(path.read_bytes()).hexdigest().encode())),
+    }
+
+    @pytest.mark.parametrize("fault", COPY_FAULTS, ids=str)
+    def test_unusable_copy_is_ignored(self, tmp_path, fault):
+        path = tmp_path / "ds.csv"
+        schema = CsvSchema((2, 2), 3)
+        ds = _dataset((2, 2), 30)
+        save_csv(ds, path, comment="config_hash=abc")
+        self.COPY_FAULTS[fault](path)
+        assert data._read_copy(path, path.read_bytes(), schema) is None
+        assert _bits(load_csv(path, schema)) == _bits(load_csv_rows(path, schema)) == _bits(ds)
+
+    def test_forged_copy_is_used(self, tmp_path):
+        # the forgeries above each break one check; an intact forgery reads through
+        path = tmp_path / "ds.csv"
+        save_csv(_dataset((2, 2), 30), path)
+        self._forge(path, labels=np.full(30, 2))
+        assert (load_csv(path, CsvSchema((2, 2), 3)).labels == 2).all()
+
+    @pytest.mark.parametrize(
+        "ds",
+        [
+            _dataset((2, 2), 10, values=[1.0, np.nan]),
+            _dataset((2, 2), 10, values=[1.0, -np.inf]),
+            Dataset([np.zeros((2, 1))], np.array([0, 2**70], dtype=object)),
+        ],
+        ids=["nan", "inf", "label beyond int64"],
+    )
+    def test_no_copy_for_what_parsing_refuses(self, tmp_path, ds):
+        path = tmp_path / "ds.csv"
+        save_csv(_dataset((2, 2), 10), path)
+        assert _copy(path).exists()
+        save_csv(ds, path)
+        assert not _copy(path).exists()  # the stale copy is gone too
+        with pytest.raises(CsvFormatError):
+            load_csv(path, CsvSchema(tuple(x.shape[1] for x in ds.features), 3))
+
+    @pytest.mark.parametrize("brk", ["\r", "\x0b", "\x0c", "\x1c", "\x85", " ", " "])
+    @pytest.mark.parametrize("then", ["# second comment", "not a comment"])
+    def test_leading_lines_split_as_splitlines(self, tmp_path, brk, then):
+        # a comment holding another line break: both readers see the same lines and rows
+        path = tmp_path / "ds.csv"
+        path.write_text(f"# first{brk}{then}\nlabel,m1_0,m2_0\n0,1.0,2.0\n1,3.0,oops\n", encoding="utf-8")
+        TestCsvMatchesPerRowOracle()._assert_readers_agree(path, CsvSchema((1, 1), 2))

@@ -77,6 +77,15 @@ class TestKappa:
         with pytest.raises(ValueError, match="preds must lie in"):
             cohen_kappa(preds, [0, 1], 3)
 
+    @pytest.mark.parametrize("name", ["preds", "labels"])
+    def test_non_integer_classes_rejected(self, name):
+        # truncating them would report agreement that `accuracy` denies
+        ints, floats = [0, 1, 2, 1], [0.5, 1.9, 2.2, 1.0]
+        args = (floats, ints) if name == "preds" else (ints, floats)
+        assert accuracy(*args) == 0.25
+        with pytest.raises(ValueError, match=f"^{name} must be integers, got dtype float64$"):
+            cohen_kappa(*args, 3)
+
     def test_quadratic_weights_order_sensitivity(self):
         labels = [0, 2, 1, 0, 2]
         near = [0, 1, 1, 0, 2]  # errors off by one class
