@@ -402,9 +402,14 @@ def cmd_fuse(args) -> int:
                 f"entry {i}: expected [u, sigma, v] or {{u, sigma, v}}",
                 EXIT_VALIDATION,
             )
+        for field, t in zip(("u", "sigma", "v"), triple):
+            if isinstance(t, bool) or not isinstance(t, (int, float)):
+                raise CliError(
+                    f"entry {i}: {field} must be a number, got {json.dumps(t)}", EXIT_VALIDATION
+                )
         try:
             inputs.append(StudentT(float(triple[0]), float(triple[1]), float(triple[2])))
-        except (TypeError, ValueError, OverflowError) as e:
+        except (ValueError, OverflowError) as e:
             raise CliError(f"entry {i}: {e}", EXIT_VALIDATION) from None
         if inputs[-1].v > FUSE_MAX_V:
             raise CliError(

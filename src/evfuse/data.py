@@ -52,10 +52,15 @@ class SyntheticSpec:
 
 def saved_array(saved, shape, name: str, positive: bool = False) -> np.ndarray:
     """`saved`, read from a file, as a float array of exactly `shape`; a ValueError names
-    it on another shape, a non-finite value (JSON null reads as NaN) or, if `positive`, one <= 0."""
-    a = np.asarray(saved, dtype=float)
+    it on another shape, a value that is not a number (a string or a boolean), a non-finite
+    value (JSON null reads as NaN) or, if `positive`, one <= 0."""
+    a = np.asarray(saved, dtype=object)
     if a.shape != tuple(shape):
         raise ValueError(f"{name} has shape {a.shape}, expected {tuple(shape)}")
+    for x in a.flat:
+        if x is not None and (isinstance(x, bool) or not isinstance(x, (int, float))):
+            raise ValueError(f"{name} must hold numbers, got {x!r}")
+    a = a.astype(float)
     if not np.isfinite(a).all() or (positive and not (a > 0).all()):
         raise ValueError(f"{name} must be {'finite and > 0' if positive else 'finite'}")
     return a
@@ -75,7 +80,8 @@ class Standardization:
     @classmethod
     def from_dict(cls, doc: dict, dims: Sequence[int]) -> "Standardization":
         """Load statistics for modalities of widths `dims`; a ValueError names any
-        array of the wrong count or shape, a non-finite value, or a std <= 0."""
+        array of the wrong count or shape, a value that is not a number, a
+        non-finite value, or a std <= 0."""
         stats = []
         for name in ("mean", "std"):
             if len(doc[name]) != len(dims):
@@ -189,24 +195,34 @@ def _header(dims: Sequence[int]) -> list[str]:
 _ROW_BLOCK = 4096
 
 
+# the line boundaries of `str.splitlines`
+_LINE_BREAK = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
 def _copy_path(path: Path) -> Path:
     return path.with_name(path.name + ".npz")
 
 
 def save_csv(dataset: Dataset, path, comment: str | None = None) -> None:
-    """Write `dataset` as a CSV, then its binary copy `<name>.csv.npz`, keyed
-    by the sha256 of the CSV's bytes.  Only this function (through
-    `generate-data`) writes copies.  A copy is derived and safe to delete.  Any
-    earlier copy is removed first; none is written when a value is not finite
-    or a label does not fit int64, as the copy must hold exactly what parsing
-    the CSV returns."""
+    """Write `dataset` as a CSV, then its binary copy `<name>.csv.npz`, keyed by
+    the sha256 of the CSV's bytes; the copy holds what parsing the CSV returns.
+    Only this function (through `generate-data`) writes copies, which are derived
+    and safe to delete.  Labels other than one integer in [0, 2**63) per row, a
+    non-finite feature value or a comment holding a line break raise ValueError
+    before any file is opened; otherwise the CSV and its copy are both written."""
     path = Path(path)
-    copy = _copy_path(path)
-    copy.unlink(missing_ok=True)
     dims = [x.shape[1] for x in dataset.features]
     values = np.hstack(dataset.features, dtype=float)
-    labels = np.asarray(dataset.labels)
-    written = []  # the labels as written
+    raw = np.asarray(dataset.labels)
+    if raw.dtype.kind not in "iu" or raw.shape != values.shape[:1]:
+        raise ValueError(f"labels must be {len(values)} integers, got {raw.dtype} of shape {raw.shape}")
+    labels = raw.astype(np.int64)  # a label >= 2**63 wraps to a negative one
+    if (labels < 0).any():
+        raise ValueError(f"labels must be in [0, 2**63), got {raw[np.argmax(labels < 0)]}")
+    if not np.isfinite(values).all():
+        raise ValueError(f"feature values must be finite, got {values[~np.isfinite(values)][0]}")
+    if comment and _LINE_BREAK.search(comment):
+        raise ValueError(f"comment must be one line, got {comment!r}")
     digest = hashlib.sha256()
     with open(path, "wb") as f:
 
@@ -218,17 +234,10 @@ def save_csv(dataset: Dataset, path, comment: str | None = None) -> None:
         if comment:
             put(f"# {comment}\n")
         put(",".join(_header(dims)) + "\n")
-        for i in range(0, len(dataset), _ROW_BLOCK):
-            ints = [int(lab) for lab in labels[i : i + _ROW_BLOCK].tolist()]
-            written.extend(ints)
-            rows = zip(ints, values[i : i + _ROW_BLOCK].tolist())
+        for i in range(0, len(labels), _ROW_BLOCK):
+            rows = zip(labels[i : i + _ROW_BLOCK].tolist(), values[i : i + _ROW_BLOCK].tolist())
             put("".join(f"{lab},{','.join(map(repr, row))}\n" for lab, row in rows))
-    try:
-        written = np.array(written, dtype=np.int64)
-    except OverflowError:  # a label beyond int64
-        return
-    if np.isfinite(values).all():
-        np.savez(copy, labels=written, values=values, csv_sha256=np.array(digest.hexdigest()))
+    np.savez(_copy_path(path), labels=labels, values=values, csv_sha256=np.array(digest.hexdigest()))
 
 
 @dataclass(frozen=True)
@@ -266,10 +275,6 @@ def _raise_row_error(path, lines: list[str], first_row: int, n_cols: int, n_clas
                 raise CsvFormatError(f"{path}: row {r}, column {c}: {kind} {cell!r}") from None
             if c == 1 and not (0 <= value < n_classes):
                 raise CsvFormatError(f"{path}: row {r}: label {value} out of range [0, {n_classes})")
-
-
-# the line boundaries of `str.splitlines`
-_LINE_BREAK = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 def _read_copy(path: Path, data: bytes, schema: CsvSchema) -> tuple[np.ndarray, np.ndarray] | None:

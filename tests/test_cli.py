@@ -532,8 +532,10 @@ class TestEvaluate:
             (lambda s: s["mean"][0].__setitem__(2, float("nan")), "standardization mean[0] must be finite"),
             (lambda s: (s["mean"].pop(), s["std"].pop()),
              "standardization mean holds 1 arrays, expected 2"),
+            (lambda s: s["mean"][0].__setitem__(1, "0.5"), "standardization mean[0] must hold numbers, got '0.5'"),
+            (lambda s: s["std"][1].__setitem__(0, True), "standardization std[1] must hold numbers, got True"),
         ],
-        ids=["std-shape", "zero-std", "nan-mean", "missing-modality"],
+        ids=["std-shape", "zero-std", "nan-mean", "missing-modality", "string-mean", "bool-std"],
     )
     def test_bad_standardization_exit_1(self, pipeline, tmp_path, capsys, mutate, message):
         data, run = pipeline
@@ -810,6 +812,24 @@ class TestFuse:
         assert got == code
         assert stdout == ""
         assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ("[[true, 1, 4], [1, 2, 6]]", "entry 0: u must be a number, got true"),
+            ('[["0", "1", "4"], [1, 2, 6]]', 'entry 0: u must be a number, got "0"'),
+            ('[[0, 1, 4], {"u": 1, "sigma": false, "v": 6}]', "entry 1: sigma must be a number, got false"),
+            ('[{"u": "0", "sigma": 1, "v": 4}]', 'entry 0: u must be a number, got "0"'),
+            ("[[0, 1, [4]]]", "entry 0: v must be a number, got [4]"),
+        ],
+        ids=["bool-u", "string-triple", "bool-sigma", "string-u", "list-v"],
+    )
+    def test_non_number_exit_1(self, tmp_path, capsys, doc, message):
+        f = tmp_path / "in.json"
+        f.write_text(doc)
+        code, stdout, err = _run(capsys, "fuse", "--in", str(f))
+        assert code == 1 and stdout == ""
+        assert err == f"error: {message}\n"
 
     def test_integer_beyond_float_range_exit_1(self, tmp_path, capsys):
         f = tmp_path / "in.json"

@@ -213,6 +213,21 @@ class TestCsv:
             SyntheticSpec(separation=(sep, 3.0))
 
 
+class TestSavedArray:
+    @pytest.mark.parametrize(
+        "saved, got", [([["1.5", 2.0]], "'1.5'"), ([[1.0, True]], "True"), ([[None, False]], "False")]
+    )
+    def test_only_numbers_load(self, saved, got):
+        with pytest.raises(ValueError, match=rf"^x must hold numbers, got {got}$"):
+            data.saved_array(saved, (1, 2), "x")
+
+    def test_numbers_load_as_floats(self):
+        a = data.saved_array([[1, 2.5], [0.5, -3]], (2, 2), "x")
+        assert a.dtype == np.float64 and a.tolist() == [[1.0, 2.5], [0.5, -3.0]]
+        with pytest.raises(ValueError, match="^x must be finite$"):
+            data.saved_array([[1, None]], (1, 2), "x")
+
+
 # Edge floats for the writer: signed zero, the smallest subnormal, the switch
 # of repr to exponent notation on either side, and the largest double.
 EDGE_FLOATS = [-0.0, 5e-324, 1e-05, 0.0001, 9999999999999998.0, 1e16, 1.7976931348623157e308,
@@ -490,23 +505,85 @@ class TestBinaryCopy:
         self._forge(path, labels=np.full(30, 2))
         assert (load_csv(path, CsvSchema((2, 2), 3)).labels == 2).all()
 
-    @pytest.mark.parametrize(
-        "ds",
-        [
-            _dataset((2, 2), 10, values=[1.0, np.nan]),
-            _dataset((2, 2), 10, values=[1.0, -np.inf]),
-            Dataset([np.zeros((2, 1))], np.array([0, 2**70], dtype=object)),
-        ],
-        ids=["nan", "inf", "label beyond int64"],
-    )
-    def test_no_copy_for_what_parsing_refuses(self, tmp_path, ds):
+    REFUSED = {
+        "nan value": (_dataset((2, 2), 10, values=[1.0, np.nan]), None),
+        "inf value": (_dataset((2, 2), 10, values=[1.0, np.inf]), None),
+        "-inf value": (_dataset((2, 2), 10, values=[-np.inf, 1.0]), None),
+        "float labels": (Dataset([np.zeros((2, 1))], np.array([0.5, 1.9])), None),
+        "nan label": (Dataset([np.zeros((2, 1))], np.array([0.0, np.nan])), None),
+        "negative label": (Dataset([np.zeros((2, 1))], np.array([0, -1])), None),
+        "object label 2**63": (Dataset([np.zeros((2, 1))], np.array([0, 2**63], dtype=object)), None),
+        "uint64 label 2**63": (Dataset([np.zeros((2, 1))], np.array([0, 2**63], dtype=np.uint64)), None),
+        "2-d labels": (Dataset([np.zeros((2, 1))], np.zeros((2, 1), dtype=np.int64)), None),
+        "comment LF": (_dataset((2, 2), 10), "config_hash=abc\nlabel,m1_0"),
+        "comment CR": (_dataset((2, 2), 10), "config_hash=abc\r"),
+        "comment NEL": (_dataset((2, 2), 10), "a\x85b"),
+        "comment LS": (_dataset((2, 2), 10), "a\u2028b"),
+    }
+
+    @pytest.mark.parametrize("case", REFUSED, ids=str)
+    def test_refused_input_leaves_the_files(self, tmp_path, case):
+        ds, comment = self.REFUSED[case]
         path = tmp_path / "ds.csv"
-        save_csv(_dataset((2, 2), 10), path)
-        assert _copy(path).exists()
-        save_csv(ds, path)
-        assert not _copy(path).exists()  # the stale copy is gone too
-        with pytest.raises(CsvFormatError):
-            load_csv(path, CsvSchema(tuple(x.shape[1] for x in ds.features), 3))
+        save_csv(_dataset((2, 2), 10), path, comment="config_hash=abc")
+        before = (path.read_bytes(), _copy(path).read_bytes())
+        with pytest.raises(ValueError):
+            save_csv(ds, path, comment=comment)
+        assert (path.read_bytes(), _copy(path).read_bytes()) == before
+        # refused before any file is opened: a missing directory is not reached
+        with pytest.raises(ValueError):
+            save_csv(ds, tmp_path / "missing" / "ds.csv", comment=comment)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        dims=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        n=st.integers(0, 4),
+        label_kind=st.sampled_from(["int64", "int8", "uint64", "float64", "object", "2-d"]),
+        bad_value=st.one_of(st.none(), st.sampled_from([np.nan, np.inf, -np.inf])),
+        comment=st.one_of(st.none(), st.text(max_size=6), st.sampled_from(["a\nb", "\r", "x\u2029", "\r\n"])),
+        choose=st.data(),
+    )
+    def test_save_refuses_or_round_trips(self, tmp_path_factory, dims, n, label_kind, bad_value, comment,
+                                         choose):
+        ints = {
+            "int64": st.integers(-1, 6),
+            "int8": st.integers(-1, 6),
+            "uint64": st.sampled_from([0, 1, 2, 2**63, 2**64 - 1]),
+            "float64": st.sampled_from([0.0, 1.0, 1.5, np.nan]),
+            "object": st.sampled_from([0, 1, -1, 2**70]),
+            "2-d": st.integers(0, 4),
+        }[label_kind]
+        raw = choose.draw(st.lists(ints, min_size=n, max_size=n))
+        dtype = {"2-d": np.int64}.get(label_kind, label_kind)
+        labels = np.array(raw, dtype=dtype).reshape((n, 1) if label_kind == "2-d" else n)
+        flat = choose.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                  min_size=n * sum(dims), max_size=n * sum(dims)))
+        values = np.array(flat, dtype=float).reshape(n, sum(dims))
+        if bad_value is not None and n:
+            values[choose.draw(st.integers(0, n - 1)), choose.draw(st.integers(0, sum(dims) - 1))] = bad_value
+        ds = Dataset(np.split(values, np.cumsum(dims)[:-1], axis=1), labels)
+        refused = (
+            label_kind in ("float64", "object", "2-d")
+            or not all(0 <= lab < 2**63 for lab in raw)
+            or not np.isfinite(values).all()
+            or len(f"#{comment}.".splitlines()) > 1
+        )
+
+        path = tmp_path_factory.mktemp("save") / "ds.csv"
+        save_csv(_dataset((2, 2), 3), path, comment="earlier")
+        before = {f.name: f.read_bytes() for f in path.parent.iterdir()}
+        try:
+            save_csv(ds, path, comment=comment)
+        except ValueError:
+            assert refused
+            assert {f.name: f.read_bytes() for f in path.parent.iterdir()} == before
+            return
+        assert not refused
+        schema = CsvSchema(tuple(dims), max([2] + [lab + 1 for lab in raw]))
+        via_copy = _load_via_copy(path, schema)
+        _copy(path).unlink()
+        written = Dataset(ds.features, labels.astype(np.int64))
+        assert _bits(via_copy) == _bits(load_csv(path, schema)) == _bits(written)
 
     @pytest.mark.parametrize("brk", ["\r", "\x0b", "\x0c", "\x1c", "\x85", " ", " "])
     @pytest.mark.parametrize("then", ["# second comment", "not a comment"])

@@ -359,9 +359,17 @@ class TestCheckpoint:
             (lambda s: s["heads"][0]["bias"].__setitem__(2, None), r"heads\[0\]\.bias must be finite"),
             (lambda s: s["encoders"][1]["weights"][0][0].__setitem__(0, float("inf")),
              r"encoders\[1\]\.weights\[0\] must be finite"),
+            (lambda s: s["heads"][0]["weight"][1].__setitem__(0, "1.5"),
+             r"heads\[0\]\.weight must hold numbers, got '1\.5'$"),
+            (lambda s: s["encoders"][0]["biases"][0].__setitem__(1, True),
+             r"encoders\[0\]\.biases\[0\] must hold numbers, got True$"),
+            (lambda s: s["heads"][1]["weight"][0].__setitem__(3, [0.0]),
+             r"heads\[1\]\.weight must hold numbers, got \[0\.0\]$"),
+            (lambda s: s["heads"][1]["weight"][0].pop(),
+             r"heads\[1\]\.weight has shape \(4,\), expected \(4, 12\)$"),
         ],
         ids=["bias-shape", "head-shape", "weight-count", "encoder-count", "head-count",
-             "null-bias", "inf-weight"],
+             "null-bias", "inf-weight", "string-weight", "bool-bias", "list-in-weight", "ragged-weight"],
     )
     def test_rejects_malformed_weights(self, mutate, message):
         state = _tiny_model().state_dict()
