@@ -9,7 +9,8 @@ config hash so artifacts can be traced back to the exact configuration that
 produced them; wall-clock timestamps live in a separate meta file and never
 enter the deterministic outputs.
 
-Exit codes: 0 success, 1 validation error, 2 I/O error, 3 numerical failure.
+Exit codes: 0 success, 1 validation error (an array too large for numpy
+to allocate included), 2 I/O error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -520,6 +521,8 @@ def main(argv=None) -> int:
         err, code = e, e.code
     except ValueError as e:
         err, code = e, EXIT_VALIDATION
+    except MemoryError as e:  # numpy refuses an array sized by an option or a file
+        err, code = str(e) or "out of memory", EXIT_VALIDATION
     except (TrainingDivergedError, FloatingPointError) as e:
         err, code = e, EXIT_NUMERICAL
     except OSError as e:

@@ -331,12 +331,17 @@ def noise_sweep(
     the clean data, and the sigma = 0 pairs share that clean evaluation.
     Each seed's unit noise is drawn once and scaled for each sigma > 0,
     whose pair re-scores only the corrupted modality, in place; the rows
-    equal those of per-pair `inject_noise` bit for bit.  Every sigma, the
-    modality index and the split (`MultimodalClassifier._check_split`) are
-    checked before anything is encoded.
+    equal those of per-pair `inject_noise` bit for bit.  Every sigma (the
+    sigmas distinct, 0.0 and -0.0 being one value), every seed (distinct),
+    the modality index and the split (`MultimodalClassifier._check_split`)
+    are checked before anything is encoded.
     """
     if len(sigmas) == 0 or len(seeds) == 0:
         raise ValueError("noise sweep needs at least one sigma and one seed")
+    for name, values in (("sigma", list(sigmas)), ("seed", list(seeds))):
+        for i, x in enumerate(values):
+            if x in values[:i]:  # == equates 0.0 and -0.0
+                raise ValueError(f"noise sweep {name} {x!r} is repeated")
     specs = [NoiseSpec(modality_index, sigma, seed) for sigma in sigmas for seed in seeds]
     _check_noise_target(dataset.features, specs[0])
     features, labels = model._check_split(dataset, "evaluation")

@@ -144,25 +144,6 @@ def _constrain_backward(raw: np.ndarray, g_params: np.ndarray) -> np.ndarray:
     return g_raw
 
 
-def readout(raw: np.ndarray) -> dict:
-    """Raw head outputs (M, B, K, 4) -> constrained NIG, Student's t and fused trace.
-
-    The readout of the training forward; evaluation reads out one modality
-    at a time through the same kernels.
-    """
-    gamma, delta, alpha, beta = _constrain_arrays(raw)
-    u, sigma, v = nig_to_st_arrays(gamma, delta, alpha, beta)
-    return {
-        "raw": raw,
-        "gamma": gamma,
-        "delta": delta,
-        "alpha": alpha,
-        "beta": beta,
-        "st": (u, sigma, v),
-        "trace": fuse_stack(u, sigma, v),
-    }
-
-
 def _check_finite(x: np.ndarray, m: int) -> None:
     """Raise ValueError naming modality `m` (0-based) and the first row of `x` that is not finite."""
     if np.isfinite(x).all():  # one pass over the block; rows are looked at only on failure
@@ -333,8 +314,10 @@ class MultimodalClassifier:
         """Training forward; returns constrained parameter arrays and caches.
 
         `features` is one (B, d_m) array per modality.  The returned dict
-        holds the `readout` of the raw head outputs plus the encoder
-        outputs (`hidden`) and caches that backpropagation needs.
+        holds the raw head outputs (M, B, K, 4), their constrained NIG
+        parameters (`gamma` ... `beta`, each (M, B, K)), the Student's t
+        (`st`: u, sigma, v) and its fused `trace`, plus the encoder outputs
+        (`hidden`) and caches that backpropagation needs.
         """
         xs = self._check_blocks(features)
         hs, caches = [], []
@@ -344,9 +327,10 @@ class MultimodalClassifier:
             hs.append(h)
             caches.append(cache)
             head.forward(h, out=head_raw)
-        out = readout(raw)
-        out.update(hidden=hs, caches=caches)
-        return out
+        gamma, delta, alpha, beta = _constrain_arrays(raw)
+        st = nig_to_st_arrays(gamma, delta, alpha, beta)
+        return {"raw": raw, "gamma": gamma, "delta": delta, "alpha": alpha, "beta": beta,
+                "st": st, "trace": fuse_stack(*st), "hidden": hs, "caches": caches}
 
     def head_outputs(self, m: int, x) -> np.ndarray:
         """Inference pass of modality `m`: features (N, d_m) -> raw head outputs (N, K, 4).
@@ -371,11 +355,11 @@ class MultimodalClassifier:
     def forward(self, sample: Sequence[np.ndarray]) -> EvidentialOutput:
         """Full evidential readout for a single sample: one row of the inference pass."""
         xs = self._check_blocks([np.reshape(x, (1, -1)) for x in sample])
-        out = readout(np.stack([self.head_outputs(m, x) for m, x in enumerate(xs)]))
-        gamma, delta, alpha, beta = (out[k][:, 0] for k in ("gamma", "delta", "alpha", "beta"))
-        u, sigma, v = (a[:, 0] for a in out["st"])
-        t = out["trace"]
-        fu, fs, fv = t.u[0], t.sigma[0], t.v[0]
+        raw = np.stack([self.head_outputs(m, x)[0] for m, x in enumerate(xs)])  # (M, K, 4)
+        gamma, delta, alpha, beta = _constrain_arrays(raw)
+        u, sigma, v = nig_to_st_arrays(gamma, delta, alpha, beta)
+        t = fuse_stack(u, sigma, v)
+        fu, fs, fv = t.u, t.sigma, t.v
         pred = int(np.argmax(fu))
         aleatoric, epistemic = nig_moments_arrays(delta, alpha, beta)
         return EvidentialOutput(
@@ -383,7 +367,7 @@ class MultimodalClassifier:
             st=[[StudentT(*q) for q in zip(*m)] for m in zip(u, sigma, v)],
             fused=[
                 FusedStudentT(StudentT(*q), int(src))
-                for *q, src in zip(fu, fs, fv, t.source[0])
+                for *q, src in zip(fu, fs, fv, t.source)
             ],
             predicted_class=pred,
             confidences=softmax(fu),
@@ -426,27 +410,45 @@ class MultimodalClassifier:
             raise ValueError(
                 f"unsupported checkpoint format: {state.get('format_version')!r}"
             )
+        # the declared sizes are JSON integers (not booleans or floats) ...
+        sizes = {"n_classes": state["n_classes"], "seed": state["seed"]}
+        for m, s in enumerate(state["encoder_specs"]):
+            sizes[f"encoder_specs[{m}].input_dim"] = s["input_dim"]
+            for i, h in enumerate(s["hidden_dims"]):
+                sizes[f"encoder_specs[{m}].hidden_dims[{i}]"] = h
+        for name, x in sizes.items():
+            if type(x) is not int:
+                raise ValueError(f"checkpoint {name} must be an integer, got {x!r}")
         specs = [
             EncoderSpec(s["input_dim"], tuple(s["hidden_dims"]), s["activation"])
             for s in state["encoder_specs"]
         ]
-        model = cls(specs, state["n_classes"], seed=state["seed"])
         if not len(state["encoders"]) == len(state["heads"]) == len(specs):
             raise ValueError("checkpoint needs one encoder and one head per encoder spec")
-        for m, (enc, head) in enumerate(zip(model.encoders, model.heads)):
-            for kind in ("weights", "biases"):
-                views, saved = getattr(enc, kind), state["encoders"][m][kind]
-                if len(saved) != len(views):
+        # ... and every saved array has the shape they declare, before `__init__`
+        # allocates weights of that size
+        encoders, heads, k4 = [], [], 4 * state["n_classes"]
+        for m, spec in enumerate(specs):
+            dims = (spec.input_dim, *spec.hidden_dims)
+            for kind, shapes in (("weights", list(zip(dims[:-1], dims[1:]))),
+                                 ("biases", [(d,) for d in dims[1:]])):
+                saved = state["encoders"][m][kind]
+                if len(saved) != len(shapes):
                     raise ValueError(
                         f"checkpoint encoders[{m}].{kind} holds {len(saved)} arrays, "
-                        f"expected {len(views)}"
+                        f"expected {len(shapes)}"
                     )
-                for i, (view, w) in enumerate(zip(views, saved)):
-                    name = f"checkpoint array encoders[{m}].{kind}[{i}]"
-                    view[...] = saved_array(w, view.shape, name)
-            for kind in ("weight", "bias"):
-                view, name = getattr(head, kind), f"checkpoint array heads[{m}].{kind}"
-                view[...] = saved_array(state["heads"][m][kind], view.shape, name)
+                encoders += [
+                    saved_array(w, shape, f"checkpoint array encoders[{m}].{kind}[{i}]")
+                    for i, (w, shape) in enumerate(zip(saved, shapes))
+                ]
+            heads += [
+                saved_array(state["heads"][m][kind], shape, f"checkpoint array heads[{m}].{kind}")
+                for kind, shape in (("weight", (dims[-1], k4)), ("bias", (k4,)))
+            ]
+        model = cls(specs, state["n_classes"], seed=state["seed"])
+        # `params` holds the arrays in `_layers()` order: encoders, then heads
+        model.params[:] = np.concatenate([a.ravel() for a in encoders + heads])
         return model
 
 

@@ -134,6 +134,16 @@ class TestGenerateData:
         assert code == 1 and err.startswith("error:") and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_split_size_exit_1(self, tmp_path, capsys, source):
+        out, cfg = tmp_path / "d", tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"split": "-5,10,10"}))
+        given = ["--split=-5,10,10"] if source == "flag" else ["--config", str(cfg)]
+        code, stdout, err = _run(capsys, "generate-data", "--per-class", "20", *given, "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert err == "error: split_sizes must be >= 0\n"
+        assert not out.exists()
+
     def test_three_modality_chain(self, tmp_path, capsys):
         data, run = tmp_path / "data", tmp_path / "run"
         ckpt = str(run / "checkpoint.json")
@@ -442,7 +452,7 @@ class TestEvaluate:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["evaluate", "noise-sweep", "report"])
-    @pytest.mark.parametrize("defect", ["bias_object", "no_standardization", "hash_list"])
+    @pytest.mark.parametrize("defect", ["bias_object", "no_standardization", "hash_list", "bool_seed"])
     def test_malformed_checkpoint_exit_1(self, pipeline, tmp_path, capsys, command, defect):
         data, run = pipeline
         ckpt = json.loads((run / "checkpoint.json").read_text())
@@ -450,6 +460,8 @@ class TestEvaluate:
             ckpt["model"]["heads"][0]["bias"] = {"not": "an array"}
         elif defect == "hash_list":
             ckpt["config_hash"] = [1, 2]
+        elif defect == "bool_seed":
+            ckpt["model"]["seed"] = True
         else:
             del ckpt["standardization"]
         bad = tmp_path / "bad.json"
@@ -704,6 +716,25 @@ class TestNoiseSweepAndReport:
         assert code == 1 and err.startswith("error: sigma must be finite and >= 0")
         assert encoded == [] and not out.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--sigmas", "0.5,0.5", "noise sweep sigma 0.5 is repeated"),
+        ("--sigmas", "0,-0", "noise sweep sigma -0.0 is repeated"),
+        ("--noise-seeds", "1,2,1", "noise sweep seed 1 is repeated"),
+    ])
+    def test_repeated_sweep_value_exit_1_before_encoding(
+        self, pipeline, tmp_path, capsys, monkeypatch, flag, value, message
+    ):
+        data, run = pipeline
+        encoded = []
+        monkeypatch.setattr(MultimodalClassifier, "head_outputs", lambda self, m, x: encoded.append(m))
+        out = tmp_path / "sweep"
+        code, stdout, err = _run(
+            capsys, "noise-sweep", "--checkpoint", str(run / "checkpoint.json"),
+            "--data", str(data), flag, value, "--out", str(out),
+        )
+        assert code == 1 and stdout == "" and err == f"error: {message}\n"
+        assert encoded == [] and not out.exists()
+
     @pytest.mark.parametrize("sigma", ["nan", "inf", "1e400"])
     def test_non_finite_report_sigma_exit_1(self, pipeline, tmp_path, capsys, sigma):
         data, run = pipeline
@@ -714,6 +745,24 @@ class TestNoiseSweepAndReport:
         )
         assert code == 1 and err.startswith("error: sigma must be finite and >= 0")
         assert not out.exists()
+
+
+# sizes whose arrays numpy refuses at once (8 PB or more); never one that could be allocated
+_PIB = "1000000000000000"
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("generate-data", ["--per-class", _PIB]),
+    ("evaluate", ["--bins", _PIB]),
+    ("report", ["--hist-bins", _PIB]),
+])
+def test_refused_allocation_exit_1(pipeline, tmp_path, capsys, command, flags):
+    data, run = pipeline
+    if command != "generate-data":
+        flags = flags + ["--checkpoint", str(run / "checkpoint.json"), "--data", str(data)]
+    code, stdout, err = _run(capsys, command, *flags, "--out", str(tmp_path / "out"))
+    assert code == 1 and stdout == ""
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
 
 
 _EMPTY_ITEMS = [

@@ -32,6 +32,11 @@ class TestSyntheticSpec:
             SyntheticSpec(separation=(-1.0, 2.0))
         with pytest.raises(ValueError):
             SyntheticSpec(n_per_class=10, split_sizes=(20, 20, 20))
+        # (-5, 10, 10) of 60 rows sliced train 55 rows, val none, and test
+        # the last 10 of train's own rows
+        for sizes in [(-5, 10, 10), (10, -1, 5), (10, 5, -1)]:
+            with pytest.raises(ValueError, match="split_sizes must be >= 0"):
+                SyntheticSpec(n_per_class=20, split_sizes=sizes)
 
     @pytest.mark.parametrize("dims, sep", [((4, 4, 4), (3.0, 3.0)), ((4,), (3.0, 3.0))])
     def test_dims_and_separation_must_match(self, dims, sep):

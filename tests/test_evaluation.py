@@ -437,6 +437,21 @@ class TestInferencePass:
             noise_sweep(model, ds, sigmas, modality, (1,))
         assert encoded == []
 
+    @pytest.mark.parametrize("sigmas, seeds, message", [
+        ((0.5, 0.5), (1,), "noise sweep sigma 0.5 is repeated"),
+        ((0.0, 0.5, -0.0), (1,), r"noise sweep sigma -0\.0 is repeated"),
+        ((0.5,), (1, 2, 1), "noise sweep seed 1 is repeated"),
+    ], ids=["sigma", "signed-zero", "seed"])
+    def test_noise_sweep_refuses_repeated_values(self, monkeypatch, sigmas, seeds, message):
+        # a repeated pair wrote identical rows, and its sigma's aggregate
+        # counted each copy as one more seed
+        model, ds = _model_and_data()
+        encoded = []
+        monkeypatch.setattr(MultimodalClassifier, "head_outputs", lambda self, m, x: encoded.append(m))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            noise_sweep(model, ds, sigmas, 0, seeds)
+        assert encoded == []
+
     @pytest.mark.parametrize("split, message", [
         (lambda x, y: (x, y + 0.5), r"^evaluation labels must be integers in \[0, 3\)$"),
         (lambda x, y: (x, np.where(y == 2, 3, y)), r"^evaluation labels must be integers in \[0, 3\)$"),

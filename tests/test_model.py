@@ -15,7 +15,9 @@ import evfuse.model
 import step_oracle
 from evfuse.cli import config_hash
 from evfuse.data import Dataset, SyntheticSpec, generate_synthetic, standardize
+from evfuse.distributions import nig_to_st_arrays
 from evfuse.evaluation import class_posterior
+from evfuse.fusion import fuse_stack
 from evfuse.losses import total_loss_and_grads_arrays
 from evfuse.model import (
     EncoderSpec,
@@ -27,7 +29,6 @@ from evfuse.model import (
     _constrain_arrays,
     _constrain_backward,
     _dataset_loss,
-    readout,
     row_chunks,
     softplus,
     train,
@@ -110,14 +111,12 @@ class TestFiniteInFiniteOut:
     @given(_raw_heads(), st.sampled_from([0.0, 0.5, 1.0]))
     def test_readout_posterior_and_loss_stay_finite(self, case, lam):
         raw, y = case
-        out = readout(raw)
-        trace = out["trace"]
-        readings = [out[k] for k in ("gamma", "delta", "alpha", "beta")] + list(out["st"])
-        readings += [trace.u, trace.sigma, trace.v, trace.c]
+        nig = _constrain_arrays(raw)
+        st = nig_to_st_arrays(*nig)
+        trace = fuse_stack(*st)
+        readings = [*nig, *st, trace.u, trace.sigma, trace.v, trace.c]
         readings.append(class_posterior(trace.u, trace.sigma, trace.v))
-        parts, grads = total_loss_and_grads_arrays(
-            out["gamma"], out["delta"], out["alpha"], out["beta"], y, lam
-        )
+        parts, grads = total_loss_and_grads_arrays(*nig, y, lam)
         readings += list(parts.values()) + [grads, _constrain_backward(raw, grads)]
         for a in readings:
             assert np.isfinite(a).all()
@@ -279,15 +278,15 @@ class TestForward:
         model = _tiny_model()
         rng = np.random.default_rng(6)
         feats = [rng.normal(size=(7, 3)), rng.normal(size=(7, 2))]
-        batch = readout(np.stack([model.head_outputs(m, x) for m, x in enumerate(feats)]))
-        t = batch["trace"]
+        nig = _constrain_arrays(np.stack([model.head_outputs(m, x) for m, x in enumerate(feats)]))
+        t = fuse_stack(*nig_to_st_arrays(*nig))
         for i in range(7):
             out = model.forward([x[i] for x in feats])
             fused = np.array([(f.st.u, f.st.sigma, f.st.v) for f in out.fused])
             np.testing.assert_allclose(fused, np.stack([t.u[i], t.sigma[i], t.v[i]], axis=-1), rtol=1e-12)
-            nig = np.array([[(p.gamma, p.delta, p.alpha, p.beta) for p in vec] for vec in out.nig])
-            np.testing.assert_allclose(nig, np.stack(
-                [batch[k][:, i] for k in ("gamma", "delta", "alpha", "beta")], axis=-1), rtol=1e-12)
+            out_nig = np.array([[(p.gamma, p.delta, p.alpha, p.beta) for p in vec] for vec in out.nig])
+            np.testing.assert_allclose(
+                out_nig, np.stack([a[:, i] for a in nig], axis=-1), rtol=1e-12)
             assert [f.source_index for f in out.fused] == t.source[i].tolist()
             assert out.predicted_class == int(np.argmax(t.u[i]))
 
@@ -367,9 +366,25 @@ class TestCheckpoint:
              r"heads\[1\]\.weight must hold numbers, got \[0\.0\]$"),
             (lambda s: s["heads"][1]["weight"][0].pop(),
              r"heads\[1\]\.weight has shape \(4,\), expected \(4, 12\)$"),
+            (lambda s: s.update(seed=True), r"^checkpoint seed must be an integer, got True$"),
+            (lambda s: s.update(n_classes=3.0), r"^checkpoint n_classes must be an integer, got 3\.0$"),
+            (lambda s: s["encoder_specs"][0].update(input_dim="3"),
+             r"^checkpoint encoder_specs\[0\]\.input_dim must be an integer, got '3'$"),
+            (lambda s: s["encoder_specs"][1].update(hidden_dims=[4.0]),
+             r"^checkpoint encoder_specs\[1\]\.hidden_dims\[0\] must be an integer, got 4\.0$"),
+            # declared sizes of 10**15, whose weights numpy refuses to allocate:
+            # the saved arrays are checked against them before the model is built
+            (lambda s: s["encoder_specs"][0].update(input_dim=10**15),
+             r"encoders\[0\]\.weights\[0\] has shape \(3, 5\), expected \(1000000000000000, 5\)$"),
+            (lambda s: s["encoder_specs"][1].update(hidden_dims=[10**15]),
+             r"encoders\[1\]\.weights\[0\] has shape \(2, 4\), expected \(2, 1000000000000000\)$"),
+            (lambda s: s.update(n_classes=10**15),
+             r"heads\[0\]\.weight has shape \(5, 12\), expected \(5, 4000000000000000\)$"),
         ],
         ids=["bias-shape", "head-shape", "weight-count", "encoder-count", "head-count",
-             "null-bias", "inf-weight", "string-weight", "bool-bias", "list-in-weight", "ragged-weight"],
+             "null-bias", "inf-weight", "string-weight", "bool-bias", "list-in-weight", "ragged-weight",
+             "bool-seed", "float-classes", "string-input-dim", "float-hidden",
+             "huge-input-dim", "huge-hidden-dim", "huge-classes"],
     )
     def test_rejects_malformed_weights(self, mutate, message):
         state = _tiny_model().state_dict()
