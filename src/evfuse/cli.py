@@ -266,8 +266,8 @@ def cmd_generate_data(args) -> int:
         split_sizes=args.split,
     )
     run_id = config_hash(_run_config(args))
-    out = _outdir(args.out)
     train_ds, val_ds, test_ds = generate_synthetic(spec)
+    out = _outdir(args.out)
     for name, ds in (("train", train_ds), ("val", val_ds), ("test", test_ds)):
         save_csv(ds, out / f"{name}.csv", comment=f"config_hash={run_id}")
     write_json({**asdict(spec), "config_hash": run_id}, out / "dataset.json")

@@ -46,6 +46,8 @@ class SyntheticSpec:
         if not all(0 <= s < np.inf for s in self.separation):
             raise ValueError("separation must be finite and >= 0")
         if self.split_sizes is not None:
+            if len(self.split_sizes) != 3:
+                raise ValueError("split_sizes must hold 3 sizes (train, val, test)")
             if any(n < 0 for n in self.split_sizes):
                 raise ValueError("split_sizes must be >= 0")
             if sum(self.split_sizes) > self.n_classes * self.n_per_class:

@@ -410,11 +410,17 @@ class MultimodalClassifier:
             raise ValueError(
                 f"unsupported checkpoint format: {state.get('format_version')!r}"
             )
+
+        def listed(x, name):
+            if not isinstance(x, list):
+                raise ValueError(f"checkpoint {name} must be a list, got {x!r}")
+            return x
+
         # the declared sizes are JSON integers (not booleans or floats) ...
         sizes = {"n_classes": state["n_classes"], "seed": state["seed"]}
-        for m, s in enumerate(state["encoder_specs"]):
+        for m, s in enumerate(listed(state["encoder_specs"], "encoder_specs")):
             sizes[f"encoder_specs[{m}].input_dim"] = s["input_dim"]
-            for i, h in enumerate(s["hidden_dims"]):
+            for i, h in enumerate(listed(s["hidden_dims"], f"encoder_specs[{m}].hidden_dims")):
                 sizes[f"encoder_specs[{m}].hidden_dims[{i}]"] = h
         for name, x in sizes.items():
             if type(x) is not int:

@@ -91,7 +91,8 @@ class TestGenerateData:
         assert main(args + ["--out", str(b)]) == 0
         for name in ("train.csv", "val.csv", "test.csv", "dataset.json",
                      "train.csv.npz", "val.csv.npz", "test.csv.npz"):
-            assert (a / name).read_bytes() == (b / name).read_bytes()
+            content = (a / name).read_bytes()
+            assert content and content == (b / name).read_bytes(), name
 
     def test_reading_commands_never_write_the_data_directory(self, tmp_path):
         # without binary copies the splits are parsed, and no command writes new copies
@@ -221,6 +222,21 @@ class TestTrain:
         ]) == 0
         assert (run / "checkpoint.json").read_bytes() == (rerun / "checkpoint.json").read_bytes()
         assert (run / "artifact.json").read_bytes() == (rerun / "artifact.json").read_bytes()
+
+    def test_same_bytes_from_processes_with_other_hash_seeds(self, tmp_path):
+        # the reruns above share this process and its PYTHONHASHSEED
+        src = str(Path(evfuse.__file__).parents[1])
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+            data, run = tmp_path / hash_seed / "data", tmp_path / hash_seed / "run"
+            for argv in (["generate-data", "--per-class", "20", "--seed", "1", "--out", str(data)],
+                         ["train", "--data", str(data), "--out", str(run), "--epochs", "2",
+                          "--hidden", "8"]):
+                proc = subprocess.run([sys.executable, "-m", "evfuse.cli", *argv],
+                                      capture_output=True, text=True, env=env, timeout=120)
+                assert proc.returncode == 0, proc.stderr
+        for name in ("data/test.csv", "data/test.csv.npz", "run/checkpoint.json", "run/artifact.json"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
     def test_zero_epochs_checkpoint_is_initialization(self, pipeline, tmp_path):
         data, _ = pipeline
@@ -689,8 +705,9 @@ class TestNoiseSweepAndReport:
 
     @pytest.mark.parametrize(
         "modality",
-        [["--modality", "9", "--sigma", "1"], ["--modality", "0", "--sigma", "1"], ["--modality", "5"]],
-        ids=["9-noised", "0-noised", "5-clean"],
+        [["--modality", "3", "--sigma", "1"], ["--modality", "9", "--sigma", "1"],
+         ["--modality", "0", "--sigma", "1"], ["--modality", "5"]],
+        ids=["3-noised", "9-noised", "0-noised", "5-clean"],
     )
     def test_report_modality_range_checked(self, pipeline, tmp_path, capsys, modality):
         data, run = pipeline
@@ -763,6 +780,7 @@ def test_refused_allocation_exit_1(pipeline, tmp_path, capsys, command, flags):
     code, stdout, err = _run(capsys, command, *flags, "--out", str(tmp_path / "out"))
     assert code == 1 and stdout == ""
     assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 _EMPTY_ITEMS = [

@@ -37,6 +37,8 @@ class TestSyntheticSpec:
         for sizes in [(-5, 10, 10), (10, -1, 5), (10, 5, -1)]:
             with pytest.raises(ValueError, match="split_sizes must be >= 0"):
                 SyntheticSpec(n_per_class=20, split_sizes=sizes)
+        with pytest.raises(ValueError, match=r"split_sizes must hold 3 sizes \(train, val, test\)"):
+            SyntheticSpec(split_sizes=(10, 10))
 
     @pytest.mark.parametrize("dims, sep", [((4, 4, 4), (3.0, 3.0)), ((4,), (3.0, 3.0))])
     def test_dims_and_separation_must_match(self, dims, sep):
@@ -474,6 +476,7 @@ class TestBinaryCopy:
 
     COPY_FAULTS = {
         "truncated": lambda path: _copy(path).write_bytes(_copy(path).read_bytes()[:-100]),
+        "first 100 bytes": lambda path: _copy(path).write_bytes(_copy(path).read_bytes()[:100]),
         "garbage": lambda path: _copy(path).write_bytes(b"not a zip file"),
         "empty": lambda path: _copy(path).write_bytes(b""),
         "npy not npz": lambda path: TestBinaryCopy._write_npy(_copy(path), np.zeros((30, 4))),

@@ -528,6 +528,11 @@ class TestUncertaintyDensity:
         assert noisy["means"]["modality_2"] == pytest.approx(
             clean["means"]["modality_2"]
         )
+        # the sweep row at the same (sigma, seed) draws the same noise
+        row, = noise_sweep(model, ds, [2.0], 0, [1])["rows"]
+        assert (noisy["means"]["modality_1"], noisy["means"]["fused"]) == (
+            row["mean_unc_m1"], row["mean_unc_fused"]
+        )
 
 
 class TestWriteJson:

@@ -358,6 +358,8 @@ class TestCheckpoint:
             (lambda s: s["heads"][0]["bias"].__setitem__(2, None), r"heads\[0\]\.bias must be finite"),
             (lambda s: s["encoders"][1]["weights"][0][0].__setitem__(0, float("inf")),
              r"encoders\[1\]\.weights\[0\] must be finite"),
+            (lambda s: s["heads"][0]["weight"][0].__setitem__(0, float("nan")),
+             r"heads\[0\]\.weight must be finite"),
             (lambda s: s["heads"][0]["weight"][1].__setitem__(0, "1.5"),
              r"heads\[0\]\.weight must hold numbers, got '1\.5'$"),
             (lambda s: s["encoders"][0]["biases"][0].__setitem__(1, True),
@@ -372,6 +374,9 @@ class TestCheckpoint:
              r"^checkpoint encoder_specs\[0\]\.input_dim must be an integer, got '3'$"),
             (lambda s: s["encoder_specs"][1].update(hidden_dims=[4.0]),
              r"^checkpoint encoder_specs\[1\]\.hidden_dims\[0\] must be an integer, got 4\.0$"),
+            (lambda s: s["encoder_specs"][1].update(hidden_dims=8),
+             r"^checkpoint encoder_specs\[1\]\.hidden_dims must be a list, got 8$"),
+            (lambda s: s.update(encoder_specs=5), r"^checkpoint encoder_specs must be a list, got 5$"),
             # declared sizes of 10**15, whose weights numpy refuses to allocate:
             # the saved arrays are checked against them before the model is built
             (lambda s: s["encoder_specs"][0].update(input_dim=10**15),
@@ -382,8 +387,9 @@ class TestCheckpoint:
              r"heads\[0\]\.weight has shape \(5, 12\), expected \(5, 4000000000000000\)$"),
         ],
         ids=["bias-shape", "head-shape", "weight-count", "encoder-count", "head-count",
-             "null-bias", "inf-weight", "string-weight", "bool-bias", "list-in-weight", "ragged-weight",
-             "bool-seed", "float-classes", "string-input-dim", "float-hidden",
+             "null-bias", "inf-weight", "nan-weight", "string-weight", "bool-bias", "list-in-weight",
+             "ragged-weight", "bool-seed", "float-classes", "string-input-dim", "float-hidden",
+             "int-hidden", "int-encoder-specs",
              "huge-input-dim", "huge-hidden-dim", "huge-classes"],
     )
     def test_rejects_malformed_weights(self, mutate, message):
