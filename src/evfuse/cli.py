@@ -23,11 +23,14 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .data import (
     CsvSchema,
     Standardization,
     SyntheticSpec,
+    check_json,
     generate_synthetic,
     load_csv,
     save_csv,
@@ -86,32 +89,17 @@ def _parse_tuple(flag: str, kind, n: int | None = None):
     return parse
 
 
-def _read_json(path, what: str, kind: type):
-    """The JSON document at `path`, whose top level must be a `kind` (dict or
-    list).  An unreadable file raises its OSError; text that is not JSON, or
-    a top level of another type, exits 1 with an error naming `what`."""
+def _read_json(path, what: str, shape):
+    """The JSON document at `path`, checked against its declared `shape`
+    (`check_json`).  An unreadable file raises its OSError; text that is not
+    JSON exits 1 with an error naming `what` and the file."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     # a JSONDecodeError, UnicodeDecodeError or too deep a nesting names no file
     except (ValueError, RecursionError) as e:
         raise CliError(f"bad {what}: {path}: {e}", EXIT_VALIDATION) from None
-    if not isinstance(doc, kind):
-        name = {dict: "object", list: "list"}[kind]
-        raise CliError(
-            f"bad {what}: {path}: expected a JSON {name}, got {type(doc).__name__}",
-            EXIT_VALIDATION,
-        )
+    check_json(doc, shape, what)
     return doc
-
-
-# The JSON values a config key takes, by its flag's type (a switch is a bool, a list
-# flag a str): an integer flag takes only an integer, a float flag any finite number.
-_CONFIG_TYPES = {
-    bool: ((bool,), "true or false"),
-    int: ((int,), "an integer"),
-    float: ((int, float), "a finite number"),
-    str: ((str,), "a string"),
-}
 
 
 def _options(subparser) -> dict:
@@ -123,10 +111,11 @@ def _options(subparser) -> dict:
 
 def _config_defaults(path, options: dict) -> dict:
     """The `--config` JSON object at `path`, checked against the command's
-    `options`.  A value must have its flag's type (and be one of the flag's
-    choices, if it has them); it may be null where the flag's default is.
-    A float flag's value is read as a float."""
-    file_cfg = _read_json(path, "config file", dict)
+    `options`.  A value must have its flag's JSON type (true or false for a
+    switch, a string for a list flag) and be one of the flag's choices, if it
+    has them; it may be null where the flag's default is.  A float flag's
+    value must be finite, and is read as a float."""
+    file_cfg = _read_json(path, "config", dict)
     unknown = set(file_cfg) - set(options)
     if unknown:
         raise CliError(f"unknown config keys: {sorted(unknown)}", EXIT_VALIDATION)
@@ -134,15 +123,13 @@ def _config_defaults(path, options: dict) -> dict:
         flag = options[key]
         if val is None and flag.default is None:
             continue
-        types, want = _CONFIG_TYPES.get(bool if flag.nargs == 0 else flag.type, _CONFIG_TYPES[str])
-        if flag.choices:
-            want = f"one of {', '.join(flag.choices)}"
+        check_json(val, bool if flag.nargs == 0 else flag.type if flag.type in (int, float) else str,
+                   f"config {key}")
         # `not <=` also rejects NaN, and an integer too large for a float
-        if (type(val) not in types or flag.choices and val not in flag.choices
-                or flag.type is float and not abs(val) <= sys.float_info.max):
-            raise CliError(
-                f"config {key}: expected {want}, got {json.dumps(val)}", EXIT_VALIDATION
-            )
+        finite = flag.type is not float or abs(val) <= sys.float_info.max
+        if flag.choices and val not in flag.choices or not finite:
+            want = f"one of {', '.join(flag.choices)}" if flag.choices else "finite"
+            raise CliError(f"config {key} must be {want}, got {json.dumps(val)}", EXIT_VALIDATION)
         if flag.type is float:
             file_cfg[key] = float(val)
     return file_cfg
@@ -171,16 +158,13 @@ def _outdir(path) -> Path:
 
 
 def _read_sidecar(data_dir) -> dict:
-    """The dataset directory's sidecar, with its dims and n_classes checked."""
-    sidecar = _read_json(Path(data_dir) / "dataset.json", "dataset sidecar", dict)
-    dims, n_classes = sidecar.get("dims"), sidecar.get("n_classes")
-    if not (isinstance(dims, list) and dims and all(type(d) is int and d >= 1 for d in dims)):
-        raise CliError(
-            "bad dataset sidecar: dims must be a non-empty list of positive integers",
-            EXIT_VALIDATION,
-        )
-    if not (type(n_classes) is int and n_classes >= 2):
-        raise CliError("bad dataset sidecar: n_classes must be an integer >= 2", EXIT_VALIDATION)
+    """The dataset directory's sidecar, its dims and n_classes checked; its other keys are provenance."""
+    path = Path(data_dir) / "dataset.json"
+    sidecar = _read_json(path, "dataset sidecar", {"dims": [int], "n_classes": int})
+    if not sidecar["dims"] or min(sidecar["dims"]) < 1:
+        raise ValueError(f"dataset sidecar dims must be one or more sizes >= 1, got {sidecar['dims']}")
+    if sidecar["n_classes"] < 2:
+        raise ValueError(f"dataset sidecar n_classes must be >= 2, got {sidecar['n_classes']}")
     return sidecar
 
 
@@ -194,19 +178,16 @@ def _load_checkpoint(path) -> tuple[MultimodalClassifier, Standardization, str]:
     """The model, its standardization and the run's config hash."""
     doc = _read_json(path, "checkpoint", dict)
     try:
+        # the model part's format version says how to read the rest of it
+        check_json(doc, {"model": {"format_version": int}, "standardization": dict, "config_hash": str},
+                   "checkpoint")
         model = MultimodalClassifier.from_state_dict(doc["model"])
         stats = Standardization.from_dict(
             doc["standardization"], [spec.input_dim for spec in model.encoder_specs]
         )
-    except KeyError as e:
-        raise CliError(f"bad checkpoint contents: missing key {e}", EXIT_VALIDATION) from None
-    # AttributeError: a JSON value other than an object where one is expected
-    except (AttributeError, TypeError, ValueError) as e:
+    except ValueError as e:
         raise CliError(f"bad checkpoint contents: {e}", EXIT_VALIDATION) from None
-    run_id = doc.get("config_hash", "")
-    if not isinstance(run_id, str):
-        raise CliError("bad checkpoint contents: config_hash must be a string", EXIT_VALIDATION)
-    return model, stats, run_id
+    return model, stats, doc["config_hash"]
 
 
 def _scoring_inputs(args):
@@ -220,18 +201,10 @@ def _scoring_inputs(args):
     if modality is not None and not 1 <= modality <= model.n_modalities:
         raise CliError(f"--modality must be in [1, {model.n_modalities}]", EXIT_VALIDATION)
     sidecar = _read_sidecar(args.data)
-    dims = [spec.input_dim for spec in model.encoder_specs]
-    if sidecar["dims"] != dims:
-        raise CliError(
-            f"dataset dims {sidecar['dims']} do not match the checkpoint's input dims {dims}",
-            EXIT_VALIDATION,
-        )
-    if sidecar["n_classes"] != model.n_classes:
-        raise CliError(
-            f"dataset n_classes {sidecar['n_classes']} does not match the checkpoint's "
-            f"n_classes {model.n_classes}",
-            EXIT_VALIDATION,
-        )
+    for key, want in (("dims", [spec.input_dim for spec in model.encoder_specs]),
+                      ("n_classes", model.n_classes)):
+        if sidecar[key] != want:
+            raise ValueError(f"dataset sidecar {key} must be the checkpoint's {want}, got {sidecar[key]}")
     return model, stats.apply(_load_split(args.data, sidecar, args.split)), run_id
 
 
@@ -387,36 +360,28 @@ def cmd_report(args) -> int:
 FUSE_MAX_V = 1e150
 
 
+# A `fuse` input entry: an object of these keys or a list of their values.
+_FUSE_ENTRY_SHAPE = {"u": float, "sigma": float, "v": float}
+
+
 def cmd_fuse(args) -> int:
     doc = _read_json(args.infile, "fuse input", list)
     if not doc:
         raise CliError("input must be a non-empty JSON list", EXIT_VALIDATION)
     inputs = []
     for i, item in enumerate(doc):
-        triple = None
-        if isinstance(item, dict):
-            triple = (item.get("u"), item.get("sigma"), item.get("v"))
-        elif isinstance(item, list) and len(item) == 3:
-            triple = tuple(item)
-        if triple is None or any(t is None for t in triple):
-            raise CliError(
-                f"entry {i}: expected [u, sigma, v] or {{u, sigma, v}}",
-                EXIT_VALIDATION,
-            )
-        for field, t in zip(("u", "sigma", "v"), triple):
-            if isinstance(t, bool) or not isinstance(t, (int, float)):
-                raise CliError(
-                    f"entry {i}: {field} must be a number, got {json.dumps(t)}", EXIT_VALIDATION
-                )
+        if isinstance(item, list) and len(item) == 3:
+            item = dict(zip(_FUSE_ENTRY_SHAPE, item))
+        elif not isinstance(item, dict):
+            raise CliError(f"entry {i}: expected [u, sigma, v] or {{u, sigma, v}}", EXIT_VALIDATION)
+        check_json(item, _FUSE_ENTRY_SHAPE, f"entry {i}:")
         try:
-            inputs.append(StudentT(float(triple[0]), float(triple[1]), float(triple[2])))
+            inputs.append(StudentT(*(float(item[k]) for k in _FUSE_ENTRY_SHAPE)))
         except (ValueError, OverflowError) as e:
             raise CliError(f"entry {i}: {e}", EXIT_VALIDATION) from None
         if inputs[-1].v > FUSE_MAX_V:
-            raise CliError(
-                f"entry {i}: v must be at most {FUSE_MAX_V:g}, got {inputs[-1].v!r}",
-                EXIT_VALIDATION,
-            )
+            raise CliError(f"entry {i}: v must be at most {FUSE_MAX_V:g}, got {inputs[-1].v!r}",
+                           EXIT_VALIDATION)
     try:
         fused = fuse_many(inputs)
         y_hat, uncertainty = fused_prediction(fused)
@@ -516,7 +481,9 @@ def main(argv=None) -> int:
             # the file's values become the command's defaults; flags still win
             args.subparser.set_defaults(**_config_defaults(args.config, _options(args.subparser)))
             args = parser.parse_args(argv)
-        return args.func(args)
+        # a non-finite result is reported by the check that finds it, in one line
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except CliError as e:
         err, code = e, e.code
     except ValueError as e:

@@ -9,6 +9,7 @@ units of the within-class standard deviation).
 from __future__ import annotations
 
 import hashlib
+import json
 import re
 import zipfile
 from dataclasses import dataclass
@@ -45,6 +46,8 @@ class SyntheticSpec:
             raise ValueError("dims must be >= 1")
         if not all(0 <= s < np.inf for s in self.separation):
             raise ValueError("separation must be finite and >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.split_sizes is not None:
             if len(self.split_sizes) != 3:
                 raise ValueError("split_sizes must hold 3 sizes (train, val, test)")
@@ -54,17 +57,44 @@ class SyntheticSpec:
                 raise ValueError("split_sizes must not exceed the total sample count")
 
 
-def saved_array(saved, shape, name: str, positive: bool = False) -> np.ndarray:
-    """`saved`, read from a file, as a float array of exactly `shape`; a ValueError names
-    it on another shape, a value that is not a number (a string or a boolean), a non-finite
-    value (JSON null reads as NaN) or, if `positive`, one <= 0."""
+# The JSON types a declared shape names, with their names in messages (a boolean is no number).
+_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"), str: ((str,), "a string"),
+               bool: ((bool,), "true or false"), list: ((list,), "a list"), dict: ((dict,), "an object")}
+
+
+def check_json(doc, shape, what: str, path: str = "") -> None:
+    """Check `doc`, a parsed JSON value at `path` in the input called `what`,
+    against its declared `shape`: a key of `_JSON_TYPES` (`float` is any number),
+    `[shape]` (a list of that shape) or a dict of required keys to their shapes
+    (other keys are allowed).  The first mismatch raises a ValueError naming its
+    path, such as `checkpoint encoders[0].weights must be a list, got 5`."""
+    types, want = _JSON_TYPES[type(shape) if isinstance(shape, (list, dict)) else shape]
+    if type(doc) not in types:
+        text = json.dumps(doc)
+        raise ValueError(f"{what}{path} must be {want}, got {text[:40]}{' ...' * (len(text) > 40)}")
+    if isinstance(shape, dict):
+        for key, inner in shape.items():
+            field = f"{path}.{key}" if path else f" {key}"
+            if key not in doc:
+                raise ValueError(f"{what}{field} is missing")
+            check_json(doc[key], inner, what, field)
+    elif isinstance(shape, list):
+        for i, item in enumerate(doc):
+            check_json(item, shape[0], what, f"{path}[{i}]")
+
+
+def saved_array(saved, shape, name: str, source: str = "", positive: bool = False) -> np.ndarray:
+    """`saved`, nested lists of numbers (as `check_json` found them), as a float array of
+    exactly `shape`, which `source` declares; a ValueError names it on another shape, a
+    non-finite value (an integer beyond the float range included) or, if `positive`, one <= 0."""
     a = np.asarray(saved, dtype=object)
     if a.shape != tuple(shape):
-        raise ValueError(f"{name} has shape {a.shape}, expected {tuple(shape)}")
-    for x in a.flat:
-        if x is not None and (isinstance(x, bool) or not isinstance(x, (int, float))):
-            raise ValueError(f"{name} must hold numbers, got {x!r}")
-    a = a.astype(float)
+        raise ValueError(f"{name} has shape {a.shape}, expected {tuple(shape)}"
+                         + (f" from {source}" if source else ""))
+    try:
+        a = a.astype(float)
+    except OverflowError:  # an integer beyond the float range
+        a = np.full(a.shape, np.inf)
     if not np.isfinite(a).all() or (positive and not (a > 0).all()):
         raise ValueError(f"{name} must be {'finite and > 0' if positive else 'finite'}")
     return a
@@ -83,19 +113,17 @@ class Standardization:
 
     @classmethod
     def from_dict(cls, doc: dict, dims: Sequence[int]) -> "Standardization":
-        """Load statistics for modalities of widths `dims`; a ValueError names any
-        array of the wrong count or shape, a value that is not a number, a
-        non-finite value, or a std <= 0."""
+        """Load statistics for modalities of widths `dims`; a ValueError names a
+        field of the wrong JSON type (`check_json`), an array of the wrong count
+        or shape, a non-finite value, or a std <= 0."""
+        check_json(doc, {"mean": [[float]], "std": [[float]]}, "standardization")
         stats = []
         for name in ("mean", "std"):
-            if len(doc[name]) != len(dims):
-                raise ValueError(
-                    f"standardization {name} holds {len(doc[name])} arrays, expected {len(dims)}"
-                )
-            stats.append([
-                saved_array(a, (d,), f"standardization {name}[{m}]", positive=name == "std")
-                for m, (a, d) in enumerate(zip(doc[name], dims))
-            ])
+            saved = doc[name]
+            if len(saved) != len(dims):
+                raise ValueError(f"standardization {name} holds {len(saved)} arrays, expected {len(dims)}")
+            stats.append([saved_array(a, (d,), f"standardization {name}[{m}]", positive=name == "std")
+                          for m, (a, d) in enumerate(zip(saved, dims))])
         return cls(*stats)
 
     def apply(self, ds: "Dataset") -> "Dataset":

@@ -56,6 +56,8 @@ class NoiseSpec:
     def __post_init__(self):
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -277,6 +279,8 @@ def _score_fused(scores: _Scores, labels, n_classes: int, n_bins: int):
         conf_pred[a:b] = class_posterior(trace.u, trace.sigma, trace.v)[rows, pred]
         fused_unc[a:b] = st_variance_arrays(trace.sigma, trace.v)[rows, pred]
 
+    if np.isnan(conf_pred).any():
+        raise FloatingPointError("the fused class posterior is not finite")
     correct = preds == np.asarray(labels)
     ece_val, per_bin = ece(conf_pred, correct, n_bins)
     report = MetricsReport(

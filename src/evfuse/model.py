@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import saved_array
+from .data import check_json, saved_array
 from .distributions import (
     NIGParams,
     StudentT,
@@ -57,12 +57,13 @@ class EncoderSpec:
     activation: str = "tanh"
 
     def __post_init__(self):
+        # each message leads with its field, which a checkpoint's path prefixes
         if self.input_dim < 1:
-            raise ValueError("input_dim must be positive")
+            raise ValueError(f"input_dim must be >= 1, got {self.input_dim}")
         if len(self.hidden_dims) < 1 or any(h < 1 for h in self.hidden_dims):
-            raise ValueError("need at least one positive hidden dim")
+            raise ValueError(f"hidden_dims must be one or more sizes >= 1, got {list(self.hidden_dims)}")
         if self.activation not in ("relu", "tanh"):
-            raise ValueError(f"unknown activation {self.activation!r}")
+            raise ValueError(f"activation must be relu or tanh, got {self.activation!r}")
 
 
 @dataclass
@@ -79,8 +80,10 @@ class TrainConfig:
     keep_best: bool = False  # restore weights from the best-validation epoch
 
     def __post_init__(self):
-        if not (self.learning_rate > 0):
-            raise ValueError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be >= 0")
         if not (0.0 <= self.lam <= 1.0):
@@ -225,6 +228,16 @@ class _Head:
         return g_flat @ self.weight.T
 
 
+def _check_model_sizes(n_modalities: int, n_classes: int, seed: int, what: str = "") -> None:
+    """The rules on `MultimodalClassifier`'s arguments, each message led by `what` and its name."""
+    if n_modalities < 1:
+        raise ValueError(f"{what}encoder_specs must name at least one modality")
+    if n_classes < 2:
+        raise ValueError(f"{what}n_classes must be >= 2, got {n_classes}")
+    if seed < 0:
+        raise ValueError(f"{what}seed must be >= 0, got {seed}")
+
+
 class MultimodalClassifier:
     """Per-modality encoders + evidential heads with min-v fusion.
 
@@ -235,10 +248,7 @@ class MultimodalClassifier:
     """
 
     def __init__(self, encoder_specs: Sequence[EncoderSpec], n_classes: int, seed: int = 0):
-        if n_classes < 2:
-            raise ValueError("need at least two classes")
-        if len(encoder_specs) < 1:
-            raise ValueError("need at least one modality")
+        _check_model_sizes(len(encoder_specs), n_classes, seed)
         self.encoder_specs = list(encoder_specs)
         self.n_classes = n_classes
         self.seed = seed
@@ -406,52 +416,42 @@ class MultimodalClassifier:
 
     @classmethod
     def from_state_dict(cls, state: dict) -> "MultimodalClassifier":
-        if state.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported checkpoint format: {state.get('format_version')!r}"
-            )
-
-        def listed(x, name):
-            if not isinstance(x, list):
-                raise ValueError(f"checkpoint {name} must be a list, got {x!r}")
-            return x
-
-        # the declared sizes are JSON integers (not booleans or floats) ...
-        sizes = {"n_classes": state["n_classes"], "seed": state["seed"]}
-        for m, s in enumerate(listed(state["encoder_specs"], "encoder_specs")):
-            sizes[f"encoder_specs[{m}].input_dim"] = s["input_dim"]
-            for i, h in enumerate(listed(s["hidden_dims"], f"encoder_specs[{m}].hidden_dims")):
-                sizes[f"encoder_specs[{m}].hidden_dims[{i}]"] = h
-        for name, x in sizes.items():
-            if type(x) is not int:
-                raise ValueError(f"checkpoint {name} must be an integer, got {x!r}")
-        specs = [
-            EncoderSpec(s["input_dim"], tuple(s["hidden_dims"]), s["activation"])
-            for s in state["encoder_specs"]
-        ]
-        if not len(state["encoders"]) == len(state["heads"]) == len(specs):
-            raise ValueError("checkpoint needs one encoder and one head per encoder spec")
-        # ... and every saved array has the shape they declare, before `__init__`
-        # allocates weights of that size
+        """The model of a `state_dict()` read from a file; a ValueError names any field that
+        does not fit, before any weights are allocated."""
+        check_json(state, {
+            "format_version": int, "n_classes": int, "seed": int,
+            "encoder_specs": [{"input_dim": int, "hidden_dims": [int], "activation": str}],
+            "encoders": [{"weights": [[[float]]], "biases": [[float]]}],
+            "heads": [{"weight": [[float]], "bias": [float]}],
+        }, "checkpoint")
+        if state["format_version"] != CHECKPOINT_FORMAT_VERSION:
+            raise ValueError(f"checkpoint format_version must be {CHECKPOINT_FORMAT_VERSION}, "
+                             f"got {state['format_version']}")
+        specs = []
+        for m, s in enumerate(state["encoder_specs"]):
+            try:
+                specs.append(EncoderSpec(s["input_dim"], tuple(s["hidden_dims"]), s["activation"]))
+            except ValueError as e:
+                raise ValueError(f"checkpoint encoder_specs[{m}].{e}") from None
+        _check_model_sizes(len(specs), state["n_classes"], state["seed"], "checkpoint ")
+        for key in ("encoders", "heads"):
+            if len(state[key]) != len(specs):
+                raise ValueError(f"checkpoint {key} holds {len(state[key])} entries, "
+                                 f"expected {len(specs)} from encoder_specs")
         encoders, heads, k4 = [], [], 4 * state["n_classes"]
         for m, spec in enumerate(specs):
-            dims = (spec.input_dim, *spec.hidden_dims)
+            dims, source = (spec.input_dim, *spec.hidden_dims), f"encoder_specs[{m}]"
             for kind, shapes in (("weights", list(zip(dims[:-1], dims[1:]))),
                                  ("biases", [(d,) for d in dims[1:]])):
                 saved = state["encoders"][m][kind]
                 if len(saved) != len(shapes):
-                    raise ValueError(
-                        f"checkpoint encoders[{m}].{kind} holds {len(saved)} arrays, "
-                        f"expected {len(shapes)}"
-                    )
-                encoders += [
-                    saved_array(w, shape, f"checkpoint array encoders[{m}].{kind}[{i}]")
-                    for i, (w, shape) in enumerate(zip(saved, shapes))
-                ]
-            heads += [
-                saved_array(state["heads"][m][kind], shape, f"checkpoint array heads[{m}].{kind}")
-                for kind, shape in (("weight", (dims[-1], k4)), ("bias", (k4,)))
-            ]
+                    raise ValueError(f"checkpoint encoders[{m}].{kind} holds {len(saved)} arrays, "
+                                     f"expected {len(shapes)} from {source}")
+                encoders += [saved_array(w, shape, f"checkpoint encoders[{m}].{kind}[{i}]", source)
+                             for i, (w, shape) in enumerate(zip(saved, shapes))]
+            heads += [saved_array(state["heads"][m][kind], shape, f"checkpoint heads[{m}].{kind}", by)
+                      for kind, shape, by in (("weight", (dims[-1], k4), f"{source} and n_classes"),
+                                              ("bias", (k4,), "n_classes"))]
         model = cls(specs, state["n_classes"], seed=state["seed"])
         # `params` holds the arrays in `_layers()` order: encoders, then heads
         model.params[:] = np.concatenate([a.ravel() for a in encoders + heads])

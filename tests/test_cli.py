@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -15,8 +16,9 @@ from hypothesis import strategies as st
 import evfuse
 import evfuse.cli
 from evfuse.cli import main
+from evfuse.data import Standardization
 from evfuse.evaluation import evaluate_model
-from evfuse.model import MultimodalClassifier
+from evfuse.model import EncoderSpec, MultimodalClassifier
 
 
 def _run(capsys, *argv):
@@ -316,17 +318,17 @@ class TestTrain:
     @pytest.mark.parametrize(
         "doc, message",
         [
-            ('{"freeze_encoders": "no"}', 'config freeze_encoders: expected true or false, got "no"'),
-            ('{"keep_best": 1}', "config keep_best: expected true or false, got 1"),
-            ('{"epochs": 1.7}', "config epochs: expected an integer, got 1.7"),
-            ('{"batch_size": true}', "config batch_size: expected an integer, got true"),
-            ('{"epochs": null}', "config epochs: expected an integer, got null"),
-            ('{"lr": "0.1"}', 'config lr: expected a finite number, got "0.1"'),
-            ('{"lr": NaN}', "config lr: expected a finite number, got NaN"),
-            ('{"lam": 1' + "0" * 400 + "}", "config lam: expected a finite number, got 1" + "0" * 400),
-            ('{"hidden": [8]}', "config hidden: expected a string, got [8]"),
-            ('{"activation": "sigmoid"}', 'config activation: expected one of relu, tanh, got "sigmoid"'),
-            ('["lr"]', "cfg.json: expected a JSON object, got list"),
+            ('{"freeze_encoders": "no"}', 'config freeze_encoders must be true or false, got "no"'),
+            ('{"keep_best": 1}', "config keep_best must be true or false, got 1"),
+            ('{"epochs": 1.7}', "config epochs must be an integer, got 1.7"),
+            ('{"batch_size": true}', "config batch_size must be an integer, got true"),
+            ('{"epochs": null}', "config epochs must be an integer, got null"),
+            ('{"lr": "0.1"}', 'config lr must be a number, got "0.1"'),
+            ('{"lr": NaN}', "config lr must be finite, got NaN"),
+            ('{"lam": 1' + "0" * 400 + "}", "config lam must be finite, got 1" + "0" * 400),
+            ('{"hidden": [8]}', "config hidden must be a string, got [8]"),
+            ('{"activation": "sigmoid"}', 'config activation must be one of relu, tanh, got "sigmoid"'),
+            ('["lr"]', 'config must be an object, got ["lr"]'),
         ],
         ids=["bool-str", "bool-int", "int-float", "int-bool", "int-null", "float-str", "float-nan",
              "float-huge-int", "str-list", "choice", "list"],
@@ -468,7 +470,9 @@ class TestEvaluate:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["evaluate", "noise-sweep", "report"])
-    @pytest.mark.parametrize("defect", ["bias_object", "no_standardization", "hash_list", "bool_seed"])
+    @pytest.mark.parametrize(
+        "defect", ["bias_object", "no_standardization", "hash_list", "bool_seed", "negative_seed"]
+    )
     def test_malformed_checkpoint_exit_1(self, pipeline, tmp_path, capsys, command, defect):
         data, run = pipeline
         ckpt = json.loads((run / "checkpoint.json").read_text())
@@ -478,6 +482,8 @@ class TestEvaluate:
             ckpt["config_hash"] = [1, 2]
         elif defect == "bool_seed":
             ckpt["model"]["seed"] = True
+        elif defect == "negative_seed":
+            ckpt["model"]["seed"] = -1
         else:
             del ckpt["standardization"]
         bad = tmp_path / "bad.json"
@@ -511,8 +517,8 @@ class TestEvaluate:
         ]) == 0
         capsys.readouterr()
         for bad, message in [
-            (split_2_4, "dataset dims [2, 4] do not match the checkpoint's input dims [3, 3]"),
-            (two_classes, "dataset n_classes 2 does not match the checkpoint's n_classes 3"),
+            (split_2_4, "dataset sidecar dims must be the checkpoint's [3, 3], got [2, 4]"),
+            (two_classes, "dataset sidecar n_classes must be the checkpoint's 3, got 2"),
         ]:
             code, stdout, err = _run(
                 capsys, command, "--checkpoint", str(run / "checkpoint.json"),
@@ -539,7 +545,7 @@ class TestEvaluate:
             "--data", str(data), "--out", str(tmp_path / "out"),
         )
         assert code == 1 and stdout == ""
-        assert err == "error: dataset n_classes 2 does not match the checkpoint's n_classes 3\n"
+        assert err == "error: dataset sidecar n_classes must be the checkpoint's 3, got 2\n"
 
     def test_weighted_kappa_config_key_exit_1(self, pipeline, tmp_path, capsys):
         data, run = pipeline
@@ -560,8 +566,8 @@ class TestEvaluate:
             (lambda s: s["mean"][0].__setitem__(2, float("nan")), "standardization mean[0] must be finite"),
             (lambda s: (s["mean"].pop(), s["std"].pop()),
              "standardization mean holds 1 arrays, expected 2"),
-            (lambda s: s["mean"][0].__setitem__(1, "0.5"), "standardization mean[0] must hold numbers, got '0.5'"),
-            (lambda s: s["std"][1].__setitem__(0, True), "standardization std[1] must hold numbers, got True"),
+            (lambda s: s["mean"][0].__setitem__(1, "0.5"), 'standardization mean[0][1] must be a number, got "0.5"'),
+            (lambda s: s["std"][1].__setitem__(0, True), "standardization std[1][0] must be a number, got true"),
         ],
         ids=["std-shape", "zero-std", "nan-mean", "missing-modality", "string-mean", "bool-std"],
     )
@@ -600,19 +606,22 @@ class TestEvaluate:
     @pytest.mark.parametrize(
         "target, doc, message",
         [
-            ("sidecar", "{}", "bad dataset sidecar: dims must be a non-empty list of positive integers"),
-            ("sidecar", "[1, 2]", "dataset.json: expected a JSON object, got list"),
-            ("sidecar", '{"dims": "ab", "n_classes": 3}',
-             "bad dataset sidecar: dims must be a non-empty list of positive integers"),
+            ("sidecar", "{}", "dataset sidecar dims is missing"),
+            ("sidecar", "[1, 2]", "dataset sidecar must be an object, got [1, 2]"),
+            ("sidecar", '{"dims": "ab", "n_classes": 3}', 'dataset sidecar dims must be a list, got "ab"'),
             ("sidecar", '{"dims": [3, 3], "n_classes": "3"}',
-             "bad dataset sidecar: n_classes must be an integer >= 2"),
+             'dataset sidecar n_classes must be an integer, got "3"'),
+            ("sidecar", '{"dims": [], "n_classes": 3}',
+             "dataset sidecar dims must be one or more sizes >= 1, got []"),
+            ("sidecar", '{"dims": [3, 3], "n_classes": 1}', "dataset sidecar n_classes must be >= 2, got 1"),
             ("checkpoint", '{"model": 5, "standardization": {}}',
-             "bad checkpoint contents: 'int' object has no attribute"),
-            ("config", "5", "cfg.json: expected a JSON object, got int"),
+             "bad checkpoint contents: checkpoint model must be an object, got 5"),
+            ("config", "5", "config must be an object, got 5"),
             ("config", "[" * 100_000, "cfg.json: maximum recursion depth exceeded"),
         ],
         ids=["sidecar-empty", "sidecar-list", "sidecar-dims-str", "sidecar-classes-str",
-             "checkpoint-model-int", "config-int", "config-deep"],
+             "sidecar-no-dims", "sidecar-one-class", "checkpoint-model-int", "config-int",
+             "config-deep"],
     )
     def test_malformed_json_input_exit_1(self, pipeline, tmp_path, capsys, target, doc, message):
         data, run = pipeline
@@ -783,6 +792,53 @@ def test_refused_allocation_exit_1(pipeline, tmp_path, capsys, command, flags):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("train", ["--lr", "1e400"]),
+    ("train", ["--seed", "-1"]),
+    ("generate-data", ["--seed", "-1"]),
+    ("noise-sweep", ["--noise-seeds", "1,-1"]),
+    ("report", ["--modality", "1", "--sigma", "1", "--noise-seed", "-1"]),
+], ids=["lr-inf", "train-seed", "data-seed", "sweep-seed", "report-seed"])
+def test_out_of_range_value_exit_1_naming_the_field(pipeline, tmp_path, capsys, command, flags):
+    data, run = pipeline
+    inputs = {
+        "generate-data": [],
+        "train": ["--data", str(data)],
+    }.get(command, ["--checkpoint", str(run / "checkpoint.json"), "--data", str(data)])
+    code, stdout, err = _run(capsys, command, *inputs, *flags, "--out", str(tmp_path / "out"))
+    message = ("learning_rate must be finite and > 0, got inf" if "--lr" in flags
+               else "seed must be >= 0, got -1")
+    assert code == 1 and stdout == "" and err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_numerical_failure_prints_one_line(pipeline, tmp_path, command):
+    """Training at a learning rate of 1e300, or scoring with head weights of
+    +-1e300, overflows: exit 3 with one `error:` line.  In a fresh process,
+    where numpy's warnings would reach stderr (pytest makes them errors)."""
+    data, run = pipeline
+    if command == "train":
+        argv = ["train", "--data", str(data), "--lr", "1e300", "--epochs", "2", "--hidden", "8"]
+        message = "error: non-finite loss at epoch 0, batch "
+    else:
+        ckpt = json.loads((run / "checkpoint.json").read_text())
+        for head in ckpt["model"]["heads"]:
+            shape = np.shape(head["weight"])
+            head["weight"] = np.where(np.indices(shape).sum(axis=0) % 2, 1e300, -1e300).tolist()
+        (tmp_path / "huge.json").write_text(json.dumps(ckpt))
+        argv = ["evaluate", "--checkpoint", str(tmp_path / "huge.json"), "--data", str(data)]
+        message = "error: the fused class posterior is not finite\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(evfuse.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "evfuse.cli", *argv, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1, proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 _EMPTY_ITEMS = [
     ("generate-data", "--dims", "4,,4"),
     ("generate-data", "--sep", "3,3,"),
@@ -870,6 +926,8 @@ class TestFuse:
             ("[[0, 1, 3], [0, Infinity, 6]]", 1, "entry 1: sigma must be finite"),
             ('[{"u": 0, "sigma": 1, "v": Infinity}]', 1, "entry 0: v must be finite"),
             ("[[0, 1e308, 3], [0, 1e308, 3]]", 3, "fused result is not finite"),
+            ('[{"u": 0, "sigma": 1}]', 1, "entry 0: v is missing"),
+            ('[[0, 1, 4], {"u": 0, "sigma": 1, "v": null}]', 1, "entry 1: v must be a number, got null"),
         ],
     )
     def test_malformed_or_non_finite_input_rejected(self, tmp_path, capsys, doc, code, message):
@@ -932,33 +990,56 @@ class TestFuse:
 _OTHER_VALUES = ["x", 0, 0.5, True, None, [], {}]
 
 
-def _positions(doc, path=()):
-    """Every position in a JSON document; a long list contributes its ends."""
+def _positions(doc, path=(), every=False):
+    """Every position in a JSON document, as its keys from the top level; a
+    long list contributes only its ends unless `every`."""
     yield path
     if isinstance(doc, dict):
         items = list(doc.items())
     elif isinstance(doc, list):
         items = list(enumerate(doc))
-        items = items if len(items) <= 2 else [items[0], items[-1]]
+        items = items if every or len(items) <= 2 else [items[0], items[-1]]
     else:
         return
     for key, value in items:
-        yield from _positions(value, path + (key,))
+        yield from _positions(value, path + (key,), every)
+
+
+def _field_names(target, path):
+    """The names an error line may give the value at `path`: its own, that of
+    the array or object holding it, or that of the one holding that (a declared
+    size names the encoder spec it belongs to), as the input's messages spell
+    them.  A checkpoint's model part names its fields without `model.` and its
+    standardization part with its own prefix; a `fuse` entry is `entry i`."""
+    def spelled(keys):
+        if target == "fuse":
+            entry, *field = keys
+            return f"entry {entry}" + "".join(
+                f": {('u', 'sigma', 'v')[k] if isinstance(k, int) else k}" for k in field)
+        return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys).lstrip(".")
+
+    parts = 1 if target == "checkpoint" and path[0] in ("model", "standardization") else 0
+    chain = [path[:n] for n in (len(path), len(path) - 1, len(path) - 2) if n > parts]
+    names = [spelled(keys[parts:]) for keys in chain] or [path[0]]
+    # the config key `lr` sets TrainConfig's `learning_rate`, whose rule names it
+    return names + ["learning_rate"] * (path == ("lr",))
 
 
 @st.composite
 def _mutated(draw, doc):
     """The text of `doc` with one key dropped, one value replaced by a value
     of another JSON type or nested in a list, the text truncated, or the top
-    level replaced by a scalar or a list."""
+    level replaced by a scalar or a list; with the mutation's kind and the
+    position it changed (None for a truncation or a new top level)."""
     kind = draw(st.sampled_from(["drop", "swap", "nest", "truncate", "top"]))
     if kind == "truncate":
         text = json.dumps(doc)
-        return text[: draw(st.integers(0, len(text) - 1))]
+        return kind, None, text[: draw(st.integers(0, len(text) - 1))]
     if kind == "top":
-        return json.dumps(draw(st.sampled_from([5, "x", None, False, [], [1, 2]])))
+        return kind, None, json.dumps(draw(st.sampled_from([5, "x", None, False, [], [1, 2]])))
     doc = copy.deepcopy(doc)
-    *path, key = draw(st.sampled_from(list(_positions(doc))[1:]))
+    position = draw(st.sampled_from(list(_positions(doc))[1:]))
+    *path, key = position
     parent = doc
     for k in path:
         parent = parent[k]
@@ -970,7 +1051,7 @@ def _mutated(draw, doc):
         parent[key] = draw(
             st.sampled_from([v for v in _OTHER_VALUES if type(v) is not type(parent[key])])
         )
-    return json.dumps(doc)
+    return kind, position, json.dumps(doc)
 
 
 @pytest.fixture(scope="module")
@@ -1008,7 +1089,8 @@ def fuzz_inputs(pipeline, tmp_path_factory):
 @given(data=st.data())
 def test_malformed_json_exits_with_one_error_line(fuzz_inputs, target, data):
     doc, path, argv = fuzz_inputs[target]
-    path.write_text(data.draw(_mutated(doc)))
+    kind, position, text = data.draw(_mutated(doc))
+    path.write_text(text)
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -1016,5 +1098,42 @@ def test_malformed_json_exits_with_one_error_line(fuzz_inputs, target, data):
     if code:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), err.getvalue()
+        # a parse error names no field; a drop, swap or nest names the one it changed
+        if position is not None:
+            assert any(name in lines[0] for name in _field_names(target, position)), (position, lines[0])
     else:
         assert err.getvalue() == ""
+
+
+# Every value a census mutation writes: a number of each kind, each other JSON
+# type, a list and an object each holding a value, and three edge numbers.
+_CENSUS_VALUES = [5, 2.5, True, None, "s", [], {}, [7], {"a": 1}, -1, 0, 1e20]
+
+
+def test_checkpoint_census_names_every_refused_field(tmp_path):
+    """Each value of `_CENSUS_VALUES` at each position of a tiny checkpoint is
+    accepted, or refused with exit code 1 and a message naming the field."""
+    model = MultimodalClassifier(
+        [EncoderSpec(2, (3,), "tanh"), EncoderSpec(3, (2, 2), "relu")], n_classes=2, seed=4
+    )
+    stats = Standardization([np.zeros(2), np.zeros(3)], [np.ones(2), np.ones(3)])
+    doc = {"model": model.state_dict(), "standardization": stats.to_dict(), "config_hash": "0123"}
+    path = tmp_path / "checkpoint.json"
+    refused = 0
+    for position in list(_positions(doc, every=True))[1:]:
+        for value in _CENSUS_VALUES:
+            mutated = copy.deepcopy(doc)
+            *keys, key = position
+            parent = mutated
+            for k in keys:
+                parent = parent[k]
+            parent[key] = value
+            path.write_text(json.dumps(mutated))
+            try:
+                evfuse.cli._load_checkpoint(path)
+            except evfuse.cli.CliError as e:
+                refused += 1
+                assert e.code == 1
+                assert any(name in str(e) for name in _field_names("checkpoint", position)), (
+                    position, value, str(e))
+    assert refused > 1000

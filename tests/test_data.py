@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +40,8 @@ class TestSyntheticSpec:
                 SyntheticSpec(n_per_class=20, split_sizes=sizes)
         with pytest.raises(ValueError, match=r"split_sizes must hold 3 sizes \(train, val, test\)"):
             SyntheticSpec(split_sizes=(10, 10))
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            SyntheticSpec(seed=-1)
 
     @pytest.mark.parametrize("dims, sep", [((4, 4, 4), (3.0, 3.0)), ((4,), (3.0, 3.0))])
     def test_dims_and_separation_must_match(self, dims, sep):
@@ -220,14 +223,44 @@ class TestCsv:
             SyntheticSpec(separation=(sep, 3.0))
 
 
-class TestSavedArray:
+class TestCheckJson:
     @pytest.mark.parametrize(
-        "saved, got", [([["1.5", 2.0]], "'1.5'"), ([[1.0, True]], "True"), ([[None, False]], "False")]
+        "saved, message",
+        [([["1.5", 2.0]], 'x[0][0] must be a number, got "1.5"'), ([[1.0, True]], "x[0][1] must be a number, got true"),
+         ([[None, False]], "x[0][0] must be a number, got null")],
+        ids=["string", "bool", "null"],
     )
-    def test_only_numbers_load(self, saved, got):
-        with pytest.raises(ValueError, match=rf"^x must hold numbers, got {got}$"):
-            data.saved_array(saved, (1, 2), "x")
+    def test_only_numbers_pass(self, saved, message):
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            data.check_json(saved, [[float]], "x")
 
+    @pytest.mark.parametrize(
+        "doc, shape, message",
+        [
+            (True, int, "doc must be an integer, got true"),
+            (2.0, int, "doc must be an integer, got 2.0"),
+            ("a", float, 'doc must be a number, got "a"'),
+            (3, str, "doc must be a string, got 3"),
+            ({"a": [1]}, [int], 'doc must be a list, got {"a": [1]}'),
+            ([1, 2], {"a": int}, "doc must be an object, got [1, 2]"),
+            ({"a": {"b": [0, "c"]}}, {"a": {"b": [int]}}, 'doc a.b[1] must be an integer, got "c"'),
+            ({"a": [{"c": 1}, {}]}, {"a": [{"c": int}]}, "doc a[1].c is missing"),
+            (list(range(100)), str, "doc must be a string, got [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 1 ..."),
+        ],
+        ids=["bool-int", "float-int", "str-number", "int-str", "object-list", "list-object",
+             "nested", "missing", "long-value"],
+    )
+    def test_first_mismatch_names_its_path(self, doc, shape, message):
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            data.check_json(doc, shape, "doc")
+
+    def test_matching_documents_pass(self):
+        shape = {"n": int, "x": [[float]], "s": str}
+        data.check_json({"n": 1, "x": [[1, 2.5], []], "s": "", "extra": None}, shape, "doc")
+        data.check_json([], [{"a": int}], "doc")
+
+
+class TestSavedArray:
     def test_numbers_load_as_floats(self):
         a = data.saved_array([[1, 2.5], [0.5, -3]], (2, 2), "x")
         assert a.dtype == np.float64 and a.tolist() == [[1.0, 2.5], [0.5, -3.0]]

@@ -441,10 +441,12 @@ class TestInferencePass:
         ((0.5, 0.5), (1,), "noise sweep sigma 0.5 is repeated"),
         ((0.0, 0.5, -0.0), (1,), r"noise sweep sigma -0\.0 is repeated"),
         ((0.5,), (1, 2, 1), "noise sweep seed 1 is repeated"),
-    ], ids=["sigma", "signed-zero", "seed"])
+        ((0.0, 0.5), (1, -1), "seed must be >= 0, got -1"),
+    ], ids=["sigma", "signed-zero", "seed", "negative-seed"])
     def test_noise_sweep_refuses_repeated_values(self, monkeypatch, sigmas, seeds, message):
         # a repeated pair wrote identical rows, and its sigma's aggregate
-        # counted each copy as one more seed
+        # counted each copy as one more seed; a negative seed reached numpy's
+        # generator only after the clean data was scored
         model, ds = _model_and_data()
         encoded = []
         monkeypatch.setattr(MultimodalClassifier, "head_outputs", lambda self, m, x: encoded.append(m))

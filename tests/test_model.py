@@ -353,25 +353,27 @@ class TestCheckpoint:
              r"heads\[1\]\.weight has shape \(3, 12\), expected \(4, 12\)"),
             (lambda s: s["encoders"][1]["weights"].append([[0.0]]),
              r"encoders\[1\]\.weights holds 2 arrays, expected 1"),
-            (lambda s: s["encoders"].pop(), "one encoder and one head per encoder spec"),
-            (lambda s: s["heads"].pop(), "one encoder and one head per encoder spec"),
-            (lambda s: s["heads"][0]["bias"].__setitem__(2, None), r"heads\[0\]\.bias must be finite"),
+            (lambda s: s["encoders"].pop(), r"^checkpoint encoders holds 1 entries, expected 2 from encoder_specs$"),
+            (lambda s: s["heads"].pop(), r"^checkpoint heads holds 1 entries, expected 2 from encoder_specs$"),
+            (lambda s: s["heads"][0]["bias"].__setitem__(2, None),
+             r"^checkpoint heads\[0\]\.bias\[2\] must be a number, got null$"),
             (lambda s: s["encoders"][1]["weights"][0][0].__setitem__(0, float("inf")),
              r"encoders\[1\]\.weights\[0\] must be finite"),
             (lambda s: s["heads"][0]["weight"][0].__setitem__(0, float("nan")),
              r"heads\[0\]\.weight must be finite"),
             (lambda s: s["heads"][0]["weight"][1].__setitem__(0, "1.5"),
-             r"heads\[0\]\.weight must hold numbers, got '1\.5'$"),
+             r"^checkpoint heads\[0\]\.weight\[1\]\[0\] must be a number, got \"1\.5\"$"),
             (lambda s: s["encoders"][0]["biases"][0].__setitem__(1, True),
-             r"encoders\[0\]\.biases\[0\] must hold numbers, got True$"),
+             r"^checkpoint encoders\[0\]\.biases\[0\]\[1\] must be a number, got true$"),
             (lambda s: s["heads"][1]["weight"][0].__setitem__(3, [0.0]),
-             r"heads\[1\]\.weight must hold numbers, got \[0\.0\]$"),
+             r"^checkpoint heads\[1\]\.weight\[0\]\[3\] must be a number, got \[0\.0\]$"),
             (lambda s: s["heads"][1]["weight"][0].pop(),
-             r"heads\[1\]\.weight has shape \(4,\), expected \(4, 12\)$"),
-            (lambda s: s.update(seed=True), r"^checkpoint seed must be an integer, got True$"),
+             r"^checkpoint heads\[1\]\.weight has shape \(4,\), expected \(4, 12\) "
+             r"from encoder_specs\[1\] and n_classes$"),
+            (lambda s: s.update(seed=True), r"^checkpoint seed must be an integer, got true$"),
             (lambda s: s.update(n_classes=3.0), r"^checkpoint n_classes must be an integer, got 3\.0$"),
             (lambda s: s["encoder_specs"][0].update(input_dim="3"),
-             r"^checkpoint encoder_specs\[0\]\.input_dim must be an integer, got '3'$"),
+             r"^checkpoint encoder_specs\[0\]\.input_dim must be an integer, got \"3\"$"),
             (lambda s: s["encoder_specs"][1].update(hidden_dims=[4.0]),
              r"^checkpoint encoder_specs\[1\]\.hidden_dims\[0\] must be an integer, got 4\.0$"),
             (lambda s: s["encoder_specs"][1].update(hidden_dims=8),
@@ -380,17 +382,32 @@ class TestCheckpoint:
             # declared sizes of 10**15, whose weights numpy refuses to allocate:
             # the saved arrays are checked against them before the model is built
             (lambda s: s["encoder_specs"][0].update(input_dim=10**15),
-             r"encoders\[0\]\.weights\[0\] has shape \(3, 5\), expected \(1000000000000000, 5\)$"),
+             r"^checkpoint encoders\[0\]\.weights\[0\] has shape \(3, 5\), "
+             r"expected \(1000000000000000, 5\) from encoder_specs\[0\]$"),
             (lambda s: s["encoder_specs"][1].update(hidden_dims=[10**15]),
-             r"encoders\[1\]\.weights\[0\] has shape \(2, 4\), expected \(2, 1000000000000000\)$"),
+             r"^checkpoint encoders\[1\]\.weights\[0\] has shape \(2, 4\), "
+             r"expected \(2, 1000000000000000\) from encoder_specs\[1\]$"),
             (lambda s: s.update(n_classes=10**15),
-             r"heads\[0\]\.weight has shape \(5, 12\), expected \(5, 4000000000000000\)$"),
+             r"^checkpoint heads\[0\]\.weight has shape \(5, 12\), "
+             r"expected \(5, 4000000000000000\) from encoder_specs\[0\] and n_classes$"),
+            # value rules run before the arrays are checked against the sizes
+            (lambda s: s.update(n_classes=1), r"^checkpoint n_classes must be >= 2, got 1$"),
+            (lambda s: s.update(seed=-1), r"^checkpoint seed must be >= 0, got -1$"),
+            (lambda s: s["encoder_specs"][1].update(activation="sigmoid"),
+             r"^checkpoint encoder_specs\[1\]\.activation must be relu or tanh, got 'sigmoid'$"),
+            (lambda s: s["encoder_specs"][0].update(hidden_dims=[]),
+             r"^checkpoint encoder_specs\[0\]\.hidden_dims must be one or more sizes >= 1, got \[\]$"),
+            (lambda s: s["encoder_specs"][1].pop("input_dim"), r"^checkpoint encoder_specs\[1\]\.input_dim is missing$"),
+            (lambda s: s.update(format_version=2), r"^checkpoint format_version must be 1, got 2$"),
+            (lambda s: s["heads"][0].update(bias=[10**400] * 12), r"^checkpoint heads\[0\]\.bias must be finite$"),
         ],
         ids=["bias-shape", "head-shape", "weight-count", "encoder-count", "head-count",
              "null-bias", "inf-weight", "nan-weight", "string-weight", "bool-bias", "list-in-weight",
              "ragged-weight", "bool-seed", "float-classes", "string-input-dim", "float-hidden",
              "int-hidden", "int-encoder-specs",
-             "huge-input-dim", "huge-hidden-dim", "huge-classes"],
+             "huge-input-dim", "huge-hidden-dim", "huge-classes",
+             "one-class", "negative-seed", "unknown-activation", "no-hidden-dims", "no-input-dim",
+             "format-2", "int-beyond-float"],
     )
     def test_rejects_malformed_weights(self, mutate, message):
         state = _tiny_model().state_dict()
@@ -425,6 +442,16 @@ class TestTrain:
     def test_negative_epochs_rejected(self):
         with pytest.raises(ValueError, match="max_epochs must be >= 0"):
             TrainConfig(max_epochs=-3)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"learning_rate": math.inf}, "learning_rate must be finite and > 0, got inf"),
+        ({"learning_rate": math.nan}, "learning_rate must be finite and > 0, got nan"),
+        ({"learning_rate": 0.0}, "learning_rate must be finite and > 0, got 0.0"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+    ], ids=["inf-lr", "nan-lr", "zero-lr", "negative-seed"])
+    def test_config_rules_name_the_field(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TrainConfig(**fields)
 
     def test_determinism(self):
         ds = _toy_dataset()
