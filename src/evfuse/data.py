@@ -213,6 +213,8 @@ def standardize(train: Dataset, *others: Dataset) -> tuple[list[Dataset], Standa
 #
 # Schema: header `label,m1_0,...,m1_{d1-1},m2_0,...,m2_{d2-1}`, 0-based
 # integer labels, `repr` float serialization (shortest exact round trip).
+# `_format_rows` writes `repr`'s bytes: most values through the exact kernel
+# `_digit_cells`, the rest through `repr` itself.
 
 
 def _header(dims: Sequence[int]) -> list[str]:
@@ -223,8 +225,126 @@ def _header(dims: Sequence[int]) -> list[str]:
 
 
 # Rows per block of save_csv and load_csv: each block is formatted or parsed by
-# a few whole-block calls, and its temporary strings stay a few MB.
+# a few whole-block calls, and its temporary arrays and strings stay a few MB.
 _ROW_BLOCK = 4096
+
+_U8 = np.uint64
+
+
+def _low_bytes(n: int) -> int:
+    return (1 << 8 * n) - 1
+
+
+def _halves(a):
+    """Veltkamp's split of doubles into halves of at most 26 bits: `a == hi + lo` exactly."""
+    c = a * 134217729.0  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+# By decimal exponent E = -4..5 (index E + 4): 10^(16 - E), which scales a value
+# with 10^E <= |x| < 10^(E+1) to 17 integer digits, and its halves; the lower
+# bounds 10^E and 10^6, each the first double at or above its power of ten.
+_SCALE = np.array([float(10 ** (16 - k)) for k in range(-4, 6)])
+_SCALE_HI, _SCALE_LO = _halves(_SCALE)
+_POW10 = np.array([float(f"1e{k}") for k in range(-4, 7)])
+# A cell's bytes from the 17 digits c0, A (8 digits) and B (8 digits), sign at
+# byte 0 (a zero byte when positive, dropped like all padding):
+#   E >= 0: sign c0 A[:E] '.' A[E:] B     E < 0: sign '0.' '0' * (-E - 1) c0 A B
+# Per E: a constant, the shift of c0, the mask of A's integer digits, the shift of
+# A (and B), and the mask of the shifted A kept.  For E < 0 the constant '0.000'
+# lies under c0 and A, and '0' | digit is that digit.
+_LAYOUT = np.array(
+    [(0x3030302E30 << 8, 16 - 8 * k, 0, 24 - 8 * k, _low_bytes(8)) if k < 0 else
+     (0x2E << 8 * (2 + k), 8, _low_bytes(k), 24, _low_bytes(8) ^ _low_bytes(3 + k)) for k in range(-4, 6)],
+    dtype=_U8).T
+
+
+def _swar8(v):
+    """uint64 `v` < 10**8 as 8 ASCII digits in one word, the first in the lowest
+    byte: halves, quarters and digits split by multiply-shift inside the word."""
+    w = (v << _U8(32)) - (v // _U8(10**4)) * _U8(10**4 * 2**32 - 1)
+    q = ((w * _U8(10486)) >> _U8(20)) & _U8(0x0000007F0000007F)
+    w = (w << _U8(16)) - q * _U8(100 * 2**16 - 1)
+    q = ((w * _U8(103)) >> _U8(10)) & _U8(0x000F000F000F000F)
+    return ((w << _U8(8)) - q * _U8(10 * 2**8 - 1)) | _U8(0x3030303030303030)
+
+
+def _digit_cells(x: np.ndarray, sep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cells `repr(x) + sep` of finite doubles `x` (`sep` an ASCII byte per cell,
+    broadcast), as three uint64 words each whose little-endian bytes with the zero
+    bytes dropped are the cell, and a mask of the cells decided exactly.  A cell not
+    decided holds the byte 0x01 and `sep`, for `repr` to fill.
+
+    Decided: doubles with 2**-13 <= |x| < 1e6, whose `repr` is positional, that
+    have no form of 13 digits or fewer and no tie.  Dekker's product gives
+    |x| * 10^(16 - E) = P + fr exactly, P an integer of 17 digits and fr in [0, 1);
+    the shortest digits are the nearest multiple of 1000, 100, 10 or 1 closer to
+    P + fr than half the gap to the neighbouring doubles, hg (< 11.1, and > 0.55 so
+    17 digits always fit).  P % 100 + fr is exact (fr is a multiple of 2**-45), and
+    so is a distance < 16.  No distance equals hg: a point half-way between doubles
+    here has 30 or more digits.  The powers of two here, whose lower gap is half
+    the upper one, have at most 10 digits."""
+    a = np.abs(x)
+    e = np.frexp(a)[1]
+    ok = (a >= 2.0**-13) & (a < 1e6)
+    a, e = np.where(ok, a, 1.5), np.where(ok, e, 1)
+    i = (((e - 1) * 78913) >> 18).astype(np.intp) + 4  # floor(log10(2**(e-1))) + 4
+    i += a >= _POW10.take(i + 1)
+    scale = _SCALE.take(i)
+    p = a * scale
+    (ahi, alo), shi, slo = _halves(a), _SCALE_HI.take(i), _SCALE_LO.take(i)
+    err = ((ahi * shi - p) + ahi * slo + alo * shi) + alo * slo
+    fl = np.floor(err)
+    fr = err - fl
+    P = (p.astype(np.int64) + fl.astype(np.int64)).view(_U8)
+    hg = np.ldexp(scale, e - 54)
+    r4 = (P - P // _U8(10**4) * _U8(10**4)).astype(float)
+    r3, r2, r1 = (r4 - np.floor(r4 / u) * u for u in (1000, 100, 10))
+    # from P to the nearest multiple of 1000, 100, 10 and 1, and the distances to P + fr
+    d14, d15, d16 = (r3 >= 500) * 1000 - r3, (r2 + fr > 50) * 100 - r2, (r1 + fr > 5) * 10 - r1
+    d17 = (fr > 0.5) * 1.0
+    g14, g15, g16 = np.abs(d14 - fr), np.abs(d15 - fr), np.abs(d16 - fr)
+    ok &= (r4 > hg) & (r4 + hg < 9999) & (g16 != 5) & (fr != 0.5)  # 13 digits or fewer; ties
+    k14 = g14 < hg
+    k15 = (g15 < hg) & ~k14
+    k16 = (g16 < hg) & ~k14 & ~k15
+    D = P + (d17 + k14 * (d14 - d17) + k15 * (d15 - d17) + k16 * (d16 - d17)).astype(np.int64).view(_U8)
+    c0 = D // _U8(10**16)
+    rest = D - c0 * _U8(10**16)
+    A, B = _swar8(rest // _U8(10**8)), _swar8(rest % _U8(10**8))
+    const, c0_shift, a_head, shift, a_tail = (t.take(i) for t in _LAYOUT)
+    end = shift - (k14 * _U8(24) + k15 * _U8(16) + k16 * _U8(8))  # after the last digit kept
+    words = np.empty(x.shape + (3,), _U8)
+    words[..., 0] = (np.signbit(x) * _U8(0x2D) | const | (c0 | _U8(0x30)) << c0_shift
+                     | (A & a_head) << _U8(16) | (A << shift) & a_tail)
+    words[..., 1] = A >> (_U8(64) - shift) | B << shift
+    words[..., 2] = (B >> (_U8(64) - shift)) & ((_U8(1) << end) - _U8(1)) | sep << end
+    bad = ~ok
+    words[bad] = 0
+    words[bad, 0] = np.broadcast_to(sep << _U8(8) | _U8(1), x.shape)[bad]
+    return words, ok
+
+
+def _format_rows(labels: np.ndarray, values: np.ndarray) -> bytes:
+    """The CSV rows `label,repr(v),...\\n` of int64 `labels` >= 0 and finite `values`:
+    `_digit_cells` for the values it decides and for labels below 10**8, `repr`
+    spliced in at each 0x01 byte for the rest."""
+    sep = np.full(values.shape[1], ord(","), _U8)
+    sep[-1] = ord("\n")
+    cells, ok = _digit_cells(values, sep)
+    digits = np.searchsorted(10 ** np.arange(1, 8), labels, side="right").astype(_U8) + _U8(1)
+    small = labels < 10**8
+    head = np.zeros((len(labels), 1, 3), _U8)
+    head[:, 0, 0] = np.where(small, _swar8(labels.astype(_U8)) >> (_U8(64) - _U8(8) * digits), _U8(1))
+    head[:, 0, 1] = ord(",")
+    text = np.concatenate([head, cells], axis=1).astype("<u8", copy=False).tobytes().translate(None, b"\0")
+    rows, cols = np.nonzero(np.concatenate([~small[:, None], ~ok], axis=1))
+    if len(rows) == 0:
+        return text
+    fill = [repr(v if c else lab).encode() for lab, v, c in
+            zip(labels[rows].tolist(), values[rows, cols - 1].tolist(), cols.tolist())]
+    return b"".join(part + cell for part, cell in zip(text.split(b"\1"), fill + [b""]))
 
 
 # the line boundaries of `str.splitlines`
@@ -258,17 +378,15 @@ def save_csv(dataset: Dataset, path, comment: str | None = None) -> None:
     digest = hashlib.sha256()
     with open(path, "wb") as f:
 
-        def put(text: str) -> None:
-            data = text.encode("utf-8")
+        def put(data: bytes) -> None:
             digest.update(data)
             f.write(data)
 
         if comment:
-            put(f"# {comment}\n")
-        put(",".join(_header(dims)) + "\n")
+            put(f"# {comment}\n".encode("utf-8"))
+        put((",".join(_header(dims)) + "\n").encode("utf-8"))
         for i in range(0, len(labels), _ROW_BLOCK):
-            rows = zip(labels[i : i + _ROW_BLOCK].tolist(), values[i : i + _ROW_BLOCK].tolist())
-            put("".join(f"{lab},{','.join(map(repr, row))}\n" for lab, row in rows))
+            put(_format_rows(labels[i : i + _ROW_BLOCK], values[i : i + _ROW_BLOCK]))
     np.savez(_copy_path(path), labels=labels, values=values, csv_sha256=np.array(digest.hexdigest()))
 
 

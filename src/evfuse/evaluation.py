@@ -31,7 +31,7 @@ import numpy as np
 from .distributions import nig_moments_arrays, nig_to_st_arrays, st_variance_arrays
 from .fusion import fuse_stack
 from .losses import reduce_last_axis, softmax
-from .model import MultimodalClassifier, _constrain_arrays, row_chunks
+from .model import MultimodalClassifier, _check_finite, _constrain_arrays, row_chunks
 
 
 def class_posterior(u: np.ndarray, sigma: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -191,21 +191,34 @@ def _check_noise_target(features: Sequence[np.ndarray], spec: NoiseSpec) -> None
 
 
 def _add_noise(x: np.ndarray, z: np.ndarray, sigma: float) -> np.ndarray:
-    """x + sigma z in a new array: the noise step of `inject_noise` and `noise_sweep`."""
-    noisy = z * sigma
-    return np.add(x, noisy, out=noisy)
+    """x + sigma z in a new array: the noise step of `inject_noise` and `noise_sweep`.
+    An overflow is not warned of: the caller's finiteness check names it."""
+    with np.errstate(over="ignore"):
+        noisy = z * sigma
+        return np.add(x, noisy, out=noisy)
+
+
+def _noisy_error(err: ValueError, sigma: float, seed: int) -> ValueError:
+    """`_check_finite`'s error on a noisy block, naming the noise that made it."""
+    return ValueError(f"{err} under noise sigma {sigma!r} with seed {seed}")
 
 
 def inject_noise(features: Sequence[np.ndarray], spec: NoiseSpec) -> list[np.ndarray]:
     """Additive i.i.d. Gaussian noise on one modality, in a new array; every
-    other entry (and at sigma = 0 every entry) is the input array itself."""
+    other entry (and at sigma = 0 every entry) is the input array itself.  A
+    non-finite noisy feature (a sigma large enough to overflow) raises
+    ValueError naming the modality, its row, the sigma and the seed."""
     _check_noise_target(features, spec)
     out = list(features)
     if spec.sigma == 0.0:
         return out
     x = out[spec.modality_index]
     z = _box_muller(np.random.default_rng(spec.seed), np.shape(x))
-    out[spec.modality_index] = _add_noise(x, z, spec.sigma)
+    out[spec.modality_index] = noisy = _add_noise(x, z, spec.sigma)
+    try:
+        _check_finite(noisy, spec.modality_index)
+    except ValueError as e:
+        raise _noisy_error(e, spec.sigma, spec.seed) from None
     return out
 
 
@@ -338,7 +351,9 @@ def noise_sweep(
     equal those of per-pair `inject_noise` bit for bit.  Every sigma (the
     sigmas distinct, 0.0 and -0.0 being one value), every seed (distinct),
     the modality index and the split (`MultimodalClassifier._check_split`)
-    are checked before anything is encoded.
+    are checked before anything is encoded; a sigma whose noisy features
+    overflow raises ValueError naming the modality, its row, the sigma and the
+    seed.
     """
     if len(sigmas) == 0 or len(seeds) == 0:
         raise ValueError("noise sweep needs at least one sigma and one seed")
@@ -359,8 +374,12 @@ def noise_sweep(
     for seed in seeds if noisy_sigmas else ():
         z = _box_muller(np.random.default_rng(seed), np.shape(x))
         for sigma in noisy_sigmas:
-            # the noisy features live only for the call that scores them
-            _score_modality(model, scores, modality_index, _add_noise(x, z, sigma))
+            # the noisy features live only for the call that scores them; the
+            # clean block is finite, so a non-finite one is the noise's
+            try:
+                _score_modality(model, scores, modality_index, _add_noise(x, z, sigma))
+            except ValueError as e:
+                raise _noisy_error(e, sigma, seed) from None
             noisy[sigma, seed] = _sweep_metrics(scores, labels, model.n_classes, n_bins)
     rows = [{"sigma": s.sigma, "modality": modality_index, "seed": s.seed,
              **(noisy[s.sigma, s.seed] if s.sigma != 0.0 else clean)} for s in specs]

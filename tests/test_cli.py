@@ -792,22 +792,26 @@ def test_refused_allocation_exit_1(pipeline, tmp_path, capsys, command, flags):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command, flags", [
-    ("train", ["--lr", "1e400"]),
-    ("train", ["--seed", "-1"]),
-    ("generate-data", ["--seed", "-1"]),
-    ("noise-sweep", ["--noise-seeds", "1,-1"]),
-    ("report", ["--modality", "1", "--sigma", "1", "--noise-seed", "-1"]),
-], ids=["lr-inf", "train-seed", "data-seed", "sweep-seed", "report-seed"])
-def test_out_of_range_value_exit_1_naming_the_field(pipeline, tmp_path, capsys, command, flags):
+# noise so large that finite features overflow: the error names the noise, not the data
+_OVERFLOW = "modality 1 has a non-finite feature in row 3 under noise sigma 1e+308 with seed 0"
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("train", ["--lr", "1e400"], "learning_rate must be finite and > 0, got inf"),
+    ("train", ["--seed", "-1"], "seed must be >= 0, got -1"),
+    ("generate-data", ["--seed", "-1"], "seed must be >= 0, got -1"),
+    ("noise-sweep", ["--noise-seeds", "1,-1"], "seed must be >= 0, got -1"),
+    ("report", ["--modality", "1", "--sigma", "1", "--noise-seed", "-1"], "seed must be >= 0, got -1"),
+    ("noise-sweep", ["--sigmas", "0,1e308"], _OVERFLOW),
+    ("report", ["--modality", "1", "--sigma", "1e308"], _OVERFLOW),
+], ids=["lr-inf", "train-seed", "data-seed", "sweep-seed", "report-seed", "sweep-overflow", "report-overflow"])
+def test_out_of_range_value_exit_1_naming_the_field(pipeline, tmp_path, capsys, command, flags, message):
     data, run = pipeline
     inputs = {
         "generate-data": [],
         "train": ["--data", str(data)],
     }.get(command, ["--checkpoint", str(run / "checkpoint.json"), "--data", str(data)])
     code, stdout, err = _run(capsys, command, *inputs, *flags, "--out", str(tmp_path / "out"))
-    message = ("learning_rate must be finite and > 0, got inf" if "--lr" in flags
-               else "seed must be >= 0, got -1")
     assert code == 1 and stdout == "" and err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -633,3 +634,81 @@ class TestBinaryCopy:
         path = tmp_path / "ds.csv"
         path.write_text(f"# first{brk}{then}\nlabel,m1_0,m2_0\n0,1.0,2.0\n1,3.0,oops\n", encoding="utf-8")
         TestCsvMatchesPerRowOracle()._assert_readers_agree(path, CsvSchema((1, 1), 2))
+
+
+def _repr_rows(labels: np.ndarray, values: np.ndarray) -> bytes:
+    """The rows `save_csv` writes, by definition: `str` of each label and `repr` of each value."""
+    rows = zip(labels.tolist(), values.tolist())
+    return "".join(f"{lab},{','.join(map(repr, row))}\n" for lab, row in rows).encode()
+
+
+def _ulps(x, k: int) -> np.ndarray:
+    """Each of `x` and its neighbours up to `k` ulps away on either side."""
+    bits = np.asarray(x, dtype=float).view(np.int64)
+    return np.concatenate([bits + d for d in range(-k, k + 1)]).view(float)
+
+
+class TestDigitKernel:
+    """`data._format_rows` and `_digit_cells` against `repr`, which defines the CSV's bytes."""
+
+    def _oracle_values(self) -> np.ndarray:
+        rng = np.random.default_rng(23)
+        in_domain = np.float64(2.0**-13).view(np.int64), np.float64(1e6).view(np.int64)
+        short = rng.integers(1, 10 ** rng.integers(1, 15, 30_000)) / 10.0 ** rng.integers(0, 18, 30_000)
+        parts = [
+            # every binade from the smallest subnormal to the largest double
+            np.ldexp(rng.uniform(1, 2, 2098 * 16), np.repeat(np.arange(-1074, 1024), 16)),
+            # the exact path's domain, uniform in bits, and beyond its ends
+            rng.integers(in_domain[0] - 10**5, in_domain[1] + 10**5, 780_000).view(float),
+            # 1-3 ulps around 10^k, the domain's ends and the exact powers of two
+            _ulps([10.0**k for k in range(-30, 31)] + [float(f"1e{k}") for k in range(-30, 0)], 3),
+            _ulps([2.0**-13, 1e6], 3),
+            np.ldexp(1.0, np.arange(-1074, 1024)),
+            # short decimals k / 10^j of 1 to 14 digits and their neighbours
+            _ulps(short, 2),
+            # signed zeros, integers near 2^53, float32 and int64 origins
+            np.array([0.0, -0.0]),
+            2.0**53 + np.arange(-500, 500),
+            rng.normal(size=40_000).astype(np.float32).astype(float),
+            rng.integers(-(10**12), 10**12, 10_000).astype(float),
+        ]
+        v = np.concatenate(parts) * rng.choice([-1.0, 1.0], sum(map(len, parts)))
+        return np.resize(v, (-(-len(v) // 12), 12))
+
+    def test_bytes_are_repr(self):
+        values = self._oracle_values()
+        assert values.size >= 1_000_000
+        rng = np.random.default_rng(5)
+        labels = rng.integers(0, 7, len(values))
+        labels[:8] = [0, 9, 10, 10**8 - 1, 10**8, 10**9, 2**63 - 1, 12345678]
+        for i in range(0, len(values), _ROW_BLOCK):
+            rows = slice(i, i + _ROW_BLOCK)
+            assert data._format_rows(labels[rows], values[rows]) == _repr_rows(labels[rows], values[rows])
+
+    def test_exact_path_covers_generated_data(self):
+        # a slide into the repr fallback would only slow the writer; here it fails
+        x = np.vstack([np.hstack(ds.features) for ds in generate_synthetic(SyntheticSpec(seed=0))])
+        _, exact = data._digit_cells(x, np.full(x.shape[1], ord(","), np.uint64))
+        assert exact.mean() >= 0.99
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        block=st.integers(1, 5),
+        dims=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        choose=st.data(),
+    )
+    def test_files_match_the_per_row_oracle(self, tmp_path_factory, block, dims, choose):
+        n = choose.draw(st.integers(0, 3 * block + 1))
+        cell = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                         st.floats(2.0**-13, 1e6), st.floats(-1e6, -(2.0**-13)),
+                         st.decimals(-(10**6), 10**6, places=6).map(float))
+        values = np.array(choose.draw(st.lists(cell, min_size=n * sum(dims), max_size=n * sum(dims))),
+                          dtype=float).reshape(n, sum(dims))
+        labels = np.array(choose.draw(st.lists(st.integers(0, 2**63 - 1) | st.integers(0, 9),
+                                               min_size=n, max_size=n)), dtype=np.int64)
+        ds = Dataset(np.split(values, np.cumsum(dims)[:-1], axis=1), labels)
+        path = tmp_path_factory.mktemp("kernel")
+        with mock.patch.object(data, "_ROW_BLOCK", block):  # rows cross block boundaries
+            save_csv(ds, path / "new.csv", comment="c")
+        save_csv_rows(ds, path / "old.csv", comment="c")
+        assert (path / "new.csv").read_bytes() == (path / "old.csv").read_bytes()

@@ -437,6 +437,19 @@ class TestInferencePass:
             noise_sweep(model, ds, sigmas, modality, (1,))
         assert encoded == []
 
+    @pytest.mark.parametrize("run", [
+        lambda model, ds: noise_sweep(model, ds, (0.0, 1e308), 0, (0,)),
+        lambda model, ds: uncertainty_density(model, ds, NoiseSpec(0, 1e308, 0)),
+        lambda model, ds: inject_noise(ds.features, NoiseSpec(0, 1e308, 0)),
+    ], ids=["noise_sweep", "uncertainty_density", "inject_noise"])
+    def test_overflowing_noise_is_named(self, run):
+        # on finite data the first two blamed the data ("modality 1 has a
+        # non-finite feature") and inject_noise returned inf features
+        model, ds = _model_and_data()
+        message = r"^modality 1 has a non-finite feature in row \d+ under noise sigma 1e\+308 with seed 0$"
+        with pytest.raises(ValueError, match=message):
+            run(model, ds)
+
     @pytest.mark.parametrize("sigmas, seeds, message", [
         ((0.5, 0.5), (1,), "noise sweep sigma 0.5 is repeated"),
         ((0.0, 0.5, -0.0), (1,), r"noise sweep sigma -0\.0 is repeated"),
