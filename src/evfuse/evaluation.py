@@ -1,17 +1,13 @@
 """Metrics, noise injection, noise sweeps, and uncertainty densities.
 
-Confidence for calibration purposes is the fused class posterior: each
-class channel scores the log-likelihood ratio of its positive target under
-its fused predictive distribution, log pdf_k(1) - log pdf_k(0), and the
-posterior is the softmax of those scores.  This uses the full predictive
-distribution (location, scale, and tail weight), so channels with heavy
-tails or wide scales are automatically less confident.  Per-sample
-uncertainty readouts:
-
-* fused: variance of the fused distribution at the predicted class channel;
-* per modality: aleatoric + epistemic at the modality's own argmax-location
-  channel (its "predicted class"), plus the channel-mean epistemic
-  uncertainty used for noise-trend analysis.
+Every metric is a reduction over the one readout of `evfuse.model`
+(`_score_modalities`, then `_fused_readout`), which `MultimodalClassifier.forward`
+takes for one row.  Per sample it gives the fused prediction (the argmax
+location); its confidence, the fused class posterior (`class_posterior`),
+which weighs each channel's location, scale and tail weight, and which ECE
+bins; the fused variance at the predicted channel; and per modality its own
+argmax-location class, aleatoric + epistemic at that channel, and the
+channel-mean epistemic uncertainty used for noise-trend analysis.
 
 Gaussian noise is sampled with the Box-Muller transform on a seeded
 generator's uniforms so fixtures are reproducible across platforms.  A
@@ -28,23 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import nig_moments_arrays, nig_to_st_arrays, st_variance_arrays
-from .fusion import fuse_stack
-from .losses import reduce_last_axis, softmax
-from .model import MultimodalClassifier, _check_finite, _constrain_arrays, row_chunks
-
-
-def class_posterior(u: np.ndarray, sigma: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Posterior over classes from per-channel predictive densities.
-
-    The channel score is log pdf(1) - log pdf(0) under the channel's
-    Student's t; softmax of the scores is the posterior under a uniform
-    class prior with independent channels.  The normalizing terms cancel:
-    the score is (v + 1)/2 (log(1 + u^2/(v sigma)) - log(1 + (1 - u)^2/(v sigma))).
-    """
-    vs = v * sigma
-    llr = 0.5 * (v + 1.0) * (np.log1p(u**2 / vs) - np.log1p((1.0 - u) ** 2 / vs))
-    return softmax(llr)
+from .losses import class_posterior  # noqa: F401  re-exported: tests and perfbench's spans name it here
+from .model import (MultimodalClassifier, _check_finite, _fused_readout, _Scores, _score_modalities,
+                    _score_modality)
 
 
 @dataclass(frozen=True)
@@ -206,13 +188,14 @@ def _noisy_error(err: ValueError, sigma: float, seed: int) -> ValueError:
 def inject_noise(features: Sequence[np.ndarray], spec: NoiseSpec) -> list[np.ndarray]:
     """Additive i.i.d. Gaussian noise on one modality, in a new array; every
     other entry (and at sigma = 0 every entry) is the input array itself.  A
-    non-finite noisy feature (a sigma large enough to overflow) raises
-    ValueError naming the modality, its row, the sigma and the seed."""
+    non-finite feature raises ValueError naming the modality and its row; a
+    noisy one (a sigma large enough to overflow) names the sigma and seed too."""
     _check_noise_target(features, spec)
     out = list(features)
     if spec.sigma == 0.0:
         return out
     x = out[spec.modality_index]
+    _check_finite(x, spec.modality_index)
     z = _box_muller(np.random.default_rng(spec.seed), np.shape(x))
     out[spec.modality_index] = noisy = _add_noise(x, z, spec.sigma)
     try:
@@ -237,70 +220,19 @@ class EvalResult:
     modality_preds: np.ndarray  # (M, N): unimodal argmax-location class
 
 
-@dataclass
-class _Scores:
-    """Per-modality readouts of N rows; index m of each field is modality m."""
-
-    st: np.ndarray  # (3, M, N, K): each modality's Student's t (u, sigma, v)
-    pred: np.ndarray  # (M, N): argmax-location class
-    unc: np.ndarray  # (M, N): AL+EP at the own-argmax channel
-    ep: np.ndarray  # (M, N): channel-mean epistemic
-
-
-def _score_modality(model: MultimodalClassifier, scores: _Scores, m: int, x) -> None:
-    """Encode modality `m` and read out its head outputs into slot `m` of
-    `scores`, in row chunks; the (N, K, 4) raw head outputs do not outlive
-    the call."""
-    raw = model.head_outputs(m, x)
-    u, sigma, v = scores.st[:, m]
-    for a, b in row_chunks(len(raw)):
-        gamma, delta, alpha, beta = _constrain_arrays(raw[a:b])
-        u[a:b], sigma[a:b], v[a:b] = nig_to_st_arrays(gamma, delta, alpha, beta)
-        al, ep = nig_moments_arrays(delta, alpha, beta)
-        own = np.argmax(gamma, axis=-1)
-        scores.pred[m, a:b] = own
-        scores.unc[m, a:b] = np.take_along_axis(al + ep, own[:, None], axis=-1)[:, 0]
-        scores.ep[m, a:b] = reduce_last_axis(np.add, ep)[:, 0] / ep.shape[-1]  # channel mean
-
-
-def _score_modalities(model: MultimodalClassifier, features) -> _Scores:
-    """Score every modality of a split's checked feature blocks
-    (`MultimodalClassifier._check_split`) into freshly allocated arrays."""
-    n_mod, n, k = len(features), len(features[0]), model.n_classes
-    scores = _Scores(np.empty((3, n_mod, n, k)), np.empty((n_mod, n), dtype=np.intp),
-                     np.empty((n_mod, n)), np.empty((n_mod, n)))
-    for m, x in enumerate(features):
-        _score_modality(model, scores, m, x)
-    return scores
-
-
 def _score_fused(scores: _Scores, labels, n_classes: int, n_bins: int):
-    """Fuse the modalities' t's and score the fused prediction.
-
-    Each row chunk is fused from views of `scores.st`, so nothing the size
-    of the (M, N, K) inputs is allocated.  Returns the metrics report, the
-    fused predictions, the confidences and the fused variance at the
-    predicted channel.
+    """Score the fused readout of `scores` (`model._fused_readout`) against
+    `labels`.  Returns the metrics report, the fused predictions, the
+    confidences and the fused variance at the predicted channel.
     """
-    n = scores.pred.shape[1]
-    preds, conf_pred, fused_unc = np.empty(n, dtype=np.intp), np.empty(n), np.empty(n)
-    for a, b in row_chunks(n):
-        trace = fuse_stack(*scores.st[:, :, a:b])
-        rows = np.arange(b - a)
-        pred = np.argmax(trace.u, axis=-1)
-        preds[a:b] = pred
-        conf_pred[a:b] = class_posterior(trace.u, trace.sigma, trace.v)[rows, pred]
-        fused_unc[a:b] = st_variance_arrays(trace.sigma, trace.v)[rows, pred]
-
-    if np.isnan(conf_pred).any():
-        raise FloatingPointError("the fused class posterior is not finite")
+    preds, conf_pred, fused_unc = _fused_readout(scores)
     correct = preds == np.asarray(labels)
     ece_val, per_bin = ece(conf_pred, correct, n_bins)
     report = MetricsReport(
         acc=accuracy(preds, labels),
         kappa=cohen_kappa(preds, labels, n_classes),
         ece=ece_val,
-        n_samples=n,
+        n_samples=len(preds),
         per_bin=per_bin,
     )
     return report, preds, conf_pred, fused_unc
@@ -408,19 +340,17 @@ def uncertainty_density(
 
     Sources are each modality (aleatoric + epistemic at its argmax channel)
     and the fused variance at the fused predicted class.  Bins are shared:
-    equal width over the pooled min-max range.
+    equal width over the pooled min-max range.  The split is checked
+    (`MultimodalClassifier._check_split`) before any noise is added.
     """
     if n_hist_bins < 1:
         raise ValueError("n_hist_bins must be >= 1")
+    features, _ = model._check_split(dataset, "evaluation")
     if spec is not None:
-        feats = inject_noise(dataset.features, spec)
-        dataset = type(dataset)(feats, np.asarray(dataset.labels).copy())
-    res = evaluate_model(model, dataset)
-    series = {
-        f"modality_{m + 1}": res.modality_uncertainty[m]
-        for m in range(model.n_modalities)
-    }
-    series["fused"] = res.fused_uncertainty
+        features = inject_noise(features, spec)
+    scores = _score_modalities(model, features)
+    series = {f"modality_{m + 1}": unc for m, unc in enumerate(scores.unc)}
+    series["fused"] = _fused_readout(scores)[2]
     pooled = np.concatenate(list(series.values()))
     lo, hi = float(pooled.min()), float(pooled.max())
     if hi == lo:

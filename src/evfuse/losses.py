@@ -11,6 +11,7 @@ through the fusion rule, and then all of them through the NIG -> t map to
 the NIG parameters.
 `nig_nll` (the NIG form, through that map) and `student_t_nll` (the t
 form) are scalar wrappers over the same kernel.
+`class_posterior` is the readout's confidence.
 """
 
 from __future__ import annotations
@@ -62,6 +63,19 @@ def softmax(x: np.ndarray) -> np.ndarray:
     """Softmax over the last axis."""
     e = np.exp(x - reduce_last_axis(np.maximum, x))
     return e / reduce_last_axis(np.add, e)
+
+
+def class_posterior(u: np.ndarray, sigma: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Posterior over classes from per-channel predictive densities.
+
+    The channel score is log pdf(1) - log pdf(0) under the channel's
+    Student's t; softmax of the scores is the posterior under a uniform
+    class prior with independent channels.  The normalizing terms cancel:
+    the score is (v + 1)/2 (log(1 + u^2/(v sigma)) - log(1 + (1 - u)^2/(v sigma))).
+    """
+    vs = v * sigma
+    llr = 0.5 * (v + 1.0) * (np.log1p(u**2 / vs) - np.log1p((1.0 - u) ** 2 / vs))
+    return softmax(llr)
 
 
 def cross_entropy_arrays(logits: np.ndarray, y_onehot: np.ndarray):

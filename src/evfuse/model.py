@@ -18,15 +18,9 @@ from typing import Sequence
 import numpy as np
 
 from .data import check_json, saved_array
-from .distributions import (
-    NIGParams,
-    StudentT,
-    nig_moments_arrays,
-    nig_to_st_arrays,
-    st_variance_arrays,
-)
-from .fusion import FusedStudentT, fuse_stack
-from .losses import softmax, total_loss_and_grads_arrays
+from .distributions import nig_moments_arrays, nig_to_st_arrays, st_variance_arrays
+from .fusion import fuse_stack
+from .losses import class_posterior, reduce_last_axis, total_loss_and_grads_arrays
 
 CHECKPOINT_FORMAT_VERSION = 1
 # The inference pass runs in row chunks to bound its working memory.  A chunk
@@ -94,16 +88,14 @@ class TrainConfig:
 
 @dataclass
 class EvidentialOutput:
-    """Everything the forward pass produces for one sample."""
+    """The readout of one sample: one row of `evaluate_model`'s arrays."""
 
-    nig: list[list[NIGParams]]  # [modality][class]
-    st: list[list[StudentT]]  # [modality][class]
-    fused: list[FusedStudentT]  # [class]
     predicted_class: int
-    confidences: np.ndarray  # softmax over fused locations
-    aleatoric: np.ndarray  # (M, K)
-    epistemic: np.ndarray  # (M, K)
-    fused_uncertainty: float  # variance of the predicted class channel
+    confidence: float  # fused class posterior at the predicted class
+    fused_uncertainty: float  # fused variance at the predicted class channel
+    modality_preds: np.ndarray  # (M,): each modality's argmax-location class
+    modality_uncertainty: np.ndarray  # (M,): AL+EP at that class's channel
+    modality_epistemic: np.ndarray  # (M,): channel-mean epistemic
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
@@ -363,28 +355,11 @@ class MultimodalClassifier:
         return out
 
     def forward(self, sample: Sequence[np.ndarray]) -> EvidentialOutput:
-        """Full evidential readout for a single sample: one row of the inference pass."""
-        xs = self._check_blocks([np.reshape(x, (1, -1)) for x in sample])
-        raw = np.stack([self.head_outputs(m, x)[0] for m, x in enumerate(xs)])  # (M, K, 4)
-        gamma, delta, alpha, beta = _constrain_arrays(raw)
-        u, sigma, v = nig_to_st_arrays(gamma, delta, alpha, beta)
-        t = fuse_stack(u, sigma, v)
-        fu, fs, fv = t.u, t.sigma, t.v
-        pred = int(np.argmax(fu))
-        aleatoric, epistemic = nig_moments_arrays(delta, alpha, beta)
-        return EvidentialOutput(
-            nig=[[NIGParams(*p) for p in zip(*m)] for m in zip(gamma, delta, alpha, beta)],
-            st=[[StudentT(*q) for q in zip(*m)] for m in zip(u, sigma, v)],
-            fused=[
-                FusedStudentT(StudentT(*q), int(src))
-                for *q, src in zip(fu, fs, fv, t.source)
-            ],
-            predicted_class=pred,
-            confidences=softmax(fu),
-            aleatoric=aleatoric,
-            epistemic=epistemic,
-            fused_uncertainty=float(st_variance_arrays(fs[pred], fv[pred])),
-        )
+        """The readout of a single sample: row 0 of the readout of a one-row split."""
+        scores = _score_modalities(self, self._check_blocks([np.reshape(x, (1, -1)) for x in sample]))
+        pred, conf, fused_unc = _fused_readout(scores)
+        return EvidentialOutput(int(pred[0]), float(conf[0]), float(fused_unc[0]),
+                                scores.pred[:, 0], scores.unc[:, 0], scores.ep[:, 0])
 
     # ---- persistence ---------------------------------------------------
 
@@ -456,6 +431,69 @@ class MultimodalClassifier:
         # `params` holds the arrays in `_layers()` order: encoders, then heads
         model.params[:] = np.concatenate([a.ravel() for a in encoders + heads])
         return model
+
+
+# ---------------------------------------------------------------------------
+# readout: the inference pass's per-row results, for N rows or for one
+
+
+@dataclass
+class _Scores:
+    """Per-modality readouts of N rows; index m of each field is modality m."""
+
+    st: np.ndarray  # (3, M, N, K): each modality's Student's t (u, sigma, v)
+    pred: np.ndarray  # (M, N): argmax-location class
+    unc: np.ndarray  # (M, N): AL+EP at the own-argmax channel
+    ep: np.ndarray  # (M, N): channel-mean epistemic
+
+
+def _score_modality(model: MultimodalClassifier, scores: _Scores, m: int, x) -> None:
+    """Encode modality `m` and read out its head outputs into slot `m` of
+    `scores`, in row chunks; the (N, K, 4) raw head outputs do not outlive
+    the call."""
+    raw = model.head_outputs(m, x)
+    u, sigma, v = scores.st[:, m]
+    for a, b in row_chunks(len(raw)):
+        gamma, delta, alpha, beta = _constrain_arrays(raw[a:b])
+        u[a:b], sigma[a:b], v[a:b] = nig_to_st_arrays(gamma, delta, alpha, beta)
+        al, ep = nig_moments_arrays(delta, alpha, beta)
+        own = np.argmax(gamma, axis=-1)
+        scores.pred[m, a:b] = own
+        scores.unc[m, a:b] = np.take_along_axis(al + ep, own[:, None], axis=-1)[:, 0]
+        scores.ep[m, a:b] = reduce_last_axis(np.add, ep)[:, 0] / ep.shape[-1]  # channel mean
+
+
+def _score_modalities(model: MultimodalClassifier, features) -> _Scores:
+    """Score every modality of checked feature blocks (`MultimodalClassifier._check_blocks`)
+    into freshly allocated arrays."""
+    n_mod, n, k = len(features), len(features[0]), model.n_classes
+    scores = _Scores(np.empty((3, n_mod, n, k)), np.empty((n_mod, n), dtype=np.intp),
+                     np.empty((n_mod, n)), np.empty((n_mod, n)))
+    for m, x in enumerate(features):
+        _score_modality(model, scores, m, x)
+    return scores
+
+
+def _fused_readout(scores: _Scores) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fuse the modalities' t's: the fused prediction (argmax location), its
+    confidence (the class posterior there) and the fused variance there, each (N,).
+
+    Each row chunk is fused from views of `scores.st`, so nothing the size
+    of the (M, N, K) inputs is allocated.  A confidence that is not finite
+    raises FloatingPointError.
+    """
+    n = scores.pred.shape[1]
+    preds, conf, fused_unc = np.empty(n, dtype=np.intp), np.empty(n), np.empty(n)
+    for a, b in row_chunks(n):
+        trace = fuse_stack(*scores.st[:, :, a:b])
+        rows = np.arange(b - a)
+        pred = np.argmax(trace.u, axis=-1)
+        preds[a:b] = pred
+        conf[a:b] = class_posterior(trace.u, trace.sigma, trace.v)[rows, pred]
+        fused_unc[a:b] = st_variance_arrays(trace.sigma, trace.v)[rows, pred]
+    if np.isnan(conf).any():
+        raise FloatingPointError("the fused class posterior is not finite")
+    return preds, conf, fused_unc
 
 
 # ---------------------------------------------------------------------------

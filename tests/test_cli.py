@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import os
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -172,6 +173,14 @@ class TestGenerateData:
 
 
 class TestImports:
+    @pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(evfuse.__path__)))
+    def test_each_module_imports_first_in_a_fresh_process(self, name):
+        # model and evaluation share the readout: no import order may find a cycle
+        env = dict(os.environ, PYTHONPATH=str(Path(evfuse.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", f"import evfuse.{name}"], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
     def test_scipy_is_loaded_only_by_training(self, pipeline, tmp_path):
         # a fresh process: this one has scipy loaded already
         data, run = pipeline

@@ -475,7 +475,8 @@ class TestInferencePass:
     ], ids=["float-labels", "label-K", "fewer-labels", "empty"])
     @pytest.mark.parametrize("run", [
         evaluate_model, lambda model, ds: noise_sweep(model, ds, (0.0, 0.5), 0, (1,)),
-    ], ids=["evaluate_model", "noise_sweep"])
+        lambda model, ds: uncertainty_density(model, ds, NoiseSpec(0, 0.5, 3)),
+    ], ids=["evaluate_model", "noise_sweep", "uncertainty_density"])
     def test_split_checked_before_encoding(self, monkeypatch, run, split, message):
         model, ds = _model_and_data()
         features, labels = split(ds.features, ds.labels)
@@ -492,12 +493,15 @@ class TestInferencePass:
             evaluate_model(model, ds)
 
     def test_non_finite_features_rejected(self):
+        # the data's fault, not blamed on noise added to it
         model, ds = _model_and_data()
         ds.features[1][4, 2] = np.nan
-        with pytest.raises(ValueError, match="modality 2 has a non-finite feature in row 4"):
-            evaluate_model(model, ds)
-        with pytest.raises(ValueError, match="modality 2 has a non-finite feature in row 4"):
-            noise_sweep(model, ds, [0.5], 0, [1])
+        for run in (lambda: evaluate_model(model, ds), lambda: noise_sweep(model, ds, [0.5], 0, [1]),
+                    lambda: noise_sweep(model, ds, [0.5], 1, [1]),
+                    lambda: uncertainty_density(model, ds, NoiseSpec(1, 0.5, 3)),
+                    lambda: inject_noise(ds.features, NoiseSpec(1, 0.5, 3))):
+            with pytest.raises(ValueError, match="^modality 2 has a non-finite feature in row 4$"):
+                run()
 
 
 class TestNoiseSweep:

@@ -15,11 +15,12 @@ import evfuse.model
 import step_oracle
 from evfuse.cli import config_hash
 from evfuse.data import Dataset, SyntheticSpec, generate_synthetic, standardize
-from evfuse.distributions import nig_to_st_arrays
-from evfuse.evaluation import class_posterior
+from evfuse.distributions import nig_to_st_arrays, st_variance_arrays
+from evfuse.evaluation import class_posterior, evaluate_model
 from evfuse.fusion import fuse_stack
 from evfuse.losses import total_loss_and_grads_arrays
 from evfuse.model import (
+    INFERENCE_CHUNK_ROWS,
     EncoderSpec,
     MultimodalClassifier,
     TrainConfig,
@@ -132,25 +133,14 @@ def _sample(rng):
 
 
 class TestForward:
-    def test_structural_invariants(self):
-        model = _tiny_model()
-        out = model.forward(_sample(np.random.default_rng(0)))
-        for vec in out.nig:
-            for p in vec:
-                assert p.delta > 0 and p.alpha > 1 and p.beta > 0
-        for k, f in enumerate(out.fused):
-            vs = [out.st[m][k].v for m in range(2)]
-            assert f.st.v == min(vs)
-        assert 0 <= out.predicted_class < 3
-        assert out.confidences.sum() == pytest.approx(1.0, abs=1e-12)
-        assert out.fused_uncertainty > 0
-
     def test_pure_function_of_weights_and_input(self):
         model = _tiny_model()
         x = _sample(np.random.default_rng(1))
         o1, o2 = model.forward(x), model.forward(x)
-        assert o1.predicted_class == o2.predicted_class
-        np.testing.assert_array_equal(o1.confidences, o2.confidences)
+        assert (o1.predicted_class, o1.confidence, o1.fused_uncertainty) == (
+            o2.predicted_class, o2.confidence, o2.fused_uncertainty)
+        for key in ("modality_preds", "modality_uncertainty", "modality_epistemic"):
+            assert np.array_equal(getattr(o1, key), getattr(o2, key))
 
     def test_identical_modalities_tie_path(self):
         spec = EncoderSpec(3, (4,), "tanh")
@@ -162,9 +152,14 @@ class TestForward:
             dst[...] = src
         x = np.random.default_rng(2).normal(size=3)
         out = model.forward([x, x])
-        for k, f in enumerate(out.fused):
-            assert f.st.u == out.st[0][k].u == out.st[1][k].u
-            assert f.source_index == 0  # full tie breaks to the lower index
+        # the fused t of two equal inputs is that input: its location, so its
+        # own prediction, and its variance, the mean of the two
+        assert out.modality_preds.tolist() == [out.predicted_class] * 2
+        assert out.modality_uncertainty[0] == out.modality_uncertainty[1]
+        nig = _constrain_arrays(model.head_outputs(0, x[None])[0])
+        _, sigma, v = nig_to_st_arrays(*nig)
+        assert out.fused_uncertainty == pytest.approx(
+            st_variance_arrays(sigma, v)[out.predicted_class], rel=1e-15)
 
     def test_dimension_mismatch_rejected(self):
         model = _tiny_model()
@@ -273,41 +268,46 @@ class TestForward:
             _tiny_model().forward(x)
 
     def test_forward_is_one_row_of_the_inference_pass(self):
+        # every row of a split one row longer than a chunk, for M = 1, 2 and 3;
         # BLAS may round a one-row product differently from a batch, so the
         # values agree to rounding and the decisions exactly
-        model = _tiny_model()
-        rng = np.random.default_rng(6)
-        feats = [rng.normal(size=(7, 3)), rng.normal(size=(7, 2))]
-        nig = _constrain_arrays(np.stack([model.head_outputs(m, x) for m, x in enumerate(feats)]))
-        t = fuse_stack(*nig_to_st_arrays(*nig))
-        for i in range(7):
-            out = model.forward([x[i] for x in feats])
-            fused = np.array([(f.st.u, f.st.sigma, f.st.v) for f in out.fused])
-            np.testing.assert_allclose(fused, np.stack([t.u[i], t.sigma[i], t.v[i]], axis=-1), rtol=1e-12)
-            out_nig = np.array([[(p.gamma, p.delta, p.alpha, p.beta) for p in vec] for vec in out.nig])
-            np.testing.assert_allclose(
-                out_nig, np.stack([a[:, i] for a in nig], axis=-1), rtol=1e-12)
-            assert [f.source_index for f in out.fused] == t.source[i].tolist()
-            assert out.predicted_class == int(np.argmax(t.u[i]))
+        n = INFERENCE_CHUNK_ROWS + 1
+        for dims in ((6,), (6, 4), (3, 6, 4)):
+            rng = np.random.default_rng(len(dims))
+            labels = rng.integers(0, 3, n)
+            feats = [np.eye(3, d)[labels] * 2.0 + rng.normal(size=(n, d)) for d in dims]
+            model = MultimodalClassifier([EncoderSpec(d, (16,), "tanh") for d in dims], 3, seed=len(dims))
+            res = evaluate_model(model, Dataset(feats, labels))
+            rows = [model.forward([x[i] for x in feats]) for i in range(n)]
+            assert [r.predicted_class for r in rows] == res.preds.tolist()
+            assert np.array_equal([r.modality_preds for r in rows], res.modality_preds.T)
+            for key, batch in (("confidence", res.confidences), ("fused_uncertainty", res.fused_uncertainty),
+                               ("modality_uncertainty", res.modality_uncertainty.T),
+                               ("modality_epistemic", res.modality_epistemic.T)):
+                np.testing.assert_allclose([getattr(r, key) for r in rows], batch, rtol=1e-12, atol=0)
 
     def test_fused_uncertainty_is_argmax_channel_variance(self):
+        # by the fused-variance identity, the mean of the inputs' variances
         model = _tiny_model()
-        out = model.forward(_sample(np.random.default_rng(3)))
-        f = out.fused[out.predicted_class].st
+        x = _sample(np.random.default_rng(3))
+        out = model.forward(x)
+        nig = _constrain_arrays(np.stack([model.head_outputs(m, a[None])[0] for m, a in enumerate(x)]))
+        _, sigma, v = nig_to_st_arrays(*nig)
         assert out.fused_uncertainty == pytest.approx(
-            f.sigma * f.v / (f.v - 2.0), rel=1e-15
+            st_variance_arrays(sigma, v)[:, out.predicted_class].mean(), rel=1e-14
         )
 
 
 class TestPredict:
     def test_contract(self):
         out = _tiny_model().forward(_sample(np.random.default_rng(4)))
-        assert out.predicted_class == int(np.argmax(out.confidences))
-        assert out.confidences.sum() == pytest.approx(1.0, abs=1e-12)
-        assert out.aleatoric.shape == (2, 3)
-        assert out.epistemic.shape == (2, 3)
-        assert np.all(out.aleatoric > 0) and np.all(out.epistemic > 0)
+        assert isinstance(out.predicted_class, int) and 0 <= out.predicted_class < 3
+        assert 0.0 < out.confidence <= 1.0
         assert out.fused_uncertainty > 0
+        assert out.modality_preds.shape == out.modality_uncertainty.shape == (2,)
+        assert out.modality_epistemic.shape == (2,)
+        assert np.all((out.modality_preds >= 0) & (out.modality_preds < 3))
+        assert np.all(out.modality_uncertainty > 0) and np.all(out.modality_epistemic > 0)
 
 
 class TestCheckpoint:
