@@ -8,6 +8,8 @@ which weighs each channel's location, scale and tail weight, and which ECE
 bins; the fused variance at the predicted channel; and per modality its own
 argmax-location class, aleatoric + epistemic at that channel, and the
 channel-mean epistemic uncertainty used for noise-trend analysis.
+`_score_fused` alone makes an `EvalResult` of the readout; a noise-sweep row
+is a reduction of one.
 
 Gaussian noise is sampled with the Box-Muller transform on a seeded
 generator's uniforms so fixtures are reproducible across platforms.  A
@@ -106,6 +108,11 @@ def cohen_kappa(
     return float(1.0 - d_obs / d_exp)
 
 
+def _check_bins(n_bins: int) -> None:
+    if n_bins < 1:
+        raise ValueError("n_bins must be >= 1")
+
+
 def ece(
     confidences: Sequence[float], correct: Sequence[bool], n_bins: int = 10
 ) -> tuple[float, list[tuple[float, float, int]]]:
@@ -120,8 +127,7 @@ def ece(
         raise ValueError("confidences and correct must be equal-length, non-empty")
     if not ((conf >= 0) & (conf <= 1)).all():
         raise ValueError("confidences must lie in [0, 1]")
-    if n_bins < 1:
-        raise ValueError("n_bins must be >= 1")
+    _check_bins(n_bins)
     # bin b covers (b/n, (b+1)/n]; confidence 0 joins the bottom bin
     idx = np.ceil(conf * n_bins).astype(int) - 1
     idx = np.clip(idx, 0, n_bins - 1)
@@ -220,11 +226,9 @@ class EvalResult:
     modality_preds: np.ndarray  # (M, N): unimodal argmax-location class
 
 
-def _score_fused(scores: _Scores, labels, n_classes: int, n_bins: int):
-    """Score the fused readout of `scores` (`model._fused_readout`) against
-    `labels`.  Returns the metrics report, the fused predictions, the
-    confidences and the fused variance at the predicted channel.
-    """
+def _score_fused(scores: _Scores, labels, n_classes: int, n_bins: int) -> EvalResult:
+    """The `EvalResult` of `scores`: the fused readout (`model._fused_readout`)
+    scored against `labels`, and the per-modality arrays of `scores` themselves."""
     preds, conf_pred, fused_unc = _fused_readout(scores)
     correct = preds == np.asarray(labels)
     ece_val, per_bin = ece(conf_pred, correct, n_bins)
@@ -235,32 +239,31 @@ def _score_fused(scores: _Scores, labels, n_classes: int, n_bins: int):
         n_samples=len(preds),
         per_bin=per_bin,
     )
-    return report, preds, conf_pred, fused_unc
+    return EvalResult(report, preds, conf_pred, fused_unc, scores.unc, scores.ep, scores.pred)
 
 
 def evaluate_model(
     model: MultimodalClassifier, dataset, n_bins: int = 10
 ) -> EvalResult:
-    """Score `dataset`, checked by `MultimodalClassifier._check_split` before any encoding."""
+    """Score `dataset`; `n_bins` and the split (`MultimodalClassifier._check_split`)
+    are checked before any encoding."""
+    _check_bins(n_bins)
     features, labels = model._check_split(dataset, "evaluation")
-    scores = _score_modalities(model, features)
-    fused = _score_fused(scores, labels, model.n_classes, n_bins)
-    return EvalResult(*fused, scores.unc, scores.ep, scores.pred)
+    return _score_fused(_score_modalities(model, features), labels, model.n_classes, n_bins)
 
 
-def _sweep_metrics(scores: _Scores, labels, n_classes: int, n_bins: int) -> dict:
-    """The metrics and mean uncertainties of one noise-sweep row."""
-    report, _, _, fused_unc = _score_fused(scores, labels, n_classes, n_bins)
+def _sweep_row(res: EvalResult, labels) -> dict:
+    """The metrics and mean uncertainties of one noise-sweep row, reduced from `res`."""
     row = {
-        "acc": report.acc,
-        "kappa": report.kappa,
-        "ece": report.ece,
-        "mean_unc_fused": float(fused_unc.mean()),
+        "acc": res.report.acc,
+        "kappa": res.report.kappa,
+        "ece": res.report.ece,
+        "mean_unc_fused": float(res.fused_uncertainty.mean()),
     }
-    for m in range(len(scores.pred)):
-        row[f"mean_unc_m{m + 1}"] = float(scores.unc[m].mean())
-        row[f"mean_ep_m{m + 1}"] = float(scores.ep[m].mean())
-        row[f"acc_m{m + 1}"] = accuracy(scores.pred[m], labels)
+    for m in range(len(res.modality_preds)):
+        row[f"mean_unc_m{m + 1}"] = float(res.modality_uncertainty[m].mean())
+        row[f"mean_ep_m{m + 1}"] = float(res.modality_epistemic[m].mean())
+        row[f"acc_m{m + 1}"] = accuracy(res.modality_preds[m], labels)
     return row
 
 
@@ -282,13 +285,13 @@ def noise_sweep(
     whose pair re-scores only the corrupted modality, in place; the rows
     equal those of per-pair `inject_noise` bit for bit.  Every sigma (the
     sigmas distinct, 0.0 and -0.0 being one value), every seed (distinct),
-    the modality index and the split (`MultimodalClassifier._check_split`)
+    `n_bins`, the modality index and the split (`MultimodalClassifier._check_split`)
     are checked before anything is encoded; a sigma whose noisy features
-    overflow raises ValueError naming the modality, its row, the sigma and the
-    seed.
+    overflow raises ValueError naming the modality, its row, the sigma and the seed.
     """
     if len(sigmas) == 0 or len(seeds) == 0:
         raise ValueError("noise sweep needs at least one sigma and one seed")
+    _check_bins(n_bins)
     for name, values in (("sigma", list(sigmas)), ("seed", list(seeds))):
         for i, x in enumerate(values):
             if x in values[:i]:  # == equates 0.0 and -0.0
@@ -299,7 +302,7 @@ def noise_sweep(
     scores = _score_modalities(model, features)
     clean = None
     if any(spec.sigma == 0.0 for spec in specs):
-        clean = _sweep_metrics(scores, labels, model.n_classes, n_bins)
+        clean = _sweep_row(_score_fused(scores, labels, model.n_classes, n_bins), labels)
     x = features[modality_index]
     noisy_sigmas = [sigma for sigma in sigmas if sigma != 0.0]
     noisy = {}  # (sigma, seed) -> metrics, scored seed by seed
@@ -312,7 +315,8 @@ def noise_sweep(
                 _score_modality(model, scores, modality_index, _add_noise(x, z, sigma))
             except ValueError as e:
                 raise _noisy_error(e, sigma, seed) from None
-            noisy[sigma, seed] = _sweep_metrics(scores, labels, model.n_classes, n_bins)
+            # reduced at once: the next pair overwrites the corrupted modality's slot of `scores`
+            noisy[sigma, seed] = _sweep_row(_score_fused(scores, labels, model.n_classes, n_bins), labels)
     rows = [{"sigma": s.sigma, "modality": modality_index, "seed": s.seed,
              **(noisy[s.sigma, s.seed] if s.sigma != 0.0 else clean)} for s in specs]
 

@@ -334,29 +334,14 @@ class MultimodalClassifier:
         return {"raw": raw, "gamma": gamma, "delta": delta, "alpha": alpha, "beta": beta,
                 "st": st, "trace": fuse_stack(*st), "hidden": hs, "caches": caches}
 
-    def head_outputs(self, m: int, x) -> np.ndarray:
-        """Inference pass of modality `m`: features (N, d_m) -> raw head outputs (N, K, 4).
-
-        Keeps no caches and runs in `row_chunks`.  BLAS picks its kernel by
-        matrix size (OpenBLAS on AVX-512 switches at 10^6 multiply-adds); the
-        chunk floors keep each chunk on the kernel of the whole matrix, so
-        the result equals the unchunked training forward bit for bit, except
-        after a layer one unit wide, whose matrix-vector product BLAS splits
-        by row count.
-        """
-        x = self._feature_block(m, x)
-        _check_finite(x, m)
-        enc, head = self.encoders[m], self.heads[m]
-        narrowest = min(w.size for w in enc.weights + [head.weight])
-        rows = max(INFERENCE_CHUNK_ROWS, -(-INFERENCE_CHUNK_MACS // narrowest))
-        out = np.empty((x.shape[0], self.n_classes, 4))
-        for a, b in row_chunks(x.shape[0], rows):
-            head.forward(enc.forward(x[a:b])[0], out=out[a:b])
-        return out
-
     def forward(self, sample: Sequence[np.ndarray]) -> EvidentialOutput:
-        """The readout of a single sample: row 0 of the readout of a one-row split."""
-        scores = _score_modalities(self, self._check_blocks([np.reshape(x, (1, -1)) for x in sample]))
+        """The readout of a single sample, one (d_m,) array per modality: row 0
+        of the readout of a one-row split."""
+        xs = [np.asarray(x, dtype=float) for x in sample]
+        for m, (x, spec) in enumerate(zip(xs, self.encoder_specs)):
+            if x.shape != (spec.input_dim,):
+                raise ValueError(f"modality {m + 1} sample has shape {x.shape}, expected ({spec.input_dim},)")
+        scores = _score_modalities(self, self._check_blocks([x[None] for x in xs]))
         pred, conf, fused_unc = _fused_readout(scores)
         return EvidentialOutput(int(pred[0]), float(conf[0]), float(fused_unc[0]),
                                 scores.pred[:, 0], scores.unc[:, 0], scores.ep[:, 0])
@@ -447,14 +432,24 @@ class _Scores:
     ep: np.ndarray  # (M, N): channel-mean epistemic
 
 
-def _score_modality(model: MultimodalClassifier, scores: _Scores, m: int, x) -> None:
-    """Encode modality `m` and read out its head outputs into slot `m` of
-    `scores`, in row chunks; the (N, K, 4) raw head outputs do not outlive
-    the call."""
-    raw = model.head_outputs(m, x)
+def _score_modality(model: MultimodalClassifier, scores: _Scores, m: int, x: np.ndarray) -> None:
+    """Encode modality `m`'s features (N, d_m) and read each row chunk out into
+    slot `m` of `scores` at once, keeping no caches and no (N, K, 4) block.
+
+    BLAS picks its kernel by matrix size (OpenBLAS on AVX-512 switches at
+    10^6 multiply-adds); the chunk floors keep each chunk on the kernel of the
+    whole matrix, so the result equals the unchunked training forward bit for
+    bit, except after a layer one unit wide, whose matrix-vector product BLAS
+    splits by row count.
+    """
+    _check_finite(x, m)
+    enc, head = model.encoders[m], model.heads[m]
+    narrowest = min(w.size for w in enc.weights + [head.weight])
     u, sigma, v = scores.st[:, m]
-    for a, b in row_chunks(len(raw)):
-        gamma, delta, alpha, beta = _constrain_arrays(raw[a:b])
+    for a, b in row_chunks(len(x), max(INFERENCE_CHUNK_ROWS, -(-INFERENCE_CHUNK_MACS // narrowest))):
+        raw = np.empty((b - a, model.n_classes, 4))
+        head.forward(enc.forward(x[a:b])[0], out=raw)
+        gamma, delta, alpha, beta = _constrain_arrays(raw)
         u[a:b], sigma[a:b], v[a:b] = nig_to_st_arrays(gamma, delta, alpha, beta)
         al, ep = nig_moments_arrays(delta, alpha, beta)
         own = np.argmax(gamma, axis=-1)

@@ -19,7 +19,7 @@ import evfuse.cli
 from evfuse.cli import main
 from evfuse.data import Standardization
 from evfuse.evaluation import evaluate_model
-from evfuse.model import EncoderSpec, MultimodalClassifier
+from evfuse.model import _MLP, EncoderSpec, MultimodalClassifier
 
 
 def _run(capsys, *argv):
@@ -556,6 +556,20 @@ class TestEvaluate:
         assert code == 1 and stdout == ""
         assert err == "error: dataset sidecar n_classes must be the checkpoint's 3, got 2\n"
 
+    @pytest.mark.parametrize("bins", ["0", "-1"])
+    def test_bins_below_one_exit_1_before_encoding(self, pipeline, tmp_path, capsys, monkeypatch, bins):
+        # refused only by ECE, after the whole split was encoded
+        data, run = pipeline
+        encoded = []
+        monkeypatch.setattr(_MLP, "forward", lambda self, x: encoded.append(x))
+        out = tmp_path / "eval"
+        code, stdout, err = _run(
+            capsys, "evaluate", "--checkpoint", str(run / "checkpoint.json"),
+            "--data", str(data), f"--bins={bins}", "--out", str(out),
+        )
+        assert code == 1 and stdout == "" and err == "error: n_bins must be >= 1\n"
+        assert encoded == [] and not out.exists()
+
     def test_weighted_kappa_config_key_exit_1(self, pipeline, tmp_path, capsys):
         data, run = pipeline
         cfg = tmp_path / "cfg.json"
@@ -742,7 +756,7 @@ class TestNoiseSweepAndReport:
     def test_bad_sweep_sigma_exit_1_before_encoding(self, pipeline, tmp_path, capsys, monkeypatch, sigmas):
         data, run = pipeline
         encoded = []
-        monkeypatch.setattr(MultimodalClassifier, "head_outputs", lambda self, m, x: encoded.append(m))
+        monkeypatch.setattr(_MLP, "forward", lambda self, x: encoded.append(x))
         out = tmp_path / "sweep"
         code, _, err = _run(
             capsys, "noise-sweep", "--checkpoint", str(run / "checkpoint.json"),
@@ -761,7 +775,7 @@ class TestNoiseSweepAndReport:
     ):
         data, run = pipeline
         encoded = []
-        monkeypatch.setattr(MultimodalClassifier, "head_outputs", lambda self, m, x: encoded.append(m))
+        monkeypatch.setattr(_MLP, "forward", lambda self, x: encoded.append(x))
         out = tmp_path / "sweep"
         code, stdout, err = _run(
             capsys, "noise-sweep", "--checkpoint", str(run / "checkpoint.json"),

@@ -24,7 +24,7 @@ from evfuse.evaluation import (
     write_json,
 )
 from evfuse.losses import softmax
-from evfuse.model import EncoderSpec, MultimodalClassifier
+from evfuse.model import _MLP, EncoderSpec, MultimodalClassifier
 
 
 class TestAccuracy:
@@ -320,10 +320,22 @@ def _wide_model_and_data(n, dims, hidden, seed=0):
 
 
 class TestInferencePass:
-    @pytest.mark.parametrize("n", [4097, 12345])
-    def test_evaluate_model_equals_training_forward_readout(self, n):
-        # ragged last chunks: 4097 = one chunk of 4097, 12345 = 4096 + 4096 + 4153
-        model, ds = _wide_model_and_data(n, (6, 6), (64,))
+    @pytest.mark.parametrize("dims, hidden, n", [
+        pytest.param((6, 6), (64,), n, id=str(n)) for n in (150, 4097, 8191, 8192, 12345)
+    ] + [
+        # 3 -> 16 does 48 multiply-adds per row, so its chunks hold 21,846 rows
+        # where a fixed 4096-row chunk would round a 16 -> 12 head differently
+        pytest.param((3, 3), (16,), 12345, id="narrow-12345"),
+        pytest.param((3, 3), (16,), 50000, id="narrow-50000"),
+        # 15 multiply-adds per row in 3 -> 5 and 5 -> 3: chunks of 69,906 rows
+        pytest.param((3, 3), (5, 3), 139869, id="two-layer-139869"),
+        # chunks of 21,846, 10,923 and 16,384 rows: one rule per modality
+        pytest.param((3, 6, 4), (16,), 50001, id="mixed-50001"),
+    ])
+    def test_evaluate_model_equals_training_forward_readout(self, dims, hidden, n):
+        # the chunked, cache-free pass gives the unchunked pass's bits, also
+        # on ragged last chunks: 4097 = one chunk of 4097, 12345 = 4096 + 4096 + 4153
+        model, ds = _wide_model_and_data(n, dims, hidden)
         res = evaluate_model(model, ds)
         got = (res.preds, res.confidences, res.fused_uncertainty,
                res.modality_uncertainty, res.modality_epistemic, res.modality_preds)
@@ -403,13 +415,12 @@ class TestInferencePass:
         model, ds = _wide_model_and_data(3000, (3, 6, 4), (16,), seed=3)
         clean = evaluate_model(model, ds)
         encoded = []
-        head_outputs = MultimodalClassifier.head_outputs
 
-        def counted(self, m, x):
-            encoded.append(m)
-            return head_outputs(self, m, x)
+        def counted(self, x, _f=_MLP.forward):
+            encoded.append(model.encoders.index(self))
+            return _f(self, x)
 
-        monkeypatch.setattr(MultimodalClassifier, "head_outputs", counted)
+        monkeypatch.setattr(_MLP, "forward", counted)
         sweep = noise_sweep(model, ds, (0.0, 0.4, 1.5), 1, (3, 8))
         # each clean modality once, then the corrupted one per sigma > 0 pair
         assert encoded == [0, 1, 2] + [1] * 4
@@ -432,9 +443,23 @@ class TestInferencePass:
     def test_noise_sweep_checks_before_encoding(self, monkeypatch, sigmas, modality, message):
         model, ds = _model_and_data()
         encoded = []
-        monkeypatch.setattr(MultimodalClassifier, "head_outputs", lambda self, m, x: encoded.append(m))
+        monkeypatch.setattr(_MLP, "forward", lambda self, x: encoded.append(x))
         with pytest.raises(ValueError, match=message):
             noise_sweep(model, ds, sigmas, modality, (1,))
+        assert encoded == []
+
+    @pytest.mark.parametrize("n_bins", [0, -1])
+    @pytest.mark.parametrize("run", [
+        lambda model, ds, n_bins: evaluate_model(model, ds, n_bins),
+        lambda model, ds, n_bins: noise_sweep(model, ds, (0.0, 0.5), 0, (1,), n_bins),
+    ], ids=["evaluate_model", "noise_sweep"])
+    def test_bins_checked_before_encoding(self, monkeypatch, run, n_bins):
+        # both were refused only by `ece`, after every modality was encoded
+        model, ds = _model_and_data()
+        encoded = []
+        monkeypatch.setattr(_MLP, "forward", lambda self, x: encoded.append(x))
+        with pytest.raises(ValueError, match="^n_bins must be >= 1$"):
+            run(model, ds, n_bins)
         assert encoded == []
 
     @pytest.mark.parametrize("run", [
@@ -462,7 +487,7 @@ class TestInferencePass:
         # generator only after the clean data was scored
         model, ds = _model_and_data()
         encoded = []
-        monkeypatch.setattr(MultimodalClassifier, "head_outputs", lambda self, m, x: encoded.append(m))
+        monkeypatch.setattr(_MLP, "forward", lambda self, x: encoded.append(x))
         with pytest.raises(ValueError, match=f"^{message}$"):
             noise_sweep(model, ds, sigmas, 0, seeds)
         assert encoded == []
@@ -481,7 +506,7 @@ class TestInferencePass:
         model, ds = _model_and_data()
         features, labels = split(ds.features, ds.labels)
         encoded = []
-        monkeypatch.setattr(MultimodalClassifier, "head_outputs", lambda self, m, x: encoded.append(m))
+        monkeypatch.setattr(_MLP, "forward", lambda self, x: encoded.append(x))
         with pytest.raises(ValueError, match=message):
             run(model, SimpleNamespace(features=features, labels=labels))  # a duck-typed dataset
         assert encoded == []

@@ -30,6 +30,8 @@ from evfuse.model import (
     _constrain_arrays,
     _constrain_backward,
     _dataset_loss,
+    _MLP,
+    _score_modalities,
     row_chunks,
     softplus,
     train,
@@ -156,8 +158,7 @@ class TestForward:
         # own prediction, and its variance, the mean of the two
         assert out.modality_preds.tolist() == [out.predicted_class] * 2
         assert out.modality_uncertainty[0] == out.modality_uncertainty[1]
-        nig = _constrain_arrays(model.head_outputs(0, x[None])[0])
-        _, sigma, v = nig_to_st_arrays(*nig)
+        _, sigma, v = (a[0, 0] for a in model.forward_batch([x[None], x[None]])["st"])
         assert out.fused_uncertainty == pytest.approx(
             st_variance_arrays(sigma, v)[out.predicted_class], rel=1e-15)
 
@@ -165,6 +166,21 @@ class TestForward:
         model = _tiny_model()
         with pytest.raises(ValueError):
             model.forward([np.zeros(4), np.zeros(2)])
+
+    @pytest.mark.parametrize("sample, message", [
+        ([np.zeros((2, 3)), np.zeros(2)], r"modality 1 sample has shape \(2, 3\), expected \(6,\)"),
+        ([np.zeros((3, 2)), np.zeros(2)], r"modality 1 sample has shape \(3, 2\), expected \(6,\)"),
+        ([np.zeros((1, 6)), np.zeros(2)], r"modality 1 sample has shape \(1, 6\), expected \(6,\)"),
+        ([np.zeros(5), np.zeros(2)], r"modality 1 sample has shape \(5,\), expected \(6,\)"),
+        ([np.zeros(6), 1.0], r"modality 2 sample has shape \(\), expected \(2,\)"),
+    ], ids=["2x3", "3x2", "1x6", "5-values", "0-d"])
+    def test_forward_refuses_a_misshapen_sample(self, sample, message):
+        # a sample is one (d_m,) array per modality; any other shape with
+        # d_m values was scored as that sample, and 5 values for 6 features
+        # were refused as a "(1, 5)" feature block
+        model = MultimodalClassifier([EncoderSpec(6, (4,)), EncoderSpec(2, (4,))], n_classes=3)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            model.forward(sample)
 
     @pytest.mark.parametrize("feats", [[np.zeros(3), np.zeros(2)], [1.0, 2.0]], ids=["1-d", "0-d"])
     def test_forward_batch_checks_shapes_before_rows(self, feats):
@@ -184,20 +200,6 @@ class TestForward:
         with pytest.raises(ValueError, match="^expected 2 feature blocks, got 3$"):
             _tiny_model().forward_batch(feats)
 
-    @pytest.mark.parametrize(
-        "d, hidden, n",
-        [(6, (64,), 150), (6, (64,), 4097), (6, (64,), 8191), (6, (64,), 8192),
-         (6, (64,), 12345), (3, (16,), 12345), (3, (16,), 50000), (3, (5, 3), 139869)],
-    )
-    def test_head_outputs_equal_training_forward(self, d, hidden, n):
-        # the chunked, cache-free pass gives the unchunked pass's bits,
-        # also where a fixed 4096-row chunk would not (a 16 -> 12 head)
-        model = MultimodalClassifier([EncoderSpec(d, hidden, "tanh")] * 2, n_classes=3, seed=4)
-        rng = np.random.default_rng(n)
-        feats = [rng.normal(size=(n, d)), rng.normal(size=(n, d))]
-        raw = np.stack([model.head_outputs(m, x) for m, x in enumerate(feats)])
-        assert np.array_equal(raw, model.forward_batch(feats)["raw"])
-
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
     def test_forward_passes_leave_their_features_alone(self, activation):
         # the layers write into arrays of their own, never into the input
@@ -205,10 +207,10 @@ class TestForward:
         rng = np.random.default_rng(8)
         feats = [rng.normal(size=(50, 3)), rng.normal(size=(50, 3))]
         before = [x.copy() for x in feats]
-        first = model.head_outputs(0, feats[0]), model.forward_batch(feats)
-        second = model.head_outputs(0, feats[0]), model.forward_batch(feats)
+        first = _score_modalities(model, feats), model.forward_batch(feats)
+        second = _score_modalities(model, feats), model.forward_batch(feats)
         assert all(np.array_equal(x, b) for x, b in zip(feats, before))
-        assert np.array_equal(first[0], second[0])
+        assert np.array_equal(first[0].st, second[0].st)
         for key in ("raw", "gamma", "delta", "alpha", "beta"):
             assert np.array_equal(first[1][key], second[1][key])
         assert all(np.array_equal(a, b) for a, b in zip(first[1]["hidden"], second[1]["hidden"]))
@@ -218,9 +220,8 @@ class TestForward:
         # unit wide may round differently in chunks of 87,382 rows
         model = MultimodalClassifier([EncoderSpec(3, (16, 1), "tanh")], n_classes=3, seed=4)
         x = np.random.default_rng(0).normal(size=(2 * 87382 + 57, 3))
-        np.testing.assert_allclose(
-            model.head_outputs(0, x), model.forward_batch([x])["raw"][0], rtol=1e-12, atol=1e-12
-        )
+        for a, b in zip(_score_modalities(model, [x]).st, model.forward_batch([x])["st"]):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize(
         "d, hidden, n, chunks",
@@ -232,17 +233,17 @@ class TestForward:
             (3, (16,), 50000, [21846, 28154]),
         ],
     )
-    def test_head_outputs_chunk_rows(self, d, hidden, n, chunks):
+    def test_head_outputs_chunk_rows(self, monkeypatch, d, hidden, n, chunks):
+        # the rows of each encoder call of the inference pass
         model = MultimodalClassifier([EncoderSpec(d, hidden, "tanh")], n_classes=3)
-        enc = model.encoders[0]
         rows = []
 
-        def forward(x, _f=enc.forward):
+        def forward(self, x, _f=_MLP.forward):
             rows.append(len(x))
-            return _f(x)
+            return _f(self, x)
 
-        enc.forward = forward
-        model.head_outputs(0, np.zeros((n, d)))
+        monkeypatch.setattr(_MLP, "forward", forward)
+        _score_modalities(model, [np.zeros((n, d))])
         assert rows == chunks
 
     def test_row_chunks_remainder_joins_the_last_chunk(self):
@@ -258,7 +259,7 @@ class TestForward:
         x[7, 1] = np.nan
         x[8, 0] = np.inf
         with pytest.raises(ValueError, match="modality 2 has a non-finite feature in row 7"):
-            model.head_outputs(1, x)
+            _score_modalities(model, [np.zeros((10, 3)), x])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_forward_rejects_non_finite_features(self, bad):
@@ -291,8 +292,7 @@ class TestForward:
         model = _tiny_model()
         x = _sample(np.random.default_rng(3))
         out = model.forward(x)
-        nig = _constrain_arrays(np.stack([model.head_outputs(m, a[None])[0] for m, a in enumerate(x)]))
-        _, sigma, v = nig_to_st_arrays(*nig)
+        _, sigma, v = (a[:, 0] for a in model.forward_batch([a[None] for a in x])["st"])
         assert out.fused_uncertainty == pytest.approx(
             st_variance_arrays(sigma, v)[:, out.predicted_class].mean(), rel=1e-14
         )
