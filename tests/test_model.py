@@ -200,6 +200,22 @@ class TestForward:
         with pytest.raises(ValueError, match="^expected 2 feature blocks, got 3$"):
             _tiny_model().forward_batch(feats)
 
+    @pytest.mark.parametrize(
+        "d, hidden, n",
+        [(6, (64,), 150), (6, (64,), 4097), (6, (64,), 8191), (6, (64,), 8192),
+         (6, (64,), 12345), (3, (16,), 12345), (3, (16,), 50000), (3, (5, 3), 139869)],
+    )
+    def test_head_outputs_equal_training_forward(self, d, hidden, n):
+        # each modality's chunked, cache-free readout gives the unchunked
+        # training forward's bits, also where a fixed 4096-row chunk would
+        # not (a 16 -> 12 head)
+        model = MultimodalClassifier([EncoderSpec(d, hidden, "tanh")] * 2, n_classes=3, seed=4)
+        rng = np.random.default_rng(n)
+        feats = [rng.normal(size=(n, d)), rng.normal(size=(n, d))]
+        scores, out = _score_modalities(model, feats), model.forward_batch(feats)
+        assert np.array_equal(scores.st, np.stack(out["st"]))
+        assert np.array_equal(scores.pred, np.argmax(out["gamma"], axis=-1))
+
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
     def test_forward_passes_leave_their_features_alone(self, activation):
         # the layers write into arrays of their own, never into the input
