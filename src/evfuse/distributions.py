@@ -6,7 +6,8 @@ yields a univariate Student's t predictive distribution in closed form.
 
 Each formula is written once, as an array kernel (`*_arrays`) that training,
 inference and evaluation call; the scalar functions on `NIGParams` /
-`StudentT` are wrappers over those kernels.
+`StudentT` are wrappers over those kernels.  The t log-density's gamma
+and digamma ratios come from a numpy kernel, `_gamma_ratio_arrays`.
 """
 
 from __future__ import annotations
@@ -81,28 +82,68 @@ def nig_to_st_arrays(gamma, delta, alpha, beta):
     return gamma, sigma, 2.0 * alpha
 
 
+# Stirling's series of the gamma ratio, ln G(y + 1/2) - ln G(y) = ln(y)/2
+# + sum_k c_k y^-k over odd k, and of its y-derivative, psi(y + 1/2) - psi(y)
+# = 1/(2y) - sum_k k c_k y^-k-1.  Rows hold (-c_k, k c_k) from k = 11 down to
+# 1, so one Horner pass in 1/y^2 gives both sums.
+_RATIO_SERIES = np.array([(-c, k * c) for k, c in zip(range(11, 0, -2), (
+    691 / 180224, -31 / 18432, 17 / 14336, -1 / 640, 1 / 192, -1 / 8))])[:, :, None]
+# the recurrence G(h + 1) = h G(h) carries h to y = h + 8 before the series
+_RATIO_STEPS = np.arange(9.0)[:, None]
+
+
+def _gamma_ratio_arrays(h):
+    """ln G(h) - ln G(h + 1/2) and psi(h) - psi(h + 1/2) for h > 0.
+
+    With h_j = h + j and y = h + 8, the recurrence gives ln G(h) - ln G(h + 1/2)
+    = ln prod_j (1 + 1/(2 h_j)) - (ln G(y + 1/2) - ln G(y)) and psi(h) - psi(h + 1/2)
+    = (psi(y) - psi(y + 1/2)) - sum_j (1/(2 h_j)) / (h_j + 1/2), over j = 0..7;
+    Stirling's series at y > 8 finishes both.  The difference is never formed
+    from two log-gammas, so it does not cancel as h grows, and no
+    intermediate overflows for any finite h >= 1.  A value does not depend on
+    the array's shape.
+    """
+    h = np.asarray(h, dtype=float)
+    hj = h.reshape(-1) + _RATIO_STEPS
+    y, hj = hj[-1], hj[:-1]
+    r = 0.5 / hj
+    x = 1.0 / y
+    x2 = x * x
+    acc = _RATIO_SERIES[0]
+    for c in _RATIO_SERIES[1:]:
+        acc = acc * x2 + c
+    lg = np.log(np.multiply.reduce(1.0 + r, axis=0) / np.sqrt(y)) + x * acc[0]
+    # the sum by halves, in one order whatever the shape (numpy's own add
+    # reduction takes another order on a single column)
+    s = r / (hj + 0.5)
+    s = s[:4] + s[4:]
+    s = s[:2] + s[2:]
+    dg = x * (x * acc[1] - 0.5) - (s[0] + s[1])
+    return lg.reshape(h.shape), dg.reshape(h.shape)
+
+
 def st_nll_and_grads_arrays(u, sigma, v, y):
     """Student's t NLL at y and its partials in (u, sigma, v), sharing every intermediate.
 
     With z = y - u, w = z^2 / (v sigma), q = 1 + w, h = v / 2, k = (h + 1/2) / q
     and t = 1/2 - k w:  NLL = log G(h) - log G(h + 1/2) + log(v pi sigma) / 2
     + (h + 1/2) log q,  d/du = -2 k z / (v sigma),  d/dsigma = t / sigma,
-    d/dv = (psi(h) - psi(h + 1/2) + log q) / 2 + t / v.
+    d/dv = (psi(h) - psi(h + 1/2) + log q) / 2 + t / v.  log q is taken as
+    log1p(w), so the Gaussian limit keeps its z^2 / (2 sigma) term at any v.
     """
-    from scipy.special import digamma, gammaln
-
     z = y - u
     vs = v * sigma
     w = z**2 / vs
     q = 1.0 + w
-    log_q = np.log(q)
+    log_q = np.log1p(w)
     h = 0.5 * v
     h1 = h + 0.5
-    nll = gammaln(h) - gammaln(h1) + 0.5 * np.log(v * math.pi * sigma) + h1 * log_q
+    lg, dg = _gamma_ratio_arrays(h)
+    nll = lg + 0.5 * np.log(vs * math.pi) + h1 * log_q
     k = h1 / q
     t = 0.5 - k * w
     d_u = -2.0 * k * z / vs
-    d_v = 0.5 * (digamma(h) - digamma(h1) + log_q) + t / v
+    d_v = 0.5 * (dg + log_q) + t / v
     return nll, d_u, t / sigma, d_v
 
 

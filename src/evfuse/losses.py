@@ -6,7 +6,8 @@ channels plus a weighted cross-entropy over the locations.  A modality's
 term is its NIG NLL: the NIG marginal is the t with u = gamma,
 sigma = beta (1 + delta) / (delta alpha) and v = 2 alpha (Amini et al.,
 2020), so one kernel, `distributions.st_nll_and_grads_arrays`, evaluates
-all M + 1 terms and their adjoints at once.  The fused adjoints go back
+all M + 1 terms and their adjoints at once, its gamma-function ratios
+included, in numpy.  The fused adjoints go back
 through the fusion rule, and then all of them through the NIG -> t map to
 the NIG parameters.
 `nig_nll` (the NIG form, through that map) and `student_t_nll` (the t

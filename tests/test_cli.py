@@ -181,11 +181,12 @@ class TestImports:
                               text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
 
-    def test_scipy_is_loaded_only_by_training(self, pipeline, tmp_path):
+    def test_no_command_loads_scipy(self, pipeline, tmp_path):
         # a fresh process: this one has scipy loaded already
         data, run = pipeline
         fuse_in = tmp_path / "in.json"
         fuse_in.write_text("[[0, 1, 4], [1, 2, 6]]")
+        scored = ["--checkpoint", str(run / "checkpoint.json"), "--data", str(data)]
         script = f"""
 import contextlib, io, json, sys
 import evfuse.cli
@@ -193,8 +194,9 @@ loaded = {{"import": "scipy" in sys.modules}}
 for argv in (
     ["fuse", "--in", {str(fuse_in)!r}],
     ["generate-data", "--per-class", "10", "--out", {str(tmp_path / "gen")!r}],
-    ["evaluate", "--checkpoint", {str(run / "checkpoint.json")!r}, "--data", {str(data)!r},
-     "--out", {str(tmp_path / "eval")!r}],
+    ["evaluate", *{scored!r}, "--out", {str(tmp_path / "eval")!r}],
+    ["noise-sweep", *{scored!r}, "--sigmas", "0,0.5", "--out", {str(tmp_path / "sweep")!r}],
+    ["report", *{scored!r}, "--modality", "1", "--sigma", "0.5", "--out", {str(tmp_path / "rep")!r}],
     ["train", "--data", {str(data)!r}, "--out", {str(tmp_path / "run")!r}, "--epochs", "1",
      "--hidden", "4"],
 ):
@@ -207,9 +209,9 @@ print(json.dumps(loaded))
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == {
-            "import": False, "fuse": False, "generate-data": False, "evaluate": False, "train": True,
-        }
+        assert json.loads(proc.stdout) == dict.fromkeys(
+            ["import", "fuse", "generate-data", "evaluate", "noise-sweep", "report", "train"], False
+        )
 
 
 class TestTrain:

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import trapezoid
+from scipy.special import betaln, digamma
 
 from evfuse.distributions import (
     NIGParams,
     StudentT,
+    _gamma_ratio_arrays,
     nig_aleatoric,
     nig_epistemic,
     nig_to_student_t,
@@ -165,6 +167,33 @@ class TestVariance:
     def test_variance_exceeds_scale(self, p):
         stt = nig_to_student_t(p)
         assert student_t_variance(stt) > stt.sigma
+
+
+class TestGammaRatio:
+    def test_matches_scipy_from_the_training_floor(self):
+        # h = v / 2 = alpha > 1 in training; 1 + 1e-4 is the head's floor.  The
+        # ln-ratio oracle is ln B(h, 1/2) - ln G(1/2): a difference of two scipy
+        # gammalns is itself off by 1.8e-13 near h = 92
+        h = np.concatenate([[1.0, 1.0 + 1e-4], np.linspace(1.0, 100.0, 9901)])
+        lg, dg = _gamma_ratio_arrays(h)
+        np.testing.assert_allclose(lg, betaln(h, 0.5) - 0.5 * math.log(math.pi), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(dg, digamma(h) - digamma(h + 0.5), rtol=0, atol=1e-13)
+
+    def test_matches_the_asymptotic_series_at_large_h(self):
+        # the series' next terms are below 1e-14 of the value from h = 1e4 on;
+        # no intermediate may overflow up to 5e299
+        h = np.geomspace(1e4, 5e299, 2001)
+        x = 1.0 / h
+        lg, dg = _gamma_ratio_arrays(h)
+        np.testing.assert_allclose(lg, -(0.5 * np.log(h) - x / 8 + x**3 / 192), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(dg, -(x / 2 + x**2 / 8 - x**4 / 64), rtol=1e-14, atol=0)
+
+    def test_values_do_not_depend_on_the_shape(self):
+        h = np.geomspace(1.0, 1e12, 24)
+        lg, dg = _gamma_ratio_arrays(h.reshape(2, 3, 4))
+        assert lg.shape == dg.shape == (2, 3, 4)
+        alone = np.array([_gamma_ratio_arrays(x) for x in h])
+        assert np.array_equal(lg.ravel(), alone[:, 0]) and np.array_equal(dg.ravel(), alone[:, 1])
 
 
 class TestQuadratureOracle:

@@ -67,6 +67,14 @@ class TestStudentTNll:
         slope = student_t_nll(stt, 1e8) - student_t_nll(stt, 1e6)
         assert slope == pytest.approx(5.0 * math.log(100.0), rel=1e-6)
 
+    @pytest.mark.parametrize("v", [2e9, 2e12, 1e300])
+    def test_gaussian_limit_at_large_v(self, v):
+        # the t tends to N(u, sigma) as v grows; at these v the Gaussian NLL is
+        # exact to better than 1e-9
+        sigma, z = 1.0, 0.5
+        gaussian = 0.5 * math.log(2.0 * math.pi * sigma) + z**2 / (2.0 * sigma)
+        assert student_t_nll(StudentT(0, sigma, v), z) == pytest.approx(gaussian, abs=1e-9)
+
 
 def _ce(logits, label):
     """Reference cross-entropy of one logit vector, in plain floats."""
