@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -53,13 +53,7 @@ class MetricsReport:
     per_bin: list[tuple[float, float, int]]  # (mean confidence, accuracy, count)
 
     def to_dict(self) -> dict:
-        return {
-            "acc": self.acc,
-            "kappa": self.kappa,
-            "ece": self.ece,
-            "n_samples": self.n_samples,
-            "per_bin": [list(b) for b in self.per_bin],
-        }
+        return {**asdict(self), "per_bin": [list(b) for b in self.per_bin]}
 
 
 def accuracy(preds: Sequence[int], labels: Sequence[int]) -> float:
@@ -108,9 +102,9 @@ def cohen_kappa(
     return float(1.0 - d_obs / d_exp)
 
 
-def _check_bins(n_bins: int) -> None:
+def _check_bins(n_bins: int, name: str = "n_bins") -> None:
     if n_bins < 1:
-        raise ValueError("n_bins must be >= 1")
+        raise ValueError(f"{name} must be >= 1")
 
 
 def ece(
@@ -226,7 +220,7 @@ class EvalResult:
     modality_preds: np.ndarray  # (M, N): unimodal argmax-location class
 
 
-def _score_fused(scores: _Scores, labels, n_classes: int, n_bins: int) -> EvalResult:
+def _score_fused(scores: _Scores, labels, n_classes: int, n_bins: int = 10) -> EvalResult:
     """The `EvalResult` of `scores`: the fused readout (`model._fused_readout`)
     scored against `labels`, and the per-modality arrays of `scores` themselves."""
     preds, conf_pred, fused_unc = _fused_readout(scores)
@@ -273,7 +267,6 @@ def noise_sweep(
     sigmas: Sequence[float],
     modality_index: int,
     seeds: Sequence[int],
-    n_bins: int = 10,
 ) -> dict:
     """Evaluate under per-modality Gaussian corruption over a sigma grid.
 
@@ -283,15 +276,15 @@ def noise_sweep(
     the clean data, and the sigma = 0 pairs share that clean evaluation.
     Each seed's unit noise is drawn once and scaled for each sigma > 0,
     whose pair re-scores only the corrupted modality, in place; the rows
-    equal those of per-pair `inject_noise` bit for bit.  Every sigma (the
-    sigmas distinct, 0.0 and -0.0 being one value), every seed (distinct),
-    `n_bins`, the modality index and the split (`MultimodalClassifier._check_split`)
-    are checked before anything is encoded; a sigma whose noisy features
-    overflow raises ValueError naming the modality, its row, the sigma and the seed.
+    equal those of per-pair `inject_noise` bit for bit.  ECE takes 10 bins,
+    as in `evaluate_model` by default.  Every sigma (the sigmas distinct, 0.0
+    and -0.0 being one value), every seed (distinct), the modality index and
+    the split (`MultimodalClassifier._check_split`) are checked before
+    anything is encoded; a sigma whose noisy features overflow raises
+    ValueError naming the modality, its row, the sigma and the seed.
     """
     if len(sigmas) == 0 or len(seeds) == 0:
         raise ValueError("noise sweep needs at least one sigma and one seed")
-    _check_bins(n_bins)
     for name, values in (("sigma", list(sigmas)), ("seed", list(seeds))):
         for i, x in enumerate(values):
             if x in values[:i]:  # == equates 0.0 and -0.0
@@ -302,7 +295,7 @@ def noise_sweep(
     scores = _score_modalities(model, features)
     clean = None
     if any(spec.sigma == 0.0 for spec in specs):
-        clean = _sweep_row(_score_fused(scores, labels, model.n_classes, n_bins), labels)
+        clean = _sweep_row(_score_fused(scores, labels, model.n_classes), labels)
     x = features[modality_index]
     noisy_sigmas = [sigma for sigma in sigmas if sigma != 0.0]
     noisy = {}  # (sigma, seed) -> metrics, scored seed by seed
@@ -316,7 +309,7 @@ def noise_sweep(
             except ValueError as e:
                 raise _noisy_error(e, sigma, seed) from None
             # reduced at once: the next pair overwrites the corrupted modality's slot of `scores`
-            noisy[sigma, seed] = _sweep_row(_score_fused(scores, labels, model.n_classes, n_bins), labels)
+            noisy[sigma, seed] = _sweep_row(_score_fused(scores, labels, model.n_classes), labels)
     rows = [{"sigma": s.sigma, "modality": modality_index, "seed": s.seed,
              **(noisy[s.sigma, s.seed] if s.sigma != 0.0 else clean)} for s in specs]
 
@@ -347,8 +340,7 @@ def uncertainty_density(
     equal width over the pooled min-max range.  The split is checked
     (`MultimodalClassifier._check_split`) before any noise is added.
     """
-    if n_hist_bins < 1:
-        raise ValueError("n_hist_bins must be >= 1")
+    _check_bins(n_hist_bins, "n_hist_bins")
     features, _ = model._check_split(dataset, "evaluation")
     if spec is not None:
         features = inject_noise(features, spec)

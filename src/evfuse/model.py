@@ -67,9 +67,6 @@ class TrainConfig:
     batch_size: int = 16
     lam: float = 0.5
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     freeze_encoders: bool = False
     keep_best: bool = False  # restore weights from the best-validation epoch
 
@@ -168,8 +165,9 @@ class _MLP:
     def output_dim(self) -> int:
         return self.spec.hidden_dims[-1]
 
-    def forward(self, x: np.ndarray):
-        """Output features, and the activations of every layer as the backward cache."""
+    def forward(self, x: np.ndarray) -> list[np.ndarray]:
+        """The input and every layer's activations, the last being the output
+        features: the backward cache."""
         acts = [x]
         for w, b in zip(self.weights, self.biases):
             z = acts[-1] @ w
@@ -178,7 +176,7 @@ class _MLP:
                 acts.append(np.maximum(z, 0.0, out=z))
             else:
                 acts.append(np.tanh(z, out=z))
-        return acts[-1], acts
+        return acts
 
     def backward(self, acts, g_out: np.ndarray) -> None:
         """Write the gradients of `arrays` into `grads`, the views laid out like them."""
@@ -318,21 +316,19 @@ class MultimodalClassifier:
         `features` is one (B, d_m) array per modality.  The returned dict
         holds the raw head outputs (M, B, K, 4), their constrained NIG
         parameters (`gamma` ... `beta`, each (M, B, K)), the Student's t
-        (`st`: u, sigma, v) and its fused `trace`, plus the encoder outputs
-        (`hidden`) and caches that backpropagation needs.
+        (`st`: u, sigma, v) and its fused `trace`, plus each encoder's
+        activations (`caches`, from `_MLP.forward`; the last is the encoder
+        output), which backpropagation needs.
         """
         xs = self._check_blocks(features)
-        hs, caches = [], []
+        caches = [enc.forward(x) for enc, x in zip(self.encoders, xs)]
         raw = np.empty((len(xs), len(xs[0]), self.n_classes, 4))
-        for enc, head, x, head_raw in zip(self.encoders, self.heads, xs, raw):
-            h, cache = enc.forward(x)
-            hs.append(h)
-            caches.append(cache)
-            head.forward(h, out=head_raw)
+        for head, acts, head_raw in zip(self.heads, caches, raw):
+            head.forward(acts[-1], out=head_raw)
         gamma, delta, alpha, beta = _constrain_arrays(raw)
         st = nig_to_st_arrays(gamma, delta, alpha, beta)
         return {"raw": raw, "gamma": gamma, "delta": delta, "alpha": alpha, "beta": beta,
-                "st": st, "trace": fuse_stack(*st), "hidden": hs, "caches": caches}
+                "st": st, "trace": fuse_stack(*st), "caches": caches}
 
     def forward(self, sample: Sequence[np.ndarray]) -> EvidentialOutput:
         """The readout of a single sample, one (d_m,) array per modality: row 0
@@ -448,7 +444,7 @@ def _score_modality(model: MultimodalClassifier, scores: _Scores, m: int, x: np.
     u, sigma, v = scores.st[:, m]
     for a, b in row_chunks(len(x), max(INFERENCE_CHUNK_ROWS, -(-INFERENCE_CHUNK_MACS // narrowest))):
         raw = np.empty((b - a, model.n_classes, 4))
-        head.forward(enc.forward(x[a:b])[0], out=raw)
+        head.forward(enc.forward(x[a:b])[-1], out=raw)
         gamma, delta, alpha, beta = _constrain_arrays(raw)
         u[a:b], sigma[a:b], v[a:b] = nig_to_st_arrays(gamma, delta, alpha, beta)
         al, ep = nig_moments_arrays(delta, alpha, beta)
@@ -516,14 +512,17 @@ def _batch_loss_and_param_grads(model, features, y_onehot, lam):
     b = y_onehot.shape[0]
     g_raw = _constrain_backward(out["raw"], grads)
     g_raw /= b
-    for m, (enc, head) in enumerate(zip(model.encoders, model.heads)):
-        enc.backward(out["caches"][m], head.backward(out["hidden"][m], g_raw[m]))
+    for enc, head, acts, g in zip(model.encoders, model.heads, out["caches"], g_raw):
+        enc.backward(acts, head.backward(acts[-1], g))
     return float(np.add.reduce(parts["total"])) / b, model.grad
 
 
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8  # the textbook constants
+
+
 class _Adam:
-    def __init__(self, size: int, cfg: TrainConfig):
-        self.cfg = cfg
+    def __init__(self, size: int, learning_rate: float):
+        self.learning_rate = learning_rate
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
@@ -532,19 +531,18 @@ class _Adam:
     def step(self, params: np.ndarray, grad: np.ndarray):
         """Update `params` in place: the textbook expressions, evaluated in
         their order into two scratch vectors, so no step allocates."""
-        c = self.cfg
         self.t += 1
         s, d = self._scratch
-        self.m *= c.beta1
-        self.m += np.multiply(grad, 1.0 - c.beta1, out=s)
-        self.v *= c.beta2
-        np.multiply(grad, 1.0 - c.beta2, out=s)
+        self.m *= _ADAM_BETA1
+        self.m += np.multiply(grad, 1.0 - _ADAM_BETA1, out=s)
+        self.v *= _ADAM_BETA2
+        np.multiply(grad, 1.0 - _ADAM_BETA2, out=s)
         self.v += np.multiply(s, grad, out=s)
-        np.divide(self.m, 1.0 - c.beta1**self.t, out=s)  # mhat
-        s *= c.learning_rate
-        np.divide(self.v, 1.0 - c.beta2**self.t, out=d)  # vhat
+        np.divide(self.m, 1.0 - _ADAM_BETA1**self.t, out=s)  # mhat
+        s *= self.learning_rate
+        np.divide(self.v, 1.0 - _ADAM_BETA2**self.t, out=d)  # vhat
         np.sqrt(d, out=d)
-        d += c.eps
+        d += _ADAM_EPS
         params -= np.divide(s, d, out=s)
 
 
@@ -575,7 +573,7 @@ def train(model: MultimodalClassifier, dataset, config: TrainConfig, val_dataset
     # the encoders lead `params`, so freezing them trains a suffix
     n_encoder = sum(a.size for enc in model.encoders for a in enc.arrays)
     first = n_encoder if config.freeze_encoders else 0
-    opt = _Adam(model.params.size - first, config)
+    opt = _Adam(model.params.size - first, config.learning_rate)
 
     rng = np.random.default_rng(config.seed)
     record = TrainRecord()

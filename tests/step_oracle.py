@@ -78,16 +78,17 @@ def loss_and_grad(model, features, y_onehot, lam):
 
 
 class Adam:
-    def __init__(self, size, cfg):
-        self.cfg, self.m, self.v, self.t = cfg, np.zeros(size), np.zeros(size), 0
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, size, learning_rate):
+        self.lr, self.m, self.v, self.t = learning_rate, np.zeros(size), np.zeros(size), 0
 
     def step(self, params, grad):
-        c = self.cfg
         self.t += 1
-        self.m *= c.beta1
-        self.m += (1.0 - c.beta1) * grad
-        self.v *= c.beta2
-        self.v += (1.0 - c.beta2) * grad * grad
-        mhat = self.m / (1.0 - c.beta1**self.t)
-        vhat = self.v / (1.0 - c.beta2**self.t)
-        params -= c.learning_rate * mhat / (np.sqrt(vhat) + c.eps)
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * grad
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * grad * grad
+        mhat = self.m / (1.0 - self.beta1**self.t)
+        vhat = self.v / (1.0 - self.beta2**self.t)
+        params -= self.lr * mhat / (np.sqrt(vhat) + self.eps)

@@ -1,5 +1,7 @@
+import argparse
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import os
@@ -17,9 +19,9 @@ from hypothesis import strategies as st
 import evfuse
 import evfuse.cli
 from evfuse.cli import main
-from evfuse.data import Standardization
+from evfuse.data import Standardization, SyntheticSpec
 from evfuse.evaluation import evaluate_model
-from evfuse.model import _MLP, EncoderSpec, MultimodalClassifier
+from evfuse.model import _MLP, EncoderSpec, MultimodalClassifier, TrainConfig
 
 
 def _run(capsys, *argv):
@@ -212,6 +214,33 @@ print(json.dumps(loaded))
         assert json.loads(proc.stdout) == dict.fromkeys(
             ["import", "fuse", "generate-data", "evaluate", "noise-sweep", "report", "train"], False
         )
+
+
+# Each library setting and the dest of the flag that sets it.  `EncoderSpec.input_dim`
+# has none: `train` reads it from the dataset's sidecar.
+SETTING_FLAGS = {
+    SyntheticSpec: ("generate-data", {"n_classes": "classes", "n_per_class": "per_class",
+                                      "dims": "dims", "separation": "sep", "seed": "seed",
+                                      "split_sizes": "split"}),
+    TrainConfig: ("train", {"learning_rate": "lr", "max_epochs": "epochs", "batch_size": "batch_size",
+                            "lam": "lam", "seed": "seed", "freeze_encoders": "freeze_encoders",
+                            "keep_best": "keep_best"}),
+    EncoderSpec: ("train", {"hidden_dims": "hidden", "activation": "activation"}),
+}
+
+
+@pytest.mark.parametrize("spec", list(SETTING_FLAGS), ids=lambda spec: spec.__name__)
+def test_every_setting_has_a_flag_with_its_default(spec):
+    # a setting that no flag sets is a setting no caller sets
+    command, flags = SETTING_FLAGS[spec]
+    subparsers = next(a for a in evfuse.cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    options = evfuse.cli._options(subparsers.choices[command])
+    fields = {f.name: f.default for f in dataclasses.fields(spec)}
+    fields.pop("input_dim", None)
+    assert set(flags) == set(fields)
+    for name, dest in flags.items():
+        assert options[dest].default == fields[name], name
 
 
 class TestTrain:

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.special import digamma
 
 from evfuse.distributions import NIGParams, StudentT, nig_to_student_t, st_nll_arrays
 from evfuse.fusion import fuse_many
@@ -189,13 +188,6 @@ class TestTotalLoss:
         base = _parts(_toy_pair(), [1.0, 0.0], 0.5)["total"]
         flipped = _parts([vec[::-1] for vec in _toy_pair()], [0.0, 1.0], 0.5)["total"]
         assert flipped == pytest.approx(base, rel=1e-12)
-
-
-class TestDigammaConstants:
-    def test_known_values(self):
-        assert digamma(1.0) == pytest.approx(-0.5772156649, abs=1e-10)
-        assert digamma(2.0) == pytest.approx(0.4227843351, abs=1e-10)
-        assert digamma(0.5) == pytest.approx(-1.9635100260, abs=1e-10)
 
 
 def _central_diff(f, x, h=1e-5):
