@@ -1,13 +1,13 @@
 """Command-line front end: data generation, training, evaluation, sweeps.
 
 Every command is deterministic given its flags (seeds are always explicit
-flags).  Each option's built-in default is on its flag, read from
-`SyntheticSpec`, `TrainConfig` or `EncoderSpec` where the library holds it;
-a `--config` JSON file's values become the command's defaults, which flags
-given on the command line override.  All output files embed the run's
-config hash so artifacts can be traced back to the exact configuration that
-produced them; wall-clock timestamps live in a separate meta file and never
-enter the deterministic outputs.
+flags).  Each option's built-in default is on its flag, read from the library
+where it holds one, and the library's rules check each value before any file
+is opened, but for `--modality`'s upper bound; a `--config` JSON file's values
+become the command's defaults, which flags given on the command line override.
+All output files embed the run's config hash so artifacts can be traced back
+to the exact configuration that produced them; wall-clock timestamps live in a
+separate meta file and never enter the deterministic outputs.
 
 Exit codes: 0 success, 1 validation error (an array too large for numpy
 to allocate included), 2 I/O error, 3 numerical failure.
@@ -20,7 +20,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,11 @@ from .data import (
 )
 from .distributions import StudentT
 from .evaluation import (
+    N_BINS,
+    N_HIST_BINS,
     NoiseSpec,
+    _check_bins,
+    _sweep_specs,
     evaluate_model,
     noise_sweep,
     uncertainty_density,
@@ -50,6 +54,7 @@ from .model import (
     MultimodalClassifier,
     TrainConfig,
     TrainingDivergedError,
+    _check_model_sizes,
     train,
 )
 
@@ -163,8 +168,7 @@ def _read_sidecar(data_dir) -> dict:
     sidecar = _read_json(path, "dataset sidecar", {"dims": [int], "n_classes": int})
     if not sidecar["dims"] or min(sidecar["dims"]) < 1:
         raise ValueError(f"dataset sidecar dims must be one or more sizes >= 1, got {sidecar['dims']}")
-    if sidecar["n_classes"] < 2:
-        raise ValueError(f"dataset sidecar n_classes must be >= 2, got {sidecar['n_classes']}")
+    _check_model_sizes(len(sidecar["dims"]), sidecar["n_classes"], 0, "dataset sidecar ")
     return sidecar
 
 
@@ -259,13 +263,14 @@ def cmd_train(args) -> int:
         freeze_encoders=args.freeze_encoders,
         keep_best=args.keep_best,
     )
+    encoder = EncoderSpec(1, args.hidden, args.activation)  # input_dim is each modality's, from the sidecar
 
     sidecar = _read_sidecar(args.data)
     (train_ds, val_ds), stats = standardize(
         *(_load_split(args.data, sidecar, split) for split in ("train", "val"))
     )
 
-    specs = [EncoderSpec(d, args.hidden, args.activation) for d in sidecar["dims"]]
+    specs = [replace(encoder, input_dim=d) for d in sidecar["dims"]]
     model = MultimodalClassifier(specs, sidecar["n_classes"], seed=tc.seed)
 
     full_cfg = _run_config(args, data={k: sidecar.get(k) for k in ("n_classes", "dims", "seed")})
@@ -303,6 +308,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    _check_bins(args.bins)
     model, ds, run_id = _scoring_inputs(args)
     r = evaluate_model(model, ds, n_bins=args.bins).report
     out = _outdir(args.out)
@@ -321,6 +327,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_noise_sweep(args) -> int:
+    _sweep_specs(args.sigmas, args.modality - 1, args.noise_seeds)
     model, ds, run_id = _scoring_inputs(args)
     sweep = noise_sweep(model, ds, args.sigmas, args.modality - 1, args.noise_seeds)
     out = _outdir(args.out)
@@ -336,12 +343,11 @@ def cmd_noise_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
+    if args.sigma is not None and args.modality is None:
+        raise CliError("--sigma requires --modality", EXIT_VALIDATION)
+    noise = NoiseSpec(0 if args.modality is None else args.modality - 1, args.sigma or 0.0, args.noise_seed)
+    _check_bins(args.hist_bins, "n_hist_bins")
     model, ds, run_id = _scoring_inputs(args)
-    noise = None
-    if args.sigma is not None:
-        if args.modality is None:
-            raise CliError("--sigma requires --modality", EXIT_VALIDATION)
-        noise = NoiseSpec(args.modality - 1, args.sigma, args.noise_seed)
     density = uncertainty_density(model, ds, noise, n_hist_bins=args.hist_bins)
     out = _outdir(args.out)
     write_json({"config_hash": run_id, **density}, out / "density.json")
@@ -446,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=TrainConfig.keep_best)
 
     p = command("evaluate", cmd_evaluate, "score a checkpoint on one split", scores=True)
-    p.add_argument("--bins", type=int, default=10)
+    p.add_argument("--bins", type=int, default=N_BINS)
 
     p = command("noise-sweep", cmd_noise_sweep, "evaluate under per-modality noise", scores=True)
     list_option(p, "--sigmas", float, default=(0.0, 0.1, 0.3, 0.5, 1.0),
@@ -457,8 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("report", cmd_report, "emit uncertainty-density tables", scores=True)
     p.add_argument("--modality", type=int, help="1-based noised modality")
     p.add_argument("--sigma", type=float)
-    p.add_argument("--noise-seed", type=int, default=0)
-    p.add_argument("--hist-bins", type=int, default=64)
+    p.add_argument("--noise-seed", type=int, default=NoiseSpec.seed)
+    p.add_argument("--hist-bins", type=int, default=N_HIST_BINS)
 
     # every command but `fuse` writes a directory and takes its option
     # defaults from a `--config` file, which `main` checks against the flags

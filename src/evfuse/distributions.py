@@ -84,10 +84,10 @@ def nig_to_st_arrays(gamma, delta, alpha, beta):
 
 # Stirling's series of the gamma ratio, ln G(y + 1/2) - ln G(y) = ln(y)/2
 # + sum_k c_k y^-k over odd k, and of its y-derivative, psi(y + 1/2) - psi(y)
-# = 1/(2y) - sum_k k c_k y^-k-1.  Rows hold (-c_k, k c_k) from k = 11 down to
-# 1, so one Horner pass in 1/y^2 gives both sums.
-_RATIO_SERIES = np.array([(-c, k * c) for k, c in zip(range(11, 0, -2), (
-    691 / 180224, -31 / 18432, 17 / 14336, -1 / 640, 1 / 192, -1 / 8))])[:, :, None]
+# = 1/(2y) - sum_k k c_k y^-k-1.  The two rows hold -c_k and k c_k from k = 11
+# down to 1, each summed by a Horner pass in 1/y^2.
+_RATIO_SERIES = tuple(zip(*[(-c, k * c) for k, c in zip(range(11, 0, -2), (
+    691 / 180224, -31 / 18432, 17 / 14336, -1 / 640, 1 / 192, -1 / 8))]))
 # the recurrence G(h + 1) = h G(h) carries h to y = h + 8 before the series
 _RATIO_STEPS = np.arange(9.0)[:, None]
 
@@ -109,9 +109,12 @@ def _gamma_ratio_arrays(h):
     r = 0.5 / hj
     x = 1.0 / y
     x2 = x * x
-    acc = _RATIO_SERIES[0]
-    for c in _RATIO_SERIES[1:]:
-        acc = acc * x2 + c
+    acc = [x2 * coefs[0] for coefs in _RATIO_SERIES]  # then in place, with scalar constants
+    for a, coefs in zip(acc, _RATIO_SERIES):
+        for c in coefs[1:-1]:
+            a += c
+            a *= x2
+        a += coefs[-1]
     lg = np.log(np.multiply.reduce(1.0 + r, axis=0) / np.sqrt(y)) + x * acc[0]
     # the sum by halves, in one order whatever the shape (numpy's own add
     # reduction takes another order on a single column)

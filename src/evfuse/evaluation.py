@@ -30,6 +30,8 @@ from .losses import class_posterior  # noqa: F401  re-exported: tests and perfbe
 from .model import (MultimodalClassifier, _check_finite, _fused_readout, _Scores, _score_modalities,
                     _score_modality)
 
+N_BINS, N_HIST_BINS = 10, 64  # the default bin counts of `ece` and of `uncertainty_density`
+
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -108,7 +110,7 @@ def _check_bins(n_bins: int, name: str = "n_bins") -> None:
 
 
 def ece(
-    confidences: Sequence[float], correct: Sequence[bool], n_bins: int = 10
+    confidences: Sequence[float], correct: Sequence[bool], n_bins: int = N_BINS
 ) -> tuple[float, list[tuple[float, float, int]]]:
     """Expected calibration error over equal-width, right-closed bins.
 
@@ -220,7 +222,7 @@ class EvalResult:
     modality_preds: np.ndarray  # (M, N): unimodal argmax-location class
 
 
-def _score_fused(scores: _Scores, labels, n_classes: int, n_bins: int = 10) -> EvalResult:
+def _score_fused(scores: _Scores, labels, n_classes: int, n_bins: int = N_BINS) -> EvalResult:
     """The `EvalResult` of `scores`: the fused readout (`model._fused_readout`)
     scored against `labels`, and the per-modality arrays of `scores` themselves."""
     preds, conf_pred, fused_unc = _fused_readout(scores)
@@ -237,7 +239,7 @@ def _score_fused(scores: _Scores, labels, n_classes: int, n_bins: int = 10) -> E
 
 
 def evaluate_model(
-    model: MultimodalClassifier, dataset, n_bins: int = 10
+    model: MultimodalClassifier, dataset, n_bins: int = N_BINS
 ) -> EvalResult:
     """Score `dataset`; `n_bins` and the split (`MultimodalClassifier._check_split`)
     are checked before any encoding."""
@@ -261,6 +263,16 @@ def _sweep_row(res: EvalResult, labels) -> dict:
     return row
 
 
+def _sweep_specs(sigmas: Sequence[float], modality_index: int, seeds: Sequence[int]) -> list[NoiseSpec]:
+    if len(sigmas) == 0 or len(seeds) == 0:
+        raise ValueError("noise sweep needs at least one sigma and one seed")
+    for name, values in (("sigma", list(sigmas)), ("seed", list(seeds))):
+        for i, x in enumerate(values):
+            if x in values[:i]:  # == equates 0.0 and -0.0
+                raise ValueError(f"noise sweep {name} {x!r} is repeated")
+    return [NoiseSpec(modality_index, sigma, seed) for sigma in sigmas for seed in seeds]
+
+
 def noise_sweep(
     model: MultimodalClassifier,
     dataset,
@@ -276,20 +288,13 @@ def noise_sweep(
     the clean data, and the sigma = 0 pairs share that clean evaluation.
     Each seed's unit noise is drawn once and scaled for each sigma > 0,
     whose pair re-scores only the corrupted modality, in place; the rows
-    equal those of per-pair `inject_noise` bit for bit.  ECE takes 10 bins,
-    as in `evaluate_model` by default.  Every sigma (the sigmas distinct, 0.0
-    and -0.0 being one value), every seed (distinct), the modality index and
-    the split (`MultimodalClassifier._check_split`) are checked before
-    anything is encoded; a sigma whose noisy features overflow raises
-    ValueError naming the modality, its row, the sigma and the seed.
+    equal those of per-pair `inject_noise` bit for bit.  ECE takes `N_BINS`
+    bins, as `evaluate_model` by default.  The pairs (`_sweep_specs`), the
+    modality index and the split (`MultimodalClassifier._check_split`) are
+    checked before anything is encoded; a sigma whose noisy features overflow
+    raises ValueError naming the modality, its row, the sigma and the seed.
     """
-    if len(sigmas) == 0 or len(seeds) == 0:
-        raise ValueError("noise sweep needs at least one sigma and one seed")
-    for name, values in (("sigma", list(sigmas)), ("seed", list(seeds))):
-        for i, x in enumerate(values):
-            if x in values[:i]:  # == equates 0.0 and -0.0
-                raise ValueError(f"noise sweep {name} {x!r} is repeated")
-    specs = [NoiseSpec(modality_index, sigma, seed) for sigma in sigmas for seed in seeds]
+    specs = _sweep_specs(sigmas, modality_index, seeds)
     _check_noise_target(dataset.features, specs[0])
     features, labels = model._check_split(dataset, "evaluation")
     scores = _score_modalities(model, features)
@@ -331,7 +336,7 @@ def uncertainty_density(
     model: MultimodalClassifier,
     dataset,
     spec: NoiseSpec | None = None,
-    n_hist_bins: int = 64,
+    n_hist_bins: int = N_HIST_BINS,
 ) -> dict:
     """Fixed-bin histograms of per-sample uncertainties per source.
 

@@ -116,11 +116,12 @@ def fuse_stack_backward(
     wins = np.arange(len(v)).reshape((-1,) + (1,) * g_u.ndim) == trace.source
     w = 1.0 / len(v)
     # sigma_F = w * sum_m c(v_m, v_F) * s_m; the winner's c is identically 1
-    dc_dv = (fv - 2.0) / fv * (-2.0 / (v - 2.0) ** 2)
-    dc_dvf = np.where(wins, 0.0, v * 2.0 / (fv**2 * (v - 2.0)))
-    gv_f = g_v + np.add.reduce(w * s * dc_dvf * g_sigma, axis=0)
+    v2, ws = v - 2.0, w * s
+    dc_dv = (fv - 2.0) / fv * (-2.0 / v2**2)
+    dc_dvf = np.where(wins, 0.0, v * 2.0 / (fv**2 * v2))
+    gv_f = g_v + np.add.reduce(ws * dc_dvf * g_sigma, axis=0)
     return (
         np.where(wins, g_u, 0.0),
         w * trace.c * g_sigma,
-        np.where(wins, gv_f, w * s * dc_dv * g_sigma),
+        np.where(wins, gv_f, ws * dc_dv * g_sigma),
     )

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import copy
 import dataclasses
+import inspect
 import io
 import json
 import os
@@ -20,7 +21,7 @@ import evfuse
 import evfuse.cli
 from evfuse.cli import main
 from evfuse.data import Standardization, SyntheticSpec
-from evfuse.evaluation import evaluate_model
+from evfuse.evaluation import NoiseSpec, _score_fused, ece, evaluate_model, uncertainty_density
 from evfuse.model import _MLP, EncoderSpec, MultimodalClassifier, TrainConfig
 
 
@@ -216,8 +217,11 @@ print(json.dumps(loaded))
         )
 
 
-# Each library setting and the dest of the flag that sets it.  `EncoderSpec.input_dim`
-# has none: `train` reads it from the dataset's sidecar.
+# Each library setting, a dataclass field or function parameter with a default, and
+# the dest of the flag that sets it (`EncoderSpec.input_dim` has no default: `train`
+# reads it from the sidecar).  `uncertainty_density`'s `spec` is None, no noise,
+# when `--sigma` is unset.  `_score_fused` bins a noise sweep's ECE, so a sweep
+# bins as a default `evaluate` does.
 SETTING_FLAGS = {
     SyntheticSpec: ("generate-data", {"n_classes": "classes", "n_per_class": "per_class",
                                       "dims": "dims", "separation": "sep", "seed": "seed",
@@ -226,18 +230,30 @@ SETTING_FLAGS = {
                             "lam": "lam", "seed": "seed", "freeze_encoders": "freeze_encoders",
                             "keep_best": "keep_best"}),
     EncoderSpec: ("train", {"hidden_dims": "hidden", "activation": "activation"}),
+    NoiseSpec: ("report", {"seed": "noise_seed"}),
+    ece: ("evaluate", {"n_bins": "bins"}),
+    evaluate_model: ("evaluate", {"n_bins": "bins"}),
+    _score_fused: ("evaluate", {"n_bins": "bins"}),
+    uncertainty_density: ("report", {"spec": "sigma", "n_hist_bins": "hist_bins"}),
 }
+
+
+def _subparsers() -> dict:
+    """Each command's subparser, by name."""
+    return next(a for a in evfuse.cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
 
 
 @pytest.mark.parametrize("spec", list(SETTING_FLAGS), ids=lambda spec: spec.__name__)
 def test_every_setting_has_a_flag_with_its_default(spec):
     # a setting that no flag sets is a setting no caller sets
     command, flags = SETTING_FLAGS[spec]
-    subparsers = next(a for a in evfuse.cli.build_parser()._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    options = evfuse.cli._options(subparsers.choices[command])
-    fields = {f.name: f.default for f in dataclasses.fields(spec)}
-    fields.pop("input_dim", None)
+    options = evfuse.cli._options(_subparsers()[command])
+    if dataclasses.is_dataclass(spec):
+        fields = {f.name: f.default for f in dataclasses.fields(spec) if f.default is not dataclasses.MISSING}
+    else:
+        fields = {name: p.default for name, p in inspect.signature(spec).parameters.items()
+                  if p.default is not p.empty}
     assert set(flags) == set(fields)
     for name, dest in flags.items():
         assert options[dest].default == fields[name], name
@@ -1195,3 +1211,99 @@ def test_checkpoint_census_names_every_refused_field(tmp_path):
                 assert any(name in str(e) for name in _field_names("checkpoint", position)), (
                     position, value, str(e))
     assert refused > 1000
+
+
+# Every option of every command: the values that break one of its rules with no file
+# read, as a `--config` object, each with that rule's message; or why it has none.
+_PATH = "a path: the file is read once every value has been checked"
+_WRITES = {"out": "a path: the output directory is created last",
+           "config": "a path: the file holds values that are checked as flags are"}
+_CHOICE = "argparse and `--config` check it against the flag's choices"
+_SWITCH = "a switch: both of its values are valid"
+_MODALITY = "its bound is the checkpoint's modality count"
+OPTION_RULES = {
+    "generate-data": {
+        **_WRITES,
+        "classes": [({"classes": 1}, "n_classes must be >= 2")],
+        "per_class": [({"per_class": 0}, "n_per_class must be >= 1")],
+        "dims": [({"dims": "0,4"}, "dims must be >= 1")],
+        "sep": [({"sep": "3,-1"}, "separation must be finite and >= 0")],
+        "seed": [({"seed": -1}, "seed must be >= 0, got -1")],
+        "split": [({"split": "-5,10,10"}, "split_sizes must be >= 0")],
+    },
+    "train": {
+        **_WRITES,
+        "data": _PATH,
+        "lr": [({"lr": 0}, "learning_rate must be finite and > 0, got 0.0")],
+        "epochs": [({"epochs": -1}, "max_epochs must be >= 0")],
+        "batch_size": [({"batch_size": 0}, "batch_size must be >= 1")],
+        "lam": [({"lam": 2}, "lam must be in [0, 1]")],
+        "seed": [({"seed": -1}, "seed must be >= 0, got -1")],
+        "hidden": [({"hidden": "0"}, "hidden_dims must be one or more sizes >= 1, got [0]"),
+                   ({"hidden": "0,4"}, "hidden_dims must be one or more sizes >= 1, got [0, 4]")],
+        "activation": _CHOICE,
+        "freeze_encoders": _SWITCH,
+        "keep_best": _SWITCH,
+    },
+    "evaluate": {
+        **_WRITES,
+        "checkpoint": _PATH,
+        "data": _PATH,
+        "split": _CHOICE,
+        "bins": [({"bins": 0}, "n_bins must be >= 1")],
+    },
+    "noise-sweep": {
+        **_WRITES,
+        "checkpoint": _PATH,
+        "data": _PATH,
+        "split": _CHOICE,
+        "sigmas": [({"sigmas": "-1"}, "sigma must be finite and >= 0, got -1.0"),
+                   ({"sigmas": "1,1"}, "noise sweep sigma 1.0 is repeated")],
+        "modality": _MODALITY,
+        "noise_seeds": [({"noise_seeds": "-1"}, "seed must be >= 0, got -1")],
+    },
+    "report": {
+        **_WRITES,
+        "checkpoint": _PATH,
+        "data": _PATH,
+        "split": _CHOICE,
+        "modality": _MODALITY,
+        "sigma": [({"sigma": 1}, "--sigma requires --modality"),
+                  ({"modality": 1, "sigma": -1}, "sigma must be finite and >= 0, got -1.0")],
+        "noise_seed": [({"noise_seed": -1}, "seed must be >= 0, got -1")],
+        "hist_bins": [({"hist_bins": 0}, "n_hist_bins must be >= 1")],
+    },
+    "fuse": {"infile": _PATH},
+}
+
+
+def test_option_rules_name_every_option():
+    subparsers = _subparsers()
+    assert set(OPTION_RULES) == set(subparsers)
+    for command, subparser in subparsers.items():
+        assert set(OPTION_RULES[command]) == {a.dest for a in subparser._actions if a.dest != "help"}, command
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command, dest, values, message", [
+    pytest.param(command, dest, values, message, id=f"{command}-{dest}-{i}")
+    for command, options in OPTION_RULES.items() for dest, cases in options.items()
+    if not isinstance(cases, str) for i, (values, message) in enumerate(cases)
+])
+def test_value_refused_by_its_rule_before_any_file_is_read(tmp_path, capsys, source, command, dest,
+                                                           values, message):
+    """Each data-free bad value exits 1 with its rule's one line, given as flags or
+    through `--config`, with the checkpoint and the dataset missing."""
+    missing = str(tmp_path / "missing")
+    argv = [command, *{"generate-data": [], "train": ["--data", missing]}.get(
+        command, ["--checkpoint", f"{missing}/checkpoint.json", "--data", missing])]
+    if source == "flag":
+        flags = {a.dest: a.option_strings[0] for a in _subparsers()[command]._actions}
+        argv += [f"{flags[key]}={value}" for key, value in values.items()]
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps(values))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    out = tmp_path / "out"
+    code, stdout, err = _run(capsys, *argv, "--out", str(out))
+    assert (code, stdout, err) == (1, "", f"error: {message}\n")
+    assert not out.exists()
