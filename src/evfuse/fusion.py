@@ -18,8 +18,11 @@ follows the order.  More than two inputs is an extension; the paper states
 the rule for two modalities.
 
 `fuse_stack` is the one implementation of the rule: it fuses along a
-leading modality axis, and `fuse_stack_backward` backpropagates adjoints
-through it, treating the discrete min-v selection as locally constant.
+leading modality axis with one pass over the inputs, keeping v_F as a
+running minimum and the winner's index as a running maximum, so only the
+location and the tie-breaking scale are selected with `np.where`.
+`fuse_stack_backward` backpropagates adjoints through it, treating the
+discrete min-v selection as locally constant.
 `fuse_pair` and `fuse_many` are wrappers for `StudentT` values.
 """
 
@@ -81,15 +84,26 @@ class FuseTrace:
 
 
 def fuse_stack(u: np.ndarray, sigma: np.ndarray, v: np.ndarray) -> FuseTrace:
-    """Fuse along axis 0 (modalities); remaining axes are independent channels."""
-    fu, fv, fs = u[0].copy(), v[0].copy(), sigma[0]
+    """Fuse along axis 0 (modalities); remaining axes are independent channels.
+
+    Input m wins a channel from the inputs before it when its v is smaller,
+    or equal with a smaller scale.  v_F is then the running `np.minimum` of
+    the v's and the source the running `np.maximum` of `wins * m`: a winner's
+    index exceeds every earlier one.  Both are branch-free, where a select
+    on the winner mask, which follows no pattern, mispredicts.  They equal a
+    select on that mask unless a v is NaN: `np.minimum` carries a NaN v_m
+    into v_F, where a select would keep the earlier v.  The fused scale is
+    NaN either way, through c_m.  With M = 1 the fused location and v are
+    views of the inputs.
+    """
+    fu, fv, fs = u[0], v[0], sigma[0]
     source = np.zeros(fu.shape, dtype=np.int64)
     for m in range(1, u.shape[0]):
         wins = (v[m] < fv) | ((v[m] == fv) & (sigma[m] < fs))
         fu = np.where(wins, u[m], fu)
-        fv = np.where(wins, v[m], fv)
         fs = np.where(wins, sigma[m], fs)
-        source = np.where(wins, m, source)
+        fv = np.minimum(fv, v[m])
+        np.maximum(source, wins * m, out=source)
     # c_m = v_m (v_F - 2) / (v_F (v_m - 2)), exactly 1.0 for the winner; the
     # in-place steps keep the (M, ...) temporaries to two at large N
     c = v * (fv - 2.0)

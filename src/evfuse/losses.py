@@ -12,7 +12,8 @@ through the fusion rule, and then all of them through the NIG -> t map to
 the NIG parameters.
 `nig_nll` (the NIG form, through that map) and `student_t_nll` (the t
 form) are scalar wrappers over the same kernel.
-`class_posterior` is the readout's confidence.
+`class_posterior` is the readout's confidence; `reduce_last_axis` and
+`argmax_last_axis` reduce its short class axis as column ops.
 """
 
 from __future__ import annotations
@@ -58,6 +59,26 @@ def reduce_last_axis(ufunc, x: np.ndarray) -> np.ndarray:
     for j in range(1, k):
         ufunc(col, x[..., j], out=col)
     return out
+
+
+def argmax_last_axis(x: np.ndarray) -> np.ndarray:
+    """`np.argmax(x, axis=-1)` as K - 1 column compares and maxima.
+
+    Numpy's argmax walks a short last axis row by row.  Here a later column
+    takes the row only when it is strictly greater than the running maximum,
+    so ties go to the first, as in numpy.  A row holding a NaN, which numpy
+    answers with its first NaN, is handed to numpy's own argmax.
+    """
+    best = x[..., 0].copy()
+    idx = np.zeros(best.shape, dtype=np.intp)
+    for j in range(1, x.shape[-1]):
+        col = x[..., j]
+        np.maximum(idx, (col > best) * j, out=idx)  # j exceeds every earlier index
+        np.maximum(best, col, out=best)  # a NaN stays in `best`
+    nan = np.isnan(best)
+    if nan.any():
+        idx[nan] = np.argmax(x[nan], axis=-1)
+    return idx
 
 
 def softmax(x: np.ndarray) -> np.ndarray:

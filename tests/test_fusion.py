@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evfuse.distributions import StudentT, student_t_variance
@@ -11,6 +11,8 @@ from evfuse.fusion import (
     fuse_stack_backward,
     fused_prediction,
 )
+from evfuse.model import _fused_readout, _Scores
+from fusion_oracle import fuse_stack_select
 
 valid_st = st.builds(
     StudentT,
@@ -276,3 +278,45 @@ class TestOrderFreeRule:
         mean_var = sum(student_t_variance(t) for t in inputs) / len(inputs)
         assert student_t_variance(f.st) == pytest.approx(mean_var, rel=1e-12)
         assert f.st.v == min(t.v for t in inputs)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+class TestSelectOracle:
+    """`fuse_stack`'s running minimum and maximum against the `np.where` fusion."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.sampled_from([(), (16, 3), (4097, 3)]), st.integers(0, 2**32 - 1),
+           st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_equals_the_select_form_bit_for_bit(self, m, channels, seed, v_ties, sigma_ties):
+        rng = np.random.default_rng(seed)
+        shape = (m,) + channels
+        u = rng.normal(size=shape)
+        sigma = rng.uniform(0.05, 10.0, size=shape)
+        v = rng.uniform(2.0001, 60.0, size=shape)
+        # in a share of the channels every input draws v from two values, and
+        # in a share of those its scale too, so v and scale ties are common
+        tie_v = np.asarray(rng.random(channels) < v_ties)
+        v[:, tie_v] = rng.choice([3.0, 4.0], size=(m, tie_v.sum()))
+        tie_s = tie_v & (rng.random(channels) < sigma_ties)
+        sigma[:, tie_s] = rng.choice([1.0, 2.0], size=(m, tie_s.sum()))
+        got, ref = fuse_stack(u, sigma, v), fuse_stack_select(u, sigma, v)
+        for field in ("u", "sigma", "v", "source", "c"):
+            assert _same_bits(getattr(got, field), getattr(ref, field)), field
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_nan_v_makes_the_fused_readout_raise(self, m):
+        rng = np.random.default_rng(5)
+        st_in = np.stack([rng.normal(size=(2, 50, 3)), rng.uniform(0.1, 5.0, (2, 50, 3)),
+                          rng.uniform(2.1, 30.0, (2, 50, 3))])
+        st_in[2, m, 17, 1] = np.nan
+        # the running minimum carries a NaN v of any modality into v_F; the
+        # select form keeps modality 1's v there when modality 2's is NaN
+        assert np.isnan(fuse_stack(*st_in).v[17, 1])
+        assert np.isnan(fuse_stack_select(*st_in).v[17, 1]) == (m == 0)
+        scores = _Scores(st_in, np.zeros((2, 50), dtype=np.intp), np.zeros((2, 50)), np.zeros((2, 50)))
+        with pytest.raises(FloatingPointError, match="not finite"):
+            _fused_readout(scores)

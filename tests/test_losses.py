@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from evfuse.distributions import NIGParams, StudentT, nig_to_student_t, st_nll_arrays
 from evfuse.fusion import fuse_many
 from evfuse.losses import (
+    argmax_last_axis,
     cross_entropy_arrays,
     nig_nll,
     reduce_last_axis,
@@ -129,6 +130,26 @@ class TestReduceLastAxis:
         x = np.random.default_rng(0).standard_normal((500, 3)) * 30.0
         e = np.exp(x - x.max(axis=-1, keepdims=True))
         assert np.array_equal(softmax(x), e / e.sum(axis=-1, keepdims=True))
+
+
+class TestArgmaxLastAxis:
+    """The column-op argmax is numpy's argmax, index for index."""
+
+    # a small pool makes ties, signed zeros and infinities common
+    values = st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, np.inf]) | st.floats(allow_nan=False)
+
+    @given(st.sampled_from([(7,), (2, 5)]), st.integers(1, 9), st.booleans(), st.data())
+    def test_equals_numpy_argmax(self, lead, k, with_nan, data):
+        x = data.draw(hnp.arrays(float, lead + (k,), elements=self.values))
+        if with_nan:  # NaNs at drawn places, in any column
+            x[data.draw(hnp.arrays(bool, x.shape))] = np.nan
+        got = argmax_last_axis(x)
+        assert got.dtype == np.intp and np.array_equal(got, np.argmax(x, axis=-1))
+
+    def test_strided_view(self):
+        raw = np.random.default_rng(2).integers(-2, 3, (500, 3, 4)).astype(float)
+        raw[::7, 1, 0] = np.nan
+        assert np.array_equal(argmax_last_axis(raw[..., 0]), np.argmax(raw[..., 0], axis=-1))
 
 
 def _parts(per_modality, y, lam):

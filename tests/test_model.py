@@ -83,6 +83,21 @@ class TestHeadConstrain:
         softplus(raw[..., 1:])
         assert np.array_equal(raw, before)
 
+    @given(hnp.array_shapes(min_dims=0, max_dims=2, max_side=5), st.integers(1, 4), st.data())
+    def test_whole_block_equals_the_evidence_view_form(self, lead, k, data):
+        # the softplus of the location column is computed and dropped: no
+        # location, however large, may change a bit of the evidence or warn
+        locations = st.sampled_from([-np.inf, -1e308, 1e308, np.inf]) | st.floats(allow_nan=False)
+        raw = np.empty(lead + (k, 4))
+        raw[..., 0] = data.draw(hnp.arrays(float, lead + (k,), elements=locations))
+        raw[..., 1:] = data.draw(hnp.arrays(float, lead + (k, 3), elements=st.floats(-800, 800)))
+        evidence = softplus(raw[..., 1:])
+        ref = (raw[..., 0], evidence[..., 0] + evfuse.model._DELTA_FLOOR,
+               1.0 + evidence[..., 1] + evfuse.model._ALPHA_FLOOR, evidence[..., 2] + evfuse.model._BETA_FLOOR)
+        for got, want in zip(_constrain_arrays(raw), ref):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
     @given(st.lists(st.floats(-50, 50), min_size=4, max_size=4))
     def test_constraint_map_is_total(self, raw):
         _, delta, alpha, beta = _constrain(raw)
