@@ -23,11 +23,12 @@ from .fusion import fuse_stack
 from .losses import argmax_last_axis, class_posterior, reduce_last_axis, total_loss_and_grads_arrays
 
 CHECKPOINT_FORMAT_VERSION = 1
-# The inference pass runs in row chunks to bound its working memory.  A chunk
-# holds at least INFERENCE_CHUNK_ROWS rows, and enough rows that each of its
-# matrix products does INFERENCE_CHUNK_MACS multiply-adds or more.
+# The inference pass reads rows out in chunks of INFERENCE_CHUNK_ROWS to bound its working memory.
 INFERENCE_CHUNK_ROWS = 4096
-INFERENCE_CHUNK_MACS = 2**20
+# OpenBLAS on AVX-512 runs a product of at most SMALL_GEMM_MACS multiply-adds on its small-matrix
+# kernel, which rounds a row the same in any call of 2 rows or more and is faster per row than the
+# packed kernel; a longer product runs in blocks of half that, the remainder joining the last block.
+SMALL_GEMM_MACS, MIN_BLOCK_ROWS = 10**6, 128
 
 
 def row_chunks(n: int, rows: int = INFERENCE_CHUNK_ROWS):
@@ -35,6 +36,20 @@ def row_chunks(n: int, rows: int = INFERENCE_CHUNK_ROWS):
     joins the last chunk, and zero rows make one empty chunk."""
     bounds = [i * rows for i in range(max(n // rows, 1))] + [n]
     return zip(bounds[:-1], bounds[1:])
+
+
+def _block_rows(fan_in: int, fan_out: int) -> float:
+    """Rows per block of a (fan_in, fan_out) product; inf (one call) where fewer than MIN_BLOCK_ROWS."""
+    rows = SMALL_GEMM_MACS // (2 * fan_in * fan_out)
+    return rows if rows >= MIN_BLOCK_ROWS else np.inf
+
+
+def _blocked_matmul(x: np.ndarray, w: np.ndarray, rows: int, out: np.ndarray | None = None) -> np.ndarray:
+    """x @ w in `row_chunks` of `rows` rows, each one call on BLAS's small-matrix kernel."""
+    out = np.empty((len(x), w.shape[1])) if out is None else out
+    for a, b in row_chunks(len(x), rows):
+        np.matmul(x[a:b], w, out=out[a:b])
+    return out
 
 
 class TrainingDivergedError(RuntimeError):
@@ -162,6 +177,7 @@ class _MLP:
         dims = [spec.input_dim] + list(spec.hidden_dims)
         self.arrays = [_glorot(rng, a, b) for a, b in zip(dims[:-1], dims[1:])]
         self.arrays += [np.zeros(b) for b in dims[1:]]
+        self.block_rows = [_block_rows(a, b) for a, b in zip(dims[:-1], dims[1:])]
 
     weights = property(lambda self: self.arrays[: len(self.spec.hidden_dims)])
     biases = property(lambda self: self.arrays[len(self.spec.hidden_dims) :])
@@ -174,8 +190,8 @@ class _MLP:
         """The input and every layer's activations, the last being the output
         features: the backward cache."""
         acts = [x]
-        for w, b in zip(self.weights, self.biases):
-            z = acts[-1] @ w
+        for w, b, rows in zip(self.weights, self.biases, self.block_rows):
+            z = acts[-1] @ w if len(x) <= rows else _blocked_matmul(acts[-1], w, rows)
             z += b
             if self.spec.activation == "relu":
                 acts.append(np.maximum(z, 0.0, out=z))
@@ -205,6 +221,7 @@ class _Head:
     def __init__(self, in_dim: int, n_classes: int, rng: np.random.Generator):
         self.n_classes = n_classes
         self.arrays = [_glorot(rng, in_dim, 4 * n_classes), np.zeros(4 * n_classes)]
+        self.block_rows = _block_rows(in_dim, 4 * n_classes)
 
     weight = property(lambda self: self.arrays[0])
     bias = property(lambda self: self.arrays[1])
@@ -212,7 +229,10 @@ class _Head:
     def forward(self, h: np.ndarray, out: np.ndarray) -> None:
         """Write the raw outputs (B, K, 4) into `out`, a contiguous block."""
         raw = out.reshape(h.shape[0], 4 * self.n_classes)
-        np.matmul(h, self.weight, out=raw)
+        if len(h) <= self.block_rows:
+            np.matmul(h, self.weight, out=raw)
+        else:
+            _blocked_matmul(h, self.weight, self.block_rows, out=raw)
         raw += self.bias
 
     def backward(self, h: np.ndarray, g_raw: np.ndarray) -> np.ndarray:
@@ -444,19 +464,22 @@ def _score_modality(model: MultimodalClassifier, scores: _Scores, m: int, x: np.
     The own class is the column-op argmax of the locations, and AL + EP is
     added only at that channel, from the two values gathered there.
 
-    BLAS picks its kernel by matrix size (OpenBLAS on AVX-512 switches at
-    10^6 multiply-adds); the chunk floors keep each chunk on the kernel of the
-    whole matrix, so the result equals the unchunked training forward bit for
-    bit, except after a layer one unit wide, whose matrix-vector product BLAS
-    splits by row count.
+    Where all of the modality's products run in blocks (`_block_rows`), the
+    encoder and head take each chunk in sub-blocks of the smallest block, so
+    the activations stay in cache, and a row reads out the same bits in any
+    split of 2 rows or more, equal to the B=16 training forward's; except
+    after a layer one unit wide, whose matrix-vector product BLAS splits by
+    row count.
     """
     _check_finite(x, m)
     enc, head = model.encoders[m], model.heads[m]
-    narrowest = min(w.size for w in enc.weights + [head.weight])
+    blocks = enc.block_rows + [head.block_rows]
+    step = min(blocks) if max(blocks) < np.inf else INFERENCE_CHUNK_ROWS
     u, sigma, v = scores.st[:, m]
-    for a, b in row_chunks(len(x), max(INFERENCE_CHUNK_ROWS, -(-INFERENCE_CHUNK_MACS // narrowest))):
+    for a, b in row_chunks(len(x)):
         raw = np.empty((b - a, model.n_classes, 4))
-        head.forward(enc.forward(x[a:b])[-1], out=raw)
+        for c, d in row_chunks(b - a, step):
+            head.forward(enc.forward(x[a + c : a + d])[-1], out=raw[c:d])
         gamma, delta, alpha, beta = _constrain_arrays(raw)
         u[a:b], sigma[a:b], v[a:b] = nig_to_st_arrays(gamma, delta, alpha, beta)
         al, ep = nig_moments_arrays(delta, alpha, beta)

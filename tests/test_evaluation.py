@@ -323,18 +323,19 @@ class TestInferencePass:
     @pytest.mark.parametrize("dims, hidden, n", [
         pytest.param((6, 6), (64,), n, id=str(n)) for n in (150, 4097, 8191, 8192, 12345)
     ] + [
-        # 3 -> 16 does 48 multiply-adds per row, so its chunks hold 21,846 rows
-        # where a fixed 4096-row chunk would round a 16 -> 12 head differently
+        # 16 -> 12 takes blocks of 2,604 rows, one sub-block per chunk
         pytest.param((3, 3), (16,), 12345, id="narrow-12345"),
         pytest.param((3, 3), (16,), 50000, id="narrow-50000"),
-        # 15 multiply-adds per row in 3 -> 5 and 5 -> 3: chunks of 69,906 rows
+        # 3 -> 5, 5 -> 3 and 3 -> 12 take blocks of 33,333, 33,333 and 13,888 rows
         pytest.param((3, 3), (5, 3), 139869, id="two-layer-139869"),
-        # chunks of 21,846, 10,923 and 16,384 rows: one rule per modality
+        # 3 -> 16, 6 -> 16 and 4 -> 16 take blocks of 10,416, 5,208 and 7,812
+        # rows; each modality's 16 -> 12 head, at 2,604, sets its sub-blocks
         pytest.param((3, 6, 4), (16,), 50001, id="mixed-50001"),
     ])
     def test_evaluate_model_equals_training_forward_readout(self, dims, hidden, n):
         # the chunked, cache-free pass gives the unchunked pass's bits, also
-        # on ragged last chunks: 4097 = one chunk of 4097, 12345 = 4096 + 4096 + 4153
+        # on ragged last chunks: 4097 = one chunk of 4097, 12345 = 4096 + 4096 + 4153,
+        # each in sub-blocks of 651 rows with the remainder joining the last
         model, ds = _wide_model_and_data(n, dims, hidden)
         res = evaluate_model(model, ds)
         got = (res.preds, res.confidences, res.fused_uncertainty,

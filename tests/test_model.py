@@ -222,14 +222,37 @@ class TestForward:
     )
     def test_head_outputs_equal_training_forward(self, d, hidden, n):
         # each modality's chunked, cache-free readout gives the unchunked
-        # training forward's bits, also where a fixed 4096-row chunk would
-        # not (a 16 -> 12 head)
+        # training forward's bits, also on ragged last chunks and sub-blocks
         model = MultimodalClassifier([EncoderSpec(d, hidden, "tanh")] * 2, n_classes=3, seed=4)
         rng = np.random.default_rng(n)
         feats = [rng.normal(size=(n, d)), rng.normal(size=(n, d))]
         scores, out = _score_modalities(model, feats), model.forward_batch(feats)
         assert np.array_equal(scores.st, np.stack(out["st"]))
         assert np.array_equal(scores.pred, np.argmax(out["gamma"], axis=-1))
+
+    @pytest.mark.parametrize("dims, hidden", [
+        ((6,), (64,)), ((3,), (16,)), ((3,), (5, 3)), ((3, 6, 4), (16,)), ((6,), (256,)),
+    ], ids=["6-64", "3-16", "3-5-3", "3-6-4-16", "6-256"])
+    def test_readout_does_not_depend_on_the_split(self, dims, hidden):
+        # every product runs on BLAS's small-matrix kernel, so a row reads out
+        # the same bits in a split of 2, 651, 4,097 or 12,345 rows, wherever it
+        # sits in that split, as in 16-row training forwards
+        model = MultimodalClassifier([EncoderSpec(d, hidden, "tanh") for d in dims], n_classes=3, seed=4)
+        rng = np.random.default_rng(len(dims))
+        feats = [rng.normal(size=(12345, d)) for d in dims]
+        full = _score_modalities(model, feats).st
+        for a, n in ((5000, 2), (777, 651), (3000, 4097), (0, 12345)):
+            split = _score_modalities(model, [x[a : a + n] for x in feats]).st
+            assert np.array_equal(split, full[:, :, a : a + n])
+        batches = [model.forward_batch([x[a : a + 16] for x in feats])["st"] for a in range(0, 12345, 16)]
+        assert np.array_equal(np.concatenate([np.stack(st) for st in batches], axis=2), full)
+
+    def test_wide_readout_equals_the_full_training_forward(self):
+        # 256 -> 256 would take blocks of 7 rows, so it runs as one call per
+        # 4096-row chunk, on the kernel of the full-length product
+        model = MultimodalClassifier([EncoderSpec(6, (256, 256), "tanh")], n_classes=3, seed=4)
+        x = np.random.default_rng(0).normal(size=(9000, 6))
+        assert np.array_equal(_score_modalities(model, [x]).st, np.stack(model.forward_batch([x])["st"]))
 
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
     def test_forward_passes_leave_their_features_alone(self, activation):
@@ -259,10 +282,15 @@ class TestForward:
         "d, hidden, n, chunks",
         [
             (6, (64,), 5, [5]),
-            (6, (64,), 8191, [8191]),
-            (6, (64,), 12345, [4096, 4096, 4153]),
-            # 3 -> 16 does 48 multiply-adds per row: 2**20 / 48 -> 21,846 rows
-            (3, (16,), 50000, [21846, 28154]),
+            # 64 -> 12, the modality's smallest block, takes 10**6 // (2 * 768) =
+            # 651 rows, so each 4096-row chunk runs in sub-blocks of 651 rows
+            (6, (64,), 8191, [651] * 11 + [1030]),
+            (6, (64,), 12345, ([651] * 5 + [841]) * 2 + [651] * 5 + [898]),
+            # 16 -> 12 takes 2,604 rows: one sub-block per chunk
+            (3, (16,), 50000, [4096] * 11 + [4944]),
+            # 128 -> 64 would take blocks of 61 rows, so it is not blocked and
+            # the chunks are not split
+            (6, (128, 64), 12345, [4096, 4096, 4153]),
         ],
     )
     def test_head_outputs_chunk_rows(self, monkeypatch, d, hidden, n, chunks):
