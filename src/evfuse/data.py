@@ -127,7 +127,15 @@ class Standardization:
         return cls(*stats)
 
     def apply(self, ds: "Dataset") -> "Dataset":
-        """Z-score every modality of `ds` with these statistics."""
+        """Z-score every modality of `ds` with these statistics; a ValueError names the first
+        modality that is missing or surplus, or whose width is not theirs."""
+        n, k = len(ds.features), len(self.mean)
+        if n != k:
+            what = "is missing" if n < k else "has no statistics"
+            raise ValueError(f"modality {min(n, k) + 1} {what}: expected {k} modalities, got {n}")
+        for m, (x, mu) in enumerate(zip(ds.features, self.mean), start=1):
+            if x.shape[1:] != mu.shape:
+                raise ValueError(f"modality {m} has shape {x.shape}, expected (N, {len(mu)})")
         feats = [(x - mu) / sd for x, mu, sd in zip(ds.features, self.mean, self.std)]
         return Dataset(feats, ds.labels.copy())
 

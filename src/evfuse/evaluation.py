@@ -31,6 +31,7 @@ from .model import (MultimodalClassifier, _check_finite, _fused_readout, _Scores
                     _score_modality)
 
 N_BINS, N_HIST_BINS = 10, 64  # the default bin counts of `ece` and of `uncertainty_density`
+MAX_BINS = 10**6  # the most bins either takes: each bin is one row of `reliability.csv` or `density.csv`
 
 
 @dataclass(frozen=True)
@@ -107,6 +108,8 @@ def cohen_kappa(
 def _check_bins(n_bins: int, name: str = "n_bins") -> None:
     if n_bins < 1:
         raise ValueError(f"{name} must be >= 1")
+    if n_bins > MAX_BINS:
+        raise ValueError(f"{name} must be <= {MAX_BINS}, got {n_bins}")
 
 
 def ece(

@@ -1,7 +1,8 @@
 """Multimodal evidential classifier on tabular features.
 
-One small MLP encoder per modality feeds an evidential head that emits four
-constrained NIG parameters per class channel.  Per-modality predictive
+One small MLP encoder per modality feeds an evidential head, a one-layer
+linear `_MLP`, whose four raw values per class channel are constrained into
+the NIG parameters.  Per-modality predictive
 Student's t distributions are fused channel-wise by the minimum-v rule;
 the predicted class is the argmax of the fused locations.
 
@@ -42,14 +43,6 @@ def _block_rows(fan_in: int, fan_out: int) -> float:
     """Rows per block of a (fan_in, fan_out) product; inf (one call) where fewer than MIN_BLOCK_ROWS."""
     rows = SMALL_GEMM_MACS // (2 * fan_in * fan_out)
     return rows if rows >= MIN_BLOCK_ROWS else np.inf
-
-
-def _blocked_matmul(x: np.ndarray, w: np.ndarray, rows: int, out: np.ndarray | None = None) -> np.ndarray:
-    """x @ w in `row_chunks` of `rows` rows, each one call on BLAS's small-matrix kernel."""
-    out = np.empty((len(x), w.shape[1])) if out is None else out
-    for a, b in row_chunks(len(x), rows):
-        np.matmul(x[a:b], w, out=out[a:b])
-    return out
 
 
 class TrainingDivergedError(RuntimeError):
@@ -170,77 +163,54 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 
 class _MLP:
-    """Dense layers, each followed by the activation; `arrays`: weights, then biases."""
+    """Dense layers, each followed by `activation` (relu, tanh, or None for none); `arrays`:
+    weights, then biases.  An encoder has one layer per hidden width; a head is one linear layer."""
 
-    def __init__(self, spec: EncoderSpec, rng: np.random.Generator):
-        self.spec = spec
-        dims = [spec.input_dim] + list(spec.hidden_dims)
+    def __init__(self, dims: Sequence[int], activation: str | None, rng: np.random.Generator):
+        self.activation = activation
         self.arrays = [_glorot(rng, a, b) for a, b in zip(dims[:-1], dims[1:])]
         self.arrays += [np.zeros(b) for b in dims[1:]]
         self.block_rows = [_block_rows(a, b) for a, b in zip(dims[:-1], dims[1:])]
 
-    weights = property(lambda self: self.arrays[: len(self.spec.hidden_dims)])
-    biases = property(lambda self: self.arrays[len(self.spec.hidden_dims) :])
+    weights = property(lambda self: self.arrays[: len(self.block_rows)])
+    biases = property(lambda self: self.arrays[len(self.block_rows) :])
 
-    @property
-    def output_dim(self) -> int:
-        return self.spec.hidden_dims[-1]
-
-    def forward(self, x: np.ndarray) -> list[np.ndarray]:
-        """The input and every layer's activations, the last being the output
-        features: the backward cache."""
-        acts = [x]
-        for w, b, rows in zip(self.weights, self.biases, self.block_rows):
-            z = acts[-1] @ w if len(x) <= rows else _blocked_matmul(acts[-1], w, rows)
+    def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> list[np.ndarray]:
+        """The input and every layer's outputs, the last being the output
+        features: the backward cache.  Where `out` is given, a contiguous block
+        of B rows, the last layer writes into it."""
+        acts, last = [x], len(self.block_rows) - 1
+        for i, (w, b, rows) in enumerate(zip(self.weights, self.biases, self.block_rows)):
+            z = np.empty((len(x), len(b))) if out is None or i < last else out.reshape(len(x), len(b))
+            if len(x) <= rows:
+                np.matmul(acts[-1], w, out=z)
+            else:  # in `row_chunks` of `rows` rows, each one call on BLAS's small-matrix kernel
+                for c, d in row_chunks(len(x), rows):
+                    np.matmul(acts[-1][c:d], w, out=z[c:d])
             z += b
-            if self.spec.activation == "relu":
-                acts.append(np.maximum(z, 0.0, out=z))
-            else:
-                acts.append(np.tanh(z, out=z))
+            if self.activation == "relu":
+                np.maximum(z, 0.0, out=z)
+            elif self.activation == "tanh":
+                np.tanh(z, out=z)
+            acts.append(z)
         return acts
 
-    def backward(self, acts, g_out: np.ndarray) -> None:
-        """Write the gradients of `arrays` into `grads`, the views laid out like them."""
-        n = len(self.spec.hidden_dims)
+    def backward(self, acts, g_out: np.ndarray, input_grad: bool = False) -> np.ndarray | None:
+        """Write the gradients of `arrays` into `grads`, the views laid out like them;
+        return the gradient of the input `acts[0]` if `input_grad`."""
+        n = len(self.block_rows)
         g = g_out
         for i in range(n - 1, -1, -1):
             # both derivatives read off the layer's output a: relu' = [a > 0], tanh' = 1 - a^2
-            if self.spec.activation == "relu":
+            if self.activation == "relu":
                 g = g * (acts[i + 1] > 0.0)
-            else:
+            elif self.activation == "tanh":
                 g = g * (1.0 - acts[i + 1] ** 2)
             np.matmul(acts[i].T, g, out=self.grads[i])
             np.add.reduce(g, axis=0, out=self.grads[n + i])
-            if i:  # the input features need no gradient
+            if i or input_grad:
                 g = g @ self.weights[i].T
-
-
-class _Head:
-    """Linear map from encoder features to 4*K raw evidential values; `arrays`: weight, bias."""
-
-    def __init__(self, in_dim: int, n_classes: int, rng: np.random.Generator):
-        self.n_classes = n_classes
-        self.arrays = [_glorot(rng, in_dim, 4 * n_classes), np.zeros(4 * n_classes)]
-        self.block_rows = _block_rows(in_dim, 4 * n_classes)
-
-    weight = property(lambda self: self.arrays[0])
-    bias = property(lambda self: self.arrays[1])
-
-    def forward(self, h: np.ndarray, out: np.ndarray) -> None:
-        """Write the raw outputs (B, K, 4) into `out`, a contiguous block."""
-        raw = out.reshape(h.shape[0], 4 * self.n_classes)
-        if len(h) <= self.block_rows:
-            np.matmul(h, self.weight, out=raw)
-        else:
-            _blocked_matmul(h, self.weight, self.block_rows, out=raw)
-        raw += self.bias
-
-    def backward(self, h: np.ndarray, g_raw: np.ndarray) -> np.ndarray:
-        """Write the gradients of `arrays` into `grads`; return the input features' gradient."""
-        g_flat = g_raw.reshape(h.shape[0], 4 * self.n_classes)
-        np.matmul(h.T, g_flat, out=self.grads[0])
-        np.add.reduce(g_flat, axis=0, out=self.grads[1])
-        return g_flat @ self.weight.T
+        return g if input_grad else None
 
 
 def _check_model_sizes(n_modalities: int, n_classes: int, seed: int, what: str = "") -> None:
@@ -268,10 +238,10 @@ class MultimodalClassifier:
         self.n_classes = n_classes
         self.seed = seed
         rng = np.random.default_rng(seed)
-        self.encoders = [_MLP(spec, rng) for spec in encoder_specs]
-        self.heads = [
-            _Head(enc.output_dim, n_classes, rng) for enc in self.encoders
-        ]
+        self.encoders = [_MLP((spec.input_dim, *spec.hidden_dims), spec.activation, rng)
+                         for spec in encoder_specs]
+        # each head, drawn after all encoders: the encoder features' linear map to 4K raw values
+        self.heads = [_MLP((spec.hidden_dims[-1], 4 * n_classes), None, rng) for spec in encoder_specs]
         self.params = np.concatenate([a.ravel() for layer in self._layers() for a in layer.arrays])
         self.grad = np.zeros_like(self.params)
         weights, grads = self._layer_views(self.params), self._layer_views(self.grad)
@@ -390,7 +360,7 @@ class MultimodalClassifier:
                 for enc in self.encoders
             ],
             "heads": [
-                {"weight": head.weight.tolist(), "bias": head.bias.tolist()}
+                {"weight": head.weights[0].tolist(), "bias": head.biases[0].tolist()}
                 for head in self.heads
             ],
         }
@@ -473,7 +443,7 @@ def _score_modality(model: MultimodalClassifier, scores: _Scores, m: int, x: np.
     """
     _check_finite(x, m)
     enc, head = model.encoders[m], model.heads[m]
-    blocks = enc.block_rows + [head.block_rows]
+    blocks = enc.block_rows + head.block_rows
     step = min(blocks) if max(blocks) < np.inf else INFERENCE_CHUNK_ROWS
     u, sigma, v = scores.st[:, m]
     for a, b in row_chunks(len(x)):
@@ -548,8 +518,9 @@ def _batch_loss_and_param_grads(model, features, y_onehot, lam):
     b = y_onehot.shape[0]
     g_raw = _constrain_backward(out["raw"], grads)
     g_raw /= b
-    for enc, head, acts, g in zip(model.encoders, model.heads, out["caches"], g_raw):
-        enc.backward(acts, head.backward(acts[-1], g))
+    for enc, head, acts, raw, g in zip(model.encoders, model.heads, out["caches"], out["raw"], g_raw):
+        # the head's cache is its input and its output
+        enc.backward(acts, head.backward([acts[-1], raw], g.reshape(len(raw), -1), input_grad=True))
     return float(np.add.reduce(parts["total"])) / b, model.grad
 
 

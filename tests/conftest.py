@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from evfuse.data import SyntheticSpec, generate_synthetic, standardize
-from evfuse.model import EncoderSpec, MultimodalClassifier, TrainConfig, train
+from evfuse.model import _MLP, EncoderSpec, MultimodalClassifier, TrainConfig, train
 
 # The reference setup used by the training-sanity and noise-trend tests:
 # three well-separated classes per modality, 500/100/100 split, everything
@@ -35,6 +35,28 @@ def build_reference_run():
 @pytest.fixture(scope="session")
 def reference_run():
     return build_reference_run()
+
+
+@pytest.fixture
+def encoder_calls(monkeypatch):
+    """The (modality, rows) of each encoder call, modality 0-based, of the models
+    built or loaded while the test runs; the heads, also `_MLP`s, are not recorded."""
+    calls, models = [], []
+    init, forward = MultimodalClassifier.__init__, _MLP.forward
+
+    def built(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        models.append(self)
+
+    def recorded(self, x, out=None):
+        for model in models:
+            if self in model.encoders:
+                calls.append((model.encoders.index(self), len(x)))
+        return forward(self, x, out)
+
+    monkeypatch.setattr(MultimodalClassifier, "__init__", built)
+    monkeypatch.setattr(_MLP, "forward", recorded)
+    return calls
 
 
 def random_nig_params(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -51,20 +51,20 @@ def loss_and_grad(model, features, y_onehot, lam):
         acts = [x]
         for w, b in zip(enc.weights, enc.biases):
             z = acts[-1] @ w + b
-            acts.append(np.maximum(z, 0.0) if enc.spec.activation == "relu" else np.tanh(z))
+            acts.append(np.maximum(z, 0.0) if enc.activation == "relu" else np.tanh(z))
         hs.append(acts[-1])
         caches.append(acts)
-        raws.append((acts[-1] @ head.weight + head.bias).reshape(len(x), model.n_classes, 4))
+        raws.append((acts[-1] @ head.weights[0] + head.biases[0]).reshape(len(x), model.n_classes, 4))
     total, g_raw = _loss_and_raw_grads(np.stack(raws), y_onehot, lam)
     g_raw = g_raw / y_onehot.shape[0]
     layer_grads = {}
     for m, (enc, head) in enumerate(zip(model.encoders, model.heads)):
         g = g_raw[m].reshape(len(hs[m]), -1)
         layer_grads[head] = [hs[m].T @ g, g.sum(axis=0)]
-        g = g @ head.weight.T
+        g = g @ head.weights[0].T
         acts, grads_w, grads_b = caches[m], [], []
         for i in range(len(enc.weights) - 1, -1, -1):
-            if enc.spec.activation == "relu":
+            if enc.activation == "relu":
                 g = g * (acts[i + 1] > 0.0)
             else:
                 g = g * (1.0 - acts[i + 1] ** 2)

@@ -22,7 +22,7 @@ import evfuse.cli
 from evfuse.cli import main
 from evfuse.data import Standardization, SyntheticSpec
 from evfuse.evaluation import NoiseSpec, _score_fused, ece, evaluate_model, uncertainty_density
-from evfuse.model import _MLP, EncoderSpec, MultimodalClassifier, TrainConfig
+from evfuse.model import EncoderSpec, MultimodalClassifier, TrainConfig
 
 
 def _run(capsys, *argv):
@@ -604,18 +604,16 @@ class TestEvaluate:
         assert err == "error: dataset sidecar n_classes must be the checkpoint's 3, got 2\n"
 
     @pytest.mark.parametrize("bins", ["0", "-1"])
-    def test_bins_below_one_exit_1_before_encoding(self, pipeline, tmp_path, capsys, monkeypatch, bins):
+    def test_bins_below_one_exit_1_before_encoding(self, pipeline, tmp_path, capsys, encoder_calls, bins):
         # refused only by ECE, after the whole split was encoded
         data, run = pipeline
-        encoded = []
-        monkeypatch.setattr(_MLP, "forward", lambda self, x: encoded.append(x))
         out = tmp_path / "eval"
         code, stdout, err = _run(
             capsys, "evaluate", "--checkpoint", str(run / "checkpoint.json"),
             "--data", str(data), f"--bins={bins}", "--out", str(out),
         )
         assert code == 1 and stdout == "" and err == "error: n_bins must be >= 1\n"
-        assert encoded == [] and not out.exists()
+        assert encoder_calls == [] and not out.exists()
 
     def test_weighted_kappa_config_key_exit_1(self, pipeline, tmp_path, capsys):
         data, run = pipeline
@@ -800,17 +798,15 @@ class TestNoiseSweepAndReport:
         assert not out.exists()
 
     @pytest.mark.parametrize("sigmas", ["nan", "inf", "1e400", "0.1,-1"])
-    def test_bad_sweep_sigma_exit_1_before_encoding(self, pipeline, tmp_path, capsys, monkeypatch, sigmas):
+    def test_bad_sweep_sigma_exit_1_before_encoding(self, pipeline, tmp_path, capsys, encoder_calls, sigmas):
         data, run = pipeline
-        encoded = []
-        monkeypatch.setattr(_MLP, "forward", lambda self, x: encoded.append(x))
         out = tmp_path / "sweep"
         code, _, err = _run(
             capsys, "noise-sweep", "--checkpoint", str(run / "checkpoint.json"),
             "--data", str(data), "--sigmas", sigmas, "--out", str(out),
         )
         assert code == 1 and err.startswith("error: sigma must be finite and >= 0")
-        assert encoded == [] and not out.exists()
+        assert encoder_calls == [] and not out.exists()
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--sigmas", "0.5,0.5", "noise sweep sigma 0.5 is repeated"),
@@ -818,18 +814,16 @@ class TestNoiseSweepAndReport:
         ("--noise-seeds", "1,2,1", "noise sweep seed 1 is repeated"),
     ])
     def test_repeated_sweep_value_exit_1_before_encoding(
-        self, pipeline, tmp_path, capsys, monkeypatch, flag, value, message
+        self, pipeline, tmp_path, capsys, encoder_calls, flag, value, message
     ):
         data, run = pipeline
-        encoded = []
-        monkeypatch.setattr(_MLP, "forward", lambda self, x: encoded.append(x))
         out = tmp_path / "sweep"
         code, stdout, err = _run(
             capsys, "noise-sweep", "--checkpoint", str(run / "checkpoint.json"),
             "--data", str(data), flag, value, "--out", str(out),
         )
         assert code == 1 and stdout == "" and err == f"error: {message}\n"
-        assert encoded == [] and not out.exists()
+        assert encoder_calls == [] and not out.exists()
 
     @pytest.mark.parametrize("sigma", ["nan", "inf", "1e400"])
     def test_non_finite_report_sigma_exit_1(self, pipeline, tmp_path, capsys, sigma):
@@ -853,12 +847,15 @@ _PIB = "1000000000000000"
     ("report", ["--hist-bins", _PIB]),
 ])
 def test_refused_allocation_exit_1(pipeline, tmp_path, capsys, command, flags):
+    # a bin count is refused by its rule (`MAX_BINS`), before numpy is asked for the bins
     data, run = pipeline
     if command != "generate-data":
         flags = flags + ["--checkpoint", str(run / "checkpoint.json"), "--data", str(data)]
+    message = {"generate-data": "Unable to allocate", "evaluate": f"n_bins must be <= 1000000, got {_PIB}",
+               "report": f"n_hist_bins must be <= 1000000, got {_PIB}"}[command]
     code, stdout, err = _run(capsys, command, *flags, "--out", str(tmp_path / "out"))
     assert code == 1 and stdout == ""
-    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 
@@ -1250,7 +1247,8 @@ OPTION_RULES = {
         "checkpoint": _PATH,
         "data": _PATH,
         "split": _CHOICE,
-        "bins": [({"bins": 0}, "n_bins must be >= 1")],
+        "bins": [({"bins": 0}, "n_bins must be >= 1"),
+                 ({"bins": 10**6 + 1}, "n_bins must be <= 1000000, got 1000001")],
     },
     "noise-sweep": {
         **_WRITES,
@@ -1271,7 +1269,8 @@ OPTION_RULES = {
         "sigma": [({"sigma": 1}, "--sigma requires --modality"),
                   ({"modality": 1, "sigma": -1}, "sigma must be finite and >= 0, got -1.0")],
         "noise_seed": [({"noise_seed": -1}, "seed must be >= 0, got -1")],
-        "hist_bins": [({"hist_bins": 0}, "n_hist_bins must be >= 1")],
+        "hist_bins": [({"hist_bins": 0}, "n_hist_bins must be >= 1"),
+                      ({"hist_bins": 10**6 + 1}, "n_hist_bins must be <= 1000000, got 1000001")],
     },
     "fuse": {"infile": _PATH},
 }

@@ -128,6 +128,19 @@ class TestStandardize:
         assert va_s.features[0][0, 0] == pytest.approx((4.0 - 1.0) / 1.0)
         assert va_s.features[1][0, 0] == pytest.approx(1.0)  # std forced to 1
 
+    @pytest.mark.parametrize("widths, message", [
+        ((2, 3, 1), "^modality 3 has no statistics: expected 2 modalities, got 3$"),
+        ((2,), "^modality 2 is missing: expected 2 modalities, got 1$"),
+        ((2, 4), r"^modality 2 has shape \(4, 4\), expected \(N, 3\)$"),
+    ], ids=["surplus", "missing", "width"])
+    def test_other_split_must_match_the_train_modalities(self, widths, message):
+        # a surplus modality was dropped, a missing one returned one block fewer,
+        # and a width mismatch surfaced as numpy's broadcast error
+        train = Dataset([np.arange(10.0).reshape(5, 2), np.ones((5, 3))], np.zeros(5, dtype=int))
+        other = Dataset([np.zeros((4, d)) for d in widths], np.zeros(4, dtype=int))
+        with pytest.raises(ValueError, match=message):
+            standardize(train, other)
+
     def test_empty_train_rejected(self):
         ds = Dataset([np.zeros((0, 2)), np.zeros((0, 2))], np.zeros(0, dtype=int))
         with pytest.raises(ValueError):

@@ -24,7 +24,7 @@ from evfuse.evaluation import (
     write_json,
 )
 from evfuse.losses import softmax
-from evfuse.model import _MLP, EncoderSpec, MultimodalClassifier
+from evfuse.model import EncoderSpec, MultimodalClassifier
 
 
 class TestAccuracy:
@@ -412,19 +412,13 @@ class TestInferencePass:
             tracemalloc.stop()
         assert peak < 700 * n
 
-    def test_encoder_runs_only_where_the_noise_reaches(self, monkeypatch):
+    def test_encoder_runs_only_where_the_noise_reaches(self, encoder_calls):
         model, ds = _wide_model_and_data(3000, (3, 6, 4), (16,), seed=3)
         clean = evaluate_model(model, ds)
-        encoded = []
-
-        def counted(self, x, _f=_MLP.forward):
-            encoded.append(model.encoders.index(self))
-            return _f(self, x)
-
-        monkeypatch.setattr(_MLP, "forward", counted)
+        encoder_calls.clear()
         sweep = noise_sweep(model, ds, (0.0, 0.4, 1.5), 1, (3, 8))
         # each clean modality once, then the corrupted one per sigma > 0 pair
-        assert encoded == [0, 1, 2] + [1] * 4
+        assert [m for m, _ in encoder_calls] == [0, 1, 2] + [1] * 4
         expected = {
             "acc": clean.report.acc, "kappa": clean.report.kappa, "ece": clean.report.ece,
             "mean_unc_fused": float(clean.fused_uncertainty.mean()),
@@ -441,26 +435,22 @@ class TestInferencePass:
         ((0.1, float("nan")), 0, "sigma must be finite and >= 0"),
         ((0.1,), 2, "modality_index 2 out of range"),
     ])
-    def test_noise_sweep_checks_before_encoding(self, monkeypatch, sigmas, modality, message):
+    def test_noise_sweep_checks_before_encoding(self, encoder_calls, sigmas, modality, message):
         model, ds = _model_and_data()
-        encoded = []
-        monkeypatch.setattr(_MLP, "forward", lambda self, x: encoded.append(x))
         with pytest.raises(ValueError, match=message):
             noise_sweep(model, ds, sigmas, modality, (1,))
-        assert encoded == []
+        assert encoder_calls == []
 
     @pytest.mark.parametrize("n_bins", [0, -1])
     @pytest.mark.parametrize("run", [
         lambda model, ds, n_bins: evaluate_model(model, ds, n_bins),
     ], ids=["evaluate_model"])
-    def test_bins_checked_before_encoding(self, monkeypatch, run, n_bins):
+    def test_bins_checked_before_encoding(self, encoder_calls, run, n_bins):
         # it was refused only by `ece`, after every modality was encoded
         model, ds = _model_and_data()
-        encoded = []
-        monkeypatch.setattr(_MLP, "forward", lambda self, x: encoded.append(x))
         with pytest.raises(ValueError, match="^n_bins must be >= 1$"):
             run(model, ds, n_bins)
-        assert encoded == []
+        assert encoder_calls == []
 
     @pytest.mark.parametrize("run", [
         lambda model, ds: noise_sweep(model, ds, (0.0, 1e308), 0, (0,)),
@@ -481,16 +471,14 @@ class TestInferencePass:
         ((0.5,), (1, 2, 1), "noise sweep seed 1 is repeated"),
         ((0.0, 0.5), (1, -1), "seed must be >= 0, got -1"),
     ], ids=["sigma", "signed-zero", "seed", "negative-seed"])
-    def test_noise_sweep_refuses_repeated_values(self, monkeypatch, sigmas, seeds, message):
+    def test_noise_sweep_refuses_repeated_values(self, encoder_calls, sigmas, seeds, message):
         # a repeated pair wrote identical rows, and its sigma's aggregate
         # counted each copy as one more seed; a negative seed reached numpy's
         # generator only after the clean data was scored
         model, ds = _model_and_data()
-        encoded = []
-        monkeypatch.setattr(_MLP, "forward", lambda self, x: encoded.append(x))
         with pytest.raises(ValueError, match=f"^{message}$"):
             noise_sweep(model, ds, sigmas, 0, seeds)
-        assert encoded == []
+        assert encoder_calls == []
 
     @pytest.mark.parametrize("split, message", [
         (lambda x, y: (x, y + 0.5), r"^evaluation labels must be integers in \[0, 3\)$"),
@@ -502,14 +490,12 @@ class TestInferencePass:
         evaluate_model, lambda model, ds: noise_sweep(model, ds, (0.0, 0.5), 0, (1,)),
         lambda model, ds: uncertainty_density(model, ds, NoiseSpec(0, 0.5, 3)),
     ], ids=["evaluate_model", "noise_sweep", "uncertainty_density"])
-    def test_split_checked_before_encoding(self, monkeypatch, run, split, message):
+    def test_split_checked_before_encoding(self, encoder_calls, run, split, message):
         model, ds = _model_and_data()
         features, labels = split(ds.features, ds.labels)
-        encoded = []
-        monkeypatch.setattr(_MLP, "forward", lambda self, x: encoded.append(x))
         with pytest.raises(ValueError, match=message):
             run(model, SimpleNamespace(features=features, labels=labels))  # a duck-typed dataset
-        assert encoded == []
+        assert encoder_calls == []
 
     def test_feature_blocks_of_unequal_rows_rejected(self):
         model, ds = _model_and_data()

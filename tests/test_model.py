@@ -30,7 +30,6 @@ from evfuse.model import (
     _constrain_arrays,
     _constrain_backward,
     _dataset_loss,
-    _MLP,
     _score_modalities,
     row_chunks,
     softplus,
@@ -293,18 +292,11 @@ class TestForward:
             (6, (128, 64), 12345, [4096, 4096, 4153]),
         ],
     )
-    def test_head_outputs_chunk_rows(self, monkeypatch, d, hidden, n, chunks):
+    def test_head_outputs_chunk_rows(self, encoder_calls, d, hidden, n, chunks):
         # the rows of each encoder call of the inference pass
         model = MultimodalClassifier([EncoderSpec(d, hidden, "tanh")], n_classes=3)
-        rows = []
-
-        def forward(self, x, _f=_MLP.forward):
-            rows.append(len(x))
-            return _f(self, x)
-
-        monkeypatch.setattr(_MLP, "forward", forward)
         _score_modalities(model, [np.zeros((n, d))])
-        assert rows == chunks
+        assert [rows for _, rows in encoder_calls] == chunks
 
     def test_row_chunks_remainder_joins_the_last_chunk(self):
         assert list(row_chunks(0)) == [(0, 0)]
@@ -380,9 +372,28 @@ class TestCheckpoint:
             for w1, w2 in zip(a.weights, b.weights):
                 np.testing.assert_array_equal(w1, w2)
         for a, b in zip(model.heads, loaded.heads):
-            np.testing.assert_array_equal(a.weight, b.weight)
-            np.testing.assert_array_equal(a.bias, b.bias)
+            np.testing.assert_array_equal(a.weights[0], b.weights[0])
+            np.testing.assert_array_equal(a.biases[0], b.biases[0])
         assert json.dumps(loaded.state_dict()) == text
+
+    @pytest.mark.parametrize("dims", [(3,), (3, 2, 4)], ids=["M1", "M3"])
+    @pytest.mark.parametrize("hidden", [(5,), (4, 3)])
+    def test_initial_weights_follow_the_draw_order(self, dims, hidden):
+        # Glorot draws from one generator seeded by the model's seed: each encoder
+        # layer by layer, then each head, with zero biases; the reference
+        # checkpoint's bytes rest on this order
+        model = MultimodalClassifier([EncoderSpec(d, hidden) for d in dims], n_classes=3, seed=9)
+        rng = np.random.default_rng(9)
+
+        def layers(widths):
+            pairs = list(zip(widths[:-1], widths[1:]))
+            bounds = [np.sqrt(6.0 / (a + b)) for a, b in pairs]
+            return ([rng.uniform(-c, c, size=pair) for c, pair in zip(bounds, pairs)]
+                    + [np.zeros(b) for _, b in pairs])
+
+        expected = [a for d in dims for a in layers((d, *hidden))]
+        expected += [a for _ in dims for a in layers((hidden[-1], 12))]
+        assert np.array_equal(model.params, np.concatenate([a.ravel() for a in expected]))
 
     def test_every_weight_is_a_view_into_params(self):
         model = _tiny_model()
@@ -543,7 +554,7 @@ class TestTrain:
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_diverged_loss_raises_with_diagnostics(self):
         model = _tiny_model(seed=2)
-        model.heads[0].weight[:] = np.nan
+        model.heads[0].weights[0][:] = np.nan
         with pytest.raises(TrainingDivergedError, match="epoch 0"):
             train(model, _toy_dataset(), TrainConfig(max_epochs=1, seed=0))
 
